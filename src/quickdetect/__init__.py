@@ -6,9 +6,9 @@ observations for a distribution change:
 * :mod:`quickdetect.series` — loading price CSVs, difference series,
   moment estimation and distributional diagnostics;
 * :mod:`quickdetect.models` — Gaussian change models, exact
-  log-likelihood ratios, linear-quadratic and rank scores;
-* :mod:`quickdetect.detect` — CUSUM and Shiryaev-Roberts recursions,
-  single-run and multi-cyclic;
+  log-likelihood ratios and the linear-quadratic score;
+* :mod:`quickdetect.detect` — CUSUM and Shiryaev-Roberts recursions on log
+  increments, single-run and multi-cyclic;
 * :mod:`quickdetect.offline` — retrospective change-point estimation and
   recursive segmentation;
 * :mod:`quickdetect.renewal` — renewal-theoretic constants and
@@ -31,22 +31,16 @@ from .calib import (
 from .detect import (
     AlarmRecord,
     DetectionTrace,
-    DetectorState,
-    cusum_step,
-    fresh_state,
     multi_cyclic_run,
     run_detector,
-    sr_step,
     to_ratios,
 )
 from .models import (
     GaussianChangeModel,
-    RankState,
     ScoreParams,
     design_coefficients,
     linear_quadratic_score,
     llr,
-    rank_score,
 )
 from .offline import (
     BDTrace,
@@ -93,7 +87,6 @@ __all__ = [
     "CsvSchema",
     "DetectionTrace",
     "DetectorConfig",
-    "DetectorState",
     "DiagnosticBundle",
     "Estimate",
     "EstimationPolicy",
@@ -101,7 +94,6 @@ __all__ = [
     "MomentEstimate",
     "PerformanceEstimate",
     "PriceSeries",
-    "RankState",
     "RenewalConstants",
     "ReturnSeries",
     "ScoreParams",
@@ -111,7 +103,6 @@ __all__ = [
     "bd_estimate",
     "bd_segment",
     "bd_statistic",
-    "cusum_step",
     "delay_approx",
     "design_coefficients",
     "diagnostics",
@@ -120,17 +111,14 @@ __all__ = [
     "estimate_moments",
     "estimate_sadd",
     "estimate_stadd",
-    "fresh_state",
     "kl_numbers",
     "linear_quadratic_score",
     "llr",
     "load_csv",
     "multi_cyclic_run",
     "null_threshold",
-    "rank_score",
     "run_detector",
     "solve_threshold",
-    "sr_step",
     "standardize",
     "to_ratios",
     "__version__",

@@ -26,13 +26,12 @@ shared across iterations.
 Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them is an error.
 
-For the sequential-rank mode the rank history restarts together with the
-statistic after every alarm, keeping the cycles identically distributed.
+The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
+:mod:`quickdetect.detect`, block by block as the observations are drawn.
 """
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,21 +39,13 @@ from typing import Callable
 import numpy as np
 
 from ._rand import mean_se, substream
-from .detect import KINDS
+from .detect import KINDS, MODES, _BLOCK, _advance_with_resets, _path, check_threshold
 from .models import GaussianChangeModel, ScoreParams, linear_quadratic_score, llr
 
 _STREAM_ARL = 11
 _STREAM_SADD = 12
 _STREAM_STADD_PRE = 13
 _STREAM_STADD_POST = 14
-
-_BLOCK = 256
-_EXP_MAX = 700.0
-#: when block exponents stay inside this budget the Shiryaev-Roberts path is
-#: evaluated in plain linear arithmetic; otherwise in log space
-_LINEAR_GUARD = 300.0
-
-MODES = ("exact", "score", "rank")
 
 
 class CalibrationError(RuntimeError):
@@ -118,7 +109,7 @@ class DetectorConfig:
     ``model`` always generates the observations.  ``mode`` picks the
     increments: ``exact`` uses the model log-likelihood ratio, ``score``
     standardizes by the pre-change moments and applies the linear-quadratic
-    score, ``rank`` uses sequential ranks centered at ``rank_c``.
+    score.
     ``increment_fn`` (observations -> log increments) overrides the mode;
     it exists for degenerate and diagnostic detectors.
     """
@@ -127,7 +118,6 @@ class DetectorConfig:
     model: GaussianChangeModel
     mode: str = "exact"
     score: ScoreParams | None = None
-    rank_c: float | None = None
     increment_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -135,22 +125,14 @@ class DetectorConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "rank":
-            if self.increment_fn is not None:
-                raise ValueError("rank mode computes its own increments")
-            if self.rank_c is None or not np.isfinite(self.rank_c):
-                raise ValueError("rank mode needs a finite centering constant")
-        elif self.increment_fn is None:
-            if self.mode == "score":
-                if self.score is None:
-                    raise ValueError("score mode needs score parameters")
-                if self.score.is_degenerate:
-                    raise ValueError("refusing to run an identically-zero score")
+        if self.increment_fn is None and self.mode == "score":
+            if self.score is None:
+                raise ValueError("score mode needs score parameters")
+            if self.score.is_degenerate:
+                raise ValueError("refusing to run an identically-zero score")
 
     def log_increments(self, x: np.ndarray) -> np.ndarray:
         """Map raw observations to log-scale detector increments."""
-        if self.mode == "rank":
-            raise ValueError("rank increments are history dependent")
         if self.increment_fn is not None:
             out = np.asarray(self.increment_fn(np.asarray(x, dtype=float)), dtype=float)
             if out.shape != np.shape(x):
@@ -169,38 +151,6 @@ class DetectorConfig:
         raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
 
 
-def _cusum_path(w0: float, z: np.ndarray) -> np.ndarray:
-    """Per-step CUSUM values over a block, starting from ``w0``."""
-    cs = np.cumsum(z)
-    return np.maximum(w0 + cs, cs - np.minimum.accumulate(cs))
-
-
-def _sr_path(r0: float, z: np.ndarray) -> np.ndarray:
-    """Per-step Shiryaev-Roberts values over a block, starting from ``r0``.
-
-    Uses plain linear arithmetic when every intermediate exponent is small
-    (this keeps integer-valued degenerate cases exact) and an equivalent
-    log-space evaluation otherwise.  Values past a genuine crossing may
-    overflow to inf, which still compares correctly against any threshold.
-    """
-    cs = np.cumsum(z)
-    prev = cs - z  # z_{k-1}; prev[0] == 0 exactly
-    with np.errstate(over="ignore"):
-        if (
-            r0 <= 1e150
-            and float(np.max(cs)) <= _LINEAR_GUARD
-            and float(np.min(prev)) >= -_LINEAR_GUARD
-        ):
-            return np.exp(cs) * (r0 + np.cumsum(np.exp(-prev)))
-        log_r0 = math.log(r0) if r0 > 0.0 else -math.inf
-        acc = np.logaddexp.accumulate(-prev)
-        return np.exp(np.minimum(cs + np.logaddexp(log_r0, acc), _EXP_MAX * 1.1))
-
-
-def _path(kind: str, state: float, z: np.ndarray) -> np.ndarray:
-    return _cusum_path(state, z) if kind == "cusum" else _sr_path(state, z)
-
-
 def _first_crossing(
     config: DetectorConfig,
     threshold: float,
@@ -209,8 +159,6 @@ def _first_crossing(
     regime: str,
 ) -> int | None:
     """Steps to the first alarm from a fresh detector, or None at the cap."""
-    if config.mode == "rank":
-        return _first_crossing_rank(config, threshold, rng, cap, regime)
     state = 0.0
     consumed = 0
     while consumed < cap:
@@ -222,32 +170,6 @@ def _first_crossing(
             return consumed + int(hits[0]) + 1
         state = float(path[-1])
         consumed += block
-    return None
-
-
-def _first_crossing_rank(
-    config: DetectorConfig,
-    threshold: float,
-    rng: np.random.Generator,
-    cap: int,
-    regime: str,
-) -> int | None:
-    history: list[float] = []
-    statistic = 0.0
-    consumed = 0
-    c = float(config.rank_c)
-    while consumed < cap:
-        block = min(_BLOCK, cap - consumed)
-        for x in config.sample(rng, block, regime):
-            score = float(_bisect.bisect_left(history, x)) - c
-            _bisect.insort(history, x)
-            if config.kind == "cusum":
-                statistic = max(0.0, statistic + score)
-            else:
-                statistic = (1.0 + statistic) * math.exp(min(max(score, -_EXP_MAX), _EXP_MAX))
-            consumed += 1
-            if statistic >= threshold:
-                return consumed
     return None
 
 
@@ -277,11 +199,6 @@ def _stop_times(
     return times, cap_hits
 
 
-def _check_threshold(threshold: float) -> None:
-    if not (np.isfinite(threshold) and threshold > 0.0):
-        raise ValueError("threshold must be positive and finite")
-
-
 def estimate_arl(
     config: DetectorConfig, threshold: float, spec: CalibrationSpec
 ) -> PerformanceEstimate:
@@ -290,7 +207,7 @@ def estimate_arl(
     Capped replications enter at the cap value and are reported via
     ``cap_hits`` rather than silently dropped.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     times, cap_hits = _stop_times(config, threshold, spec, "pre", _STREAM_ARL)
     value, se = mean_se(times)
     return PerformanceEstimate(
@@ -307,7 +224,7 @@ def estimate_sadd(
     config: DetectorConfig, threshold: float, spec: CalibrationSpec
 ) -> PerformanceEstimate:
     """Worst-case mean detection delay: change in force from the first step."""
-    _check_threshold(threshold)
+    check_threshold(threshold)
     times, cap_hits = _stop_times(config, threshold, spec, "post", _STREAM_SADD)
     value, se = mean_se(times)
     return PerformanceEstimate(
@@ -320,21 +237,6 @@ def estimate_sadd(
     )
 
 
-def _advance_with_resets(
-    config: DetectorConfig, state: float, z: np.ndarray, threshold: float
-) -> float:
-    """Consume a whole block, restarting at every alarm; return the end state."""
-    pos = 0
-    while pos < z.size:
-        path = _path(config.kind, state, z[pos:])
-        hits = np.nonzero(path >= threshold)[0]
-        if hits.size == 0:
-            return float(path[-1])
-        state = 0.0
-        pos += int(hits[0]) + 1
-    return state
-
-
 def _stadd_delay(
     config: DetectorConfig,
     threshold: float,
@@ -344,14 +246,12 @@ def _stadd_delay(
     cap: int,
 ) -> int | None:
     """Delay of the first alarm after a change injected at step ``nu``."""
-    if config.mode == "rank":
-        return _stadd_delay_rank(config, threshold, rng_pre, rng_post, nu, cap)
     state = 0.0
     consumed = 0
     while consumed < nu:
         block = min(_BLOCK, nu - consumed)
         z = config.log_increments(config.sample(rng_pre, block, "pre"))
-        state = _advance_with_resets(config, state, z, threshold)
+        state, _ = _advance_with_resets(config.kind, state, z, threshold)
         consumed += block
     consumed = 0
     while consumed < cap:
@@ -363,50 +263,6 @@ def _stadd_delay(
             return consumed + int(hits[0]) + 1
         state = float(path[-1])
         consumed += block
-    return None
-
-
-def _stadd_delay_rank(
-    config: DetectorConfig,
-    threshold: float,
-    rng_pre: np.random.Generator,
-    rng_post: np.random.Generator,
-    nu: int,
-    cap: int,
-) -> int | None:
-    history: list[float] = []
-    statistic = 0.0
-    c = float(config.rank_c)
-
-    def step(x: float) -> bool:
-        nonlocal history, statistic
-        score = float(_bisect.bisect_left(history, x)) - c
-        _bisect.insort(history, x)
-        if config.kind == "cusum":
-            statistic = max(0.0, statistic + score)
-        else:
-            statistic = (1.0 + statistic) * math.exp(min(max(score, -_EXP_MAX), _EXP_MAX))
-        if statistic >= threshold:
-            history = []
-            statistic = 0.0
-            return True
-        return False
-
-    consumed = 0
-    while consumed < nu:
-        block = min(_BLOCK, nu - consumed)
-        for x in config.sample(rng_pre, block, "pre"):
-            step(float(x))
-        consumed += block
-    consumed = 0
-    while consumed < cap:
-        block = min(_BLOCK, cap - consumed)
-        for x in config.sample(rng_post, block, "post"):
-            consumed += 1
-            was_alarm = step(float(x))
-            if was_alarm:
-                return consumed
-        # consumed already advanced inside the loop
     return None
 
 
@@ -448,7 +304,7 @@ def estimate_stadd(
     ``2 * nu_stationary`` must agree within two combined standard errors,
     otherwise the call fails.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     est = _stadd_at(config, threshold, spec, spec.nu_stationary)
     check = _stadd_at(config, threshold, spec, 2 * spec.nu_stationary)
     spread = 2.0 * math.hypot(est.std_error, check.std_error)

@@ -37,6 +37,7 @@ import numpy as np
 from . import calib, detect, models, offline, renewal, series
 
 _FLOAT = lambda text: float(text)  # noqa: E731 - argparse type alias
+_KIND_CHOICES = detect.KINDS + ("both",)
 
 
 class UsageError(ValueError):
@@ -82,10 +83,10 @@ class RunConfig:
     horizon: int = 4_000
 
     def __post_init__(self) -> None:
-        if self.kind not in ("cusum", "sr", "both"):
-            raise ValueError(f"kind must be cusum, sr or both, got {self.kind!r}")
-        if self.mode not in ("exact", "score"):
-            raise ValueError(f"mode must be exact or score, got {self.mode!r}")
+        if self.kind not in _KIND_CHOICES:
+            raise ValueError(f"kind must be one of {_KIND_CHOICES}, got {self.kind!r}")
+        if self.mode not in detect.MODES:
+            raise ValueError(f"mode must be one of {detect.MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "lags", tuple(int(k) for k in self.lags))
@@ -266,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     with_model(p)
     p.add_argument("--gamma", type=_FLOAT)
-    p.add_argument("--kind", choices=("cusum", "sr", "both"))
-    p.add_argument("--mode", choices=("exact", "score"))
+    p.add_argument("--kind", choices=_KIND_CHOICES)
+    p.add_argument("--mode", choices=detect.MODES)
     p.add_argument("--replications", type=int)
     p.add_argument("--relative-tolerance", type=_FLOAT, dest="relative_tolerance")
     p.add_argument("--max-iterations", type=int, dest="max_iterations")
@@ -276,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     with_input(p)
     with_model(p)
-    p.add_argument("--kind", choices=("cusum", "sr", "both"))
-    p.add_argument("--mode", choices=("exact", "score"))
+    p.add_argument("--kind", choices=_KIND_CHOICES)
+    p.add_argument("--mode", choices=detect.MODES)
     p.add_argument("--threshold-a", type=_FLOAT, dest="threshold_a")
     p.add_argument("--threshold-h", type=_FLOAT, dest="threshold_h")
     p.add_argument("--train-end", type=int, dest="train_end")
@@ -293,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     with_model(p)
     p.add_argument("--gamma", type=_FLOAT)
-    p.add_argument("--kind", choices=("cusum", "sr", "both"))
-    p.add_argument("--mode", choices=("exact", "score"))
+    p.add_argument("--kind", choices=_KIND_CHOICES)
+    p.add_argument("--mode", choices=detect.MODES)
     p.add_argument("--replications", type=int)
     p.add_argument("--nu", type=int, help="change index for the stationary delay")
     p.add_argument("--relative-tolerance", type=_FLOAT, dest="relative_tolerance")
@@ -576,7 +577,7 @@ def _cmd_constants(config: RunConfig) -> Report:
 
 
 def _kinds(config: RunConfig) -> tuple[str, ...]:
-    return ("cusum", "sr") if config.kind == "both" else (config.kind,)
+    return detect.KINDS if config.kind == "both" else (config.kind,)
 
 
 def _cmd_calibrate(config: RunConfig) -> Report:
@@ -661,9 +662,8 @@ def _cmd_detect(config: RunConfig) -> Report:
         if threshold is None:
             continue
         ran_any = True
-        stream = increments if kind == "cusum" else detect.to_ratios(increments)
         runner = detect.multi_cyclic_run if config.multi_cyclic else detect.run_detector
-        trace = runner(stream, kind=kind, mode=config.mode, threshold=threshold)
+        trace = runner(increments, kind=kind, mode=config.mode, threshold=threshold)
         entries = [
             ReportEntry("threshold", threshold),
             ReportEntry("observations", trace.increments_consumed, "observations"),

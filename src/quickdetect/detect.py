@@ -1,96 +1,120 @@
 """CUSUM and Shiryaev-Roberts detectors: single-run and multi-cyclic stopping.
 
-Both detectors are driven by per-observation increments:
+Both detectors consume the same per-observation log increments ``z_n``
+(log-likelihood ratios or scores):
 
-* CUSUM keeps a reflected random walk on the log scale,
-  ``W_n = max(0, W_{n-1} + z_n)`` with ``W_0 = 0``, consuming log-likelihood
-  ratios (or scores) ``z_n`` directly, and alarms when ``W_n >= h``.
-* Shiryaev-Roberts keeps ``R_n = (1 + R_{n-1}) * r_n`` with ``R_0 = 0`` on
-  the linear scale, consuming likelihood ratios ``r_n > 0``, and alarms when
-  ``R_n >= A``.  Before the change ``R_n - n`` is a zero-mean martingale,
-  which is what drives the false-alarm guarantee ``ARL >= A``.
+* CUSUM keeps a reflected random walk ``W_n = max(0, W_{n-1} + z_n)`` with
+  ``W_0 = 0`` and alarms when ``W_n >= h``.
+* Shiryaev-Roberts keeps ``R_n = (1 + R_{n-1}) * exp(z_n)`` with ``R_0 = 0``
+  and alarms when ``R_n >= A``.  Before the change ``R_n - n`` is a
+  zero-mean martingale, which is what drives the false-alarm guarantee
+  ``ARL >= A``.
+
+Each recursion is written once, as a kernel that evaluates a whole block of
+increments from a starting value (:func:`_cusum_path`, :func:`_sr_path`),
+plus one restart loop (:func:`_advance_with_resets`).  The runners here and
+the Monte Carlo estimators in :mod:`quickdetect.calib` share them.
 
 Alarms use ``>=`` at the threshold.  A stream that ends without a crossing
 is a valid "no alarm" outcome, not an error.  In a multi-cyclic run the
-detector restarts from the fresh state after every alarm, and when the true
-change index is known (simulation), the first alarm strictly after it is
-flagged as the true detection.
+detector restarts from zero after every alarm, and when the true change
+index is known (simulation), the first alarm strictly after it is flagged
+as the true detection.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 KINDS = ("cusum", "sr")
 MODES = ("exact", "score")
 
-#: log-likelihood ratios are clamped to this magnitude before exponentiation
-#: so that ratio streams stay finite and positive.
+#: log increments are clamped to this magnitude before exponentiation so
+#: that ratios stay finite and positive
 LLR_CLAMP = 700.0
+#: when block exponents stay inside this budget the Shiryaev-Roberts path is
+#: evaluated in plain linear arithmetic; otherwise in log space
+_LINEAR_GUARD = 300.0
+_BLOCK = 256
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class DetectorState:
-    """Current statistic of a single detector (immutable; steps return new states)."""
-
-    kind: str
-    statistic: float = 0.0
-    n: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not np.isfinite(self.statistic):
-            raise ValueError("statistic must be finite")
-        if self.statistic < 0.0:
-            raise ValueError("statistic cannot be negative")
-        if self.n < 0:
-            raise ValueError("step count cannot be negative")
+def check_threshold(threshold: float) -> None:
+    """Reject a detector threshold that is not positive and finite."""
+    if not (np.isfinite(threshold) and threshold > 0.0):
+        raise ValueError("threshold must be positive and finite")
 
 
-def fresh_state(kind: str) -> DetectorState:
-    """The state a detector holds before consuming anything (statistic 0)."""
-    return DetectorState(kind=kind, statistic=0.0, n=0)
+def _cusum_path(w0: float, z: np.ndarray) -> np.ndarray:
+    """Per-step CUSUM values over a block, starting from ``w0``."""
+    cs = np.cumsum(z)
+    return np.maximum(w0 + cs, cs - np.minimum.accumulate(cs))
 
 
-def cusum_step(state: DetectorState, increment: float) -> DetectorState:
-    """Advance a CUSUM state by one log-scale increment."""
-    if state.kind != "cusum":
-        raise ValueError(f"cusum_step on a {state.kind!r} state")
-    increment = float(increment)
-    if not np.isfinite(increment):
-        raise ValueError("increment must be finite")
-    return DetectorState(
-        kind="cusum",
-        statistic=max(0.0, state.statistic + increment),
-        n=state.n + 1,
-    )
+def _sr_path(r0: float, z: np.ndarray) -> np.ndarray:
+    """Per-step Shiryaev-Roberts values over a block, starting from ``r0``.
+
+    Uses plain linear arithmetic when every intermediate exponent is small
+    (this keeps integer-valued degenerate cases exact) and an equivalent
+    log-space evaluation otherwise.  Values beyond float range saturate at
+    the largest finite float, which still reaches any finite threshold.
+    """
+    cs = np.cumsum(z)
+    prev = cs - z  # z_{k-1}; prev[0] == 0 exactly
+    with np.errstate(over="ignore"):
+        if (
+            r0 <= 1e150
+            and float(np.max(cs)) <= _LINEAR_GUARD
+            and float(np.min(prev)) >= -_LINEAR_GUARD
+        ):
+            return np.exp(cs) * (r0 + np.cumsum(np.exp(-prev)))
+        log_r0 = math.log(r0) if r0 > 0.0 else -math.inf
+        acc = np.logaddexp.accumulate(-prev)
+        return np.minimum(np.exp(cs + np.logaddexp(log_r0, acc)), _FLOAT_MAX)
 
 
-def sr_step(state: DetectorState, ratio: float) -> DetectorState:
-    """Advance a Shiryaev-Roberts state by one likelihood ratio."""
-    if state.kind != "sr":
-        raise ValueError(f"sr_step on a {state.kind!r} state")
-    ratio = float(ratio)
-    if not (np.isfinite(ratio) and ratio > 0.0):
-        raise ValueError("ratio must be finite and positive")
-    return DetectorState(
-        kind="sr",
-        statistic=(1.0 + state.statistic) * ratio,
-        n=state.n + 1,
-    )
+def _path(kind: str, state: float, z: np.ndarray) -> np.ndarray:
+    return _cusum_path(state, z) if kind == "cusum" else _sr_path(state, z)
+
+
+def _advance_with_resets(
+    kind: str,
+    state: float,
+    z: np.ndarray,
+    threshold: float,
+    out: np.ndarray | None = None,
+) -> tuple[float, list[int]]:
+    """Consume a whole block, restarting at every alarm.
+
+    Returns the end state and the 1-based offsets of the alarms within the
+    block; ``out``, when given, receives the per-step statistics.
+    """
+    alarms: list[int] = []
+    pos = 0
+    while pos < z.size:
+        path = _path(kind, state, z[pos:])
+        hits = np.nonzero(path >= threshold)[0]
+        end = z.size if hits.size == 0 else pos + int(hits[0]) + 1
+        if out is not None:
+            out[pos:end] = path[: end - pos]
+        if hits.size == 0:
+            return float(path[-1]), alarms
+        alarms.append(end)
+        state = 0.0
+        pos = end
+    return state, alarms
 
 
 def to_ratios(log_increments) -> np.ndarray:
-    """Turn log-likelihood ratios (or scores) into SR ratios ``exp(z)``.
+    """Turn log-likelihood ratios (or scores) into likelihood ratios ``exp(z)``.
 
-    Inputs are clamped to ``+/-700`` first so the result is always finite
-    and positive.
+    Inputs are clamped to ``+/-LLR_CLAMP`` first so the result is always
+    finite and positive.
     """
     arr = np.asarray(log_increments, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -181,113 +205,101 @@ class DetectionTrace:
         return path
 
 
-def _validate_run_args(kind: str, mode: str, threshold: float) -> None:
+def _run(
+    increments, kind: str, mode: str, threshold: float, first_only: bool
+) -> tuple[np.ndarray, list[int]]:
+    """Statistics and alarm steps of a run that restarts after every alarm.
+
+    The stream is consumed in fixed blocks; with ``first_only`` it stops at
+    the block holding the first alarm and is cut just after that alarm.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not np.isfinite(threshold) or threshold <= 0.0:
-        raise ValueError("threshold must be positive and finite")
+    check_threshold(threshold)
+    z = np.asarray(increments, dtype=float)
+    if z.ndim != 1:
+        raise ValueError("increments must be a 1-D array")
+    if z.size == 0:
+        raise ValueError("empty increment stream")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("increments must be finite")
+    statistics = np.empty(z.size)
+    alarms: list[int] = []
+    state = 0.0
+    for start in range(0, z.size, _BLOCK):
+        stop = start + _BLOCK
+        state, hits = _advance_with_resets(
+            kind, state, z[start:stop], threshold, statistics[start:stop]
+        )
+        alarms.extend(start + hit for hit in hits)
+        if first_only and alarms:
+            return statistics[: alarms[0]], alarms[:1]
+    return statistics, alarms
 
 
-def _step(state: DetectorState, increment: float) -> DetectorState:
-    if state.kind == "cusum":
-        return cusum_step(state, increment)
-    return sr_step(state, increment)
+def _alarm_records(
+    statistics: np.ndarray, alarms: list[int], threshold: float
+) -> tuple[AlarmRecord, ...]:
+    starts = [0] + alarms[:-1]
+    return tuple(
+        AlarmRecord(
+            stop_time=step - start,
+            global_time=step,
+            statistic_at_stop=float(statistics[step - 1]),
+            threshold=threshold,
+            cycle_index=cycle,
+        )
+        for cycle, (start, step) in enumerate(zip(starts, alarms), start=1)
+    )
 
 
 def run_detector(
-    increments: Iterable[float],
+    increments,
     kind: str,
     mode: str = "exact",
     threshold: float = 1.0,
 ) -> DetectionTrace:
-    """Consume increments until the first threshold crossing (``>=``).
+    """Run a fresh detector over log increments until the first crossing (``>=``).
 
-    For ``kind="sr"`` the stream must carry likelihood ratios (see
-    :func:`to_ratios`); for ``kind="cusum"`` it carries log-likelihood
-    ratios or scores.  ``mode`` records how the increments were produced.
-    Consumption stops at the alarm; an exhausted stream without a crossing
-    returns a trace with no alarms.
+    ``increments`` is a 1-D array of log-likelihood ratios or scores, for
+    both kinds; ``mode`` records how they were produced.  The trace stops
+    at the alarm; a stream without a crossing returns a trace with no
+    alarms.
     """
-    _validate_run_args(kind, mode, threshold)
-    state = fresh_state(kind)
-    values: list[float] = []
-    alarms: list[AlarmRecord] = []
-    consumed_any = False
-    for increment in increments:
-        consumed_any = True
-        state = _step(state, increment)
-        values.append(state.statistic)
-        if state.statistic >= threshold:
-            alarms.append(
-                AlarmRecord(
-                    stop_time=state.n,
-                    global_time=state.n,
-                    statistic_at_stop=state.statistic,
-                    threshold=threshold,
-                    cycle_index=1,
-                )
-            )
-            break
-    if not consumed_any:
-        raise ValueError("empty increment stream")
+    statistics, alarms = _run(increments, kind, mode, threshold, first_only=True)
     return DetectionTrace(
         kind=kind,
         mode=mode,
         threshold=threshold,
-        statistics=np.array(values),
-        alarms=tuple(alarms),
+        statistics=statistics,
+        alarms=_alarm_records(statistics, alarms, threshold),
     )
 
 
 def multi_cyclic_run(
-    increments: Iterable[float],
+    increments,
     kind: str,
     mode: str = "exact",
     threshold: float = 1.0,
     change_point: int | None = None,
 ) -> DetectionTrace:
-    """Consume the whole stream, restarting from fresh after every alarm.
+    """Run over the whole stream of log increments, restarting after every alarm.
 
     The statistic value recorded immediately after an alarm is exactly what
     a fresh detector produces on that increment.  When ``change_point`` is
     given (simulation with a known change index), the returned trace flags
     the first alarm with global time beyond it as the true detection.
     """
-    _validate_run_args(kind, mode, threshold)
     if change_point is not None and change_point < 0:
         raise ValueError("change_point must be nonnegative")
-    state = fresh_state(kind)
-    values: list[float] = []
-    alarms: list[AlarmRecord] = []
-    cycle = 1
-    cycle_start = 0  # global steps consumed before the current cycle
-    consumed = 0
-    for increment in increments:
-        state = _step(state, increment)
-        consumed += 1
-        values.append(state.statistic)
-        if state.statistic >= threshold:
-            alarms.append(
-                AlarmRecord(
-                    stop_time=consumed - cycle_start,
-                    global_time=consumed,
-                    statistic_at_stop=state.statistic,
-                    threshold=threshold,
-                    cycle_index=cycle,
-                )
-            )
-            state = fresh_state(kind)
-            cycle += 1
-            cycle_start = consumed
-    if consumed == 0:
-        raise ValueError("empty increment stream")
+    statistics, alarms = _run(increments, kind, mode, threshold, first_only=False)
     return DetectionTrace(
         kind=kind,
         mode=mode,
         threshold=threshold,
-        statistics=np.array(values),
-        alarms=tuple(alarms),
+        statistics=statistics,
+        alarms=_alarm_records(statistics, alarms, threshold),
         change_point=change_point,
     )

@@ -6,9 +6,11 @@ consume per-observation increments built here in one of two ways:
 
 * exact likelihood: the log-likelihood ratio (LLR) of the two Gaussians;
 * score-based: a cheap surrogate ``S(x)`` that only needs to drift downward
-  before the change and upward after it.  Two surrogates are provided — a
-  linear-quadratic score in the standardized observation, and a sequential-
-  rank score that is distribution free under an i.i.d. pre-change regime.
+  before the change and upward after it, here a linear-quadratic score in
+  the standardized observation.
+
+Both are log-scale increments: CUSUM adds them and Shiryaev-Roberts
+exponentiates them (see :mod:`quickdetect.detect`).
 
 The linear-quadratic design with coefficients ``C1 = delta*q^2``,
 ``C2 = (1 - q^2)/2``, ``C3 = delta^2*q^2/2 - log(q)`` reproduces the exact
@@ -19,7 +21,6 @@ LLR identically.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -149,43 +150,3 @@ def linear_quadratic_score(params: ScoreParams, x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class RankState:
-    """History multiset for the sequential-rank score plus its centering ``C``.
-
-    ``history`` is kept sorted; its size equals the number of observations
-    consumed so far.
-    """
-
-    history: tuple[float, ...] = ()
-    c: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "history", tuple(self.history))
-        if any(h1 < h0 for h0, h1 in zip(self.history, self.history[1:])):
-            raise ValueError("history must be sorted")
-        if not np.isfinite(self.c):
-            raise ValueError("centering constant must be finite")
-
-    def __len__(self) -> int:
-        return len(self.history)
-
-
-def rank_score(state: RankState, x: float) -> tuple[float, RankState]:
-    """Sequential-rank score increment and the advanced state.
-
-    The sequential rank of the n-th observation is the count of earlier
-    observations strictly below it, ``U_n = #{k <= n : x_k < x_n}``; ties
-    never increment the count.  Under any i.i.d. continuous pre-change law
-    ``U_n`` is uniform on ``{0, ..., n-1}``, which makes the score
-    ``U_n - C`` distribution free.  Returns ``(U_n - C, new_state)``.
-    """
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("observations must be finite")
-    ordered = list(state.history)
-    u = bisect.bisect_left(ordered, x)
-    bisect.insort(ordered, x)
-    return float(u) - state.c, RankState(history=tuple(ordered), c=state.c)

@@ -54,6 +54,7 @@ import numpy as np
 from scipy import stats
 
 from ._rand import mean_se, substream
+from .detect import LLR_CLAMP, check_threshold
 from .models import GaussianChangeModel, llr
 
 _STREAM_OVERSHOOT = 1
@@ -69,8 +70,6 @@ TRUNCATION_HARD_CAP = 10**6
 #: visible mass to sum(exp(-Z_k)); paths are cut here
 ESCAPE_MARGIN = 50.0
 _BLOCK = 512
-#: bound on exponents fed to exp so intermediate sums stay finite
-_EXP_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def _post_walk_draws(model: GaussianChangeModel, policy: EstimationPolicy):
                 z_min = min(z_min, float(np.min(z[:min_within])))
             u_within = min(u_terms - steps, block)
             if u_within > 0:
-                exponents = -np.clip(z[:u_within], -_EXP_MAX, None)
+                exponents = -np.clip(z[:u_within], -LLR_CLAMP, None)
                 u += float(np.sum(np.exp(exponents)))
             z_end = float(z[-1])
             steps += block
@@ -397,7 +396,7 @@ def _sr_stationary_draws(model: GaussianChangeModel, policy: EstimationPolicy):
             inner = float(np.logaddexp.reduce(-z_prev))
             log_r = float(z[-1]) + float(np.logaddexp(log_r, inner))
             steps += block
-        draws[r] = math.exp(min(log_r, _EXP_MAX))
+        draws[r] = math.exp(min(log_r, LLR_CLAMP))
     return draws
 
 
@@ -445,14 +444,9 @@ def estimate_constants(
     )
 
 
-def _check_threshold(threshold: float) -> None:
-    if not (np.isfinite(threshold) and threshold > 0.0):
-        raise ValueError("threshold must be positive and finite")
-
-
 def arl_approx(kind: str, threshold: float, constants: RenewalConstants) -> float:
     """Higher-order approximation to the pre-change mean time to false alarm."""
-    _check_threshold(threshold)
+    check_threshold(threshold)
     if kind == "cusum":
         zeta = constants.zeta.value
         return (
@@ -475,7 +469,7 @@ def delay_approx(
     (multi-cyclic stationary delay); ``sadd - stadd = (c_inf - c0)/I_g``
     is nonnegative by construction.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     i_g = constants.i_g
     kappa = constants.varkappa.value
     if kind == "cusum":

@@ -65,11 +65,7 @@ def test_criterion_1_recursions_match_brute_force_definitions():
         n = int(rng.integers(20, 201))
         z = rng.normal(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.5), n)
 
-        state = detect.fresh_state("cusum")
-        streamed = np.empty(n)
-        for j, increment in enumerate(z):
-            state = detect.cusum_step(state, increment)
-            streamed[j] = state.statistic
+        streamed = detect.run_detector(z, kind="cusum", threshold=1e300).statistics
         sums = np.cumsum(z)
         brute = np.empty(n)
         for j in range(n):
@@ -78,11 +74,7 @@ def test_criterion_1_recursions_match_brute_force_definitions():
         np.testing.assert_allclose(streamed, brute, rtol=1e-9, atol=1e-12)
 
         ratios = np.exp(z)
-        state = detect.fresh_state("sr")
-        streamed = np.empty(n)
-        for j, ratio in enumerate(ratios):
-            state = detect.sr_step(state, ratio)
-            streamed[j] = state.statistic
+        streamed = detect.multi_cyclic_run(z, kind="sr", threshold=1e300).statistics
         brute = np.array(
             [float(np.sum(np.cumprod(ratios[: j + 1][::-1]))) for j in range(n)]
         )
@@ -293,8 +285,7 @@ def test_criterion_8_hst_history_reproduction():
     increments = models.linear_quadratic_score(params, standardized.values[nearest:])
     window = (date(2003, 3, 13), date(2003, 3, 18))
     for kind, threshold in (("cusum", 0.3), ("sr", 60.0)):
-        stream = increments if kind == "cusum" else detect.to_ratios(increments)
-        trace = detect.run_detector(stream, kind=kind, mode="score", threshold=threshold)
+        trace = detect.run_detector(increments, kind=kind, mode="score", threshold=threshold)
         alarm = trace.first_alarm
         assert alarm is not None, kind
         alarm_date = returns.dates[nearest + alarm.global_time - 1]

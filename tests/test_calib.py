@@ -17,7 +17,7 @@ from quickdetect import (
     estimate_stadd,
     solve_threshold,
 )
-from quickdetect.calib import _cusum_path, _sr_path
+from quickdetect.detect import _cusum_path, _sr_path
 
 
 def flat_increments(value):
@@ -104,10 +104,6 @@ class TestDetectorConfig:
     def test_score_mode_needs_params(self, unit_shift_model):
         with pytest.raises(ValueError, match="score mode needs"):
             DetectorConfig(kind="cusum", model=unit_shift_model, mode="score")
-
-    def test_rank_mode_needs_centering(self, unit_shift_model):
-        with pytest.raises(ValueError, match="centering"):
-            DetectorConfig(kind="cusum", model=unit_shift_model, mode="rank")
 
     def test_increment_fn_shape_checked(self, unit_shift_model):
         bad = DetectorConfig(
@@ -258,37 +254,6 @@ class TestSolver:
         assert abs(est.value - 25.0) <= 0.02 * 25.0
         check = estimate_arl(config, threshold, spec)
         assert check.value == est.value
-
-
-class TestRankMode:
-    def test_distribution_free_under_location_scale(self):
-        # the rank statistic only sees orderings, and a location-scale
-        # change preserves them draw for draw: the ARL estimate is
-        # identical under wildly different pre-change laws
-        spec = CalibrationSpec(gamma=30.0, replications=400, seed=19)
-        narrow = DetectorConfig(
-            kind="cusum",
-            model=GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
-            mode="rank",
-            rank_c=0.6,
-        )
-        wide = DetectorConfig(
-            kind="cusum",
-            model=GaussianChangeModel(40.0, 9.0, 50.0, 9.0),
-            mode="rank",
-            rank_c=0.6,
-        )
-        a = estimate_arl(narrow, 25.0, spec)
-        b = estimate_arl(wide, 25.0, spec)
-        assert a.value == b.value
-
-    def test_rank_sadd_runs(self, unit_shift_model):
-        spec = CalibrationSpec(gamma=30.0, replications=300, seed=23)
-        config = DetectorConfig(
-            kind="cusum", model=unit_shift_model, mode="rank", rank_c=0.6
-        )
-        est = estimate_sadd(config, 25.0, spec)
-        assert est.value > 0.0
 
 
 class TestSpecValidation:

@@ -11,6 +11,7 @@ entry-point metadata to match and the command to be on ``PATH``.
 
 import importlib.metadata
 import json
+import math
 import pkgutil
 import shutil
 import subprocess
@@ -490,6 +491,27 @@ class TestDetectCommand:
         assert code == 0
         report = load_report(out, "detect")
         assert set(report["sections"]) == {"sr"}
+
+    def test_outlier_keeps_the_report_valid_json(self, make_csv, tmp_path):
+        # one difference of 100 has a log-likelihood ratio near 1e4, far past
+        # float range once exponentiated; the SR statistic must stay finite
+        prices = [100.0, 100.0, 200.0, 200.0, 200.0]
+        out = tmp_path / "o"
+        code = run_cli(
+            ["detect", "--input", str(make_csv(prices)), "--mode", "exact", *self.MODEL,
+             "--threshold-a", "1e6", "--multi-cyclic"],
+            out,
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        path = next(Path(out).glob("detect-*.report.json"))
+        report = json.loads(path.read_text(), parse_constant=reject)
+        entries = entry_map(report, "sr")
+        assert entries["alarm-1-step"]["value"] == 2
+        assert math.isfinite(entries["alarm-1-statistic"]["value"])
 
 
 class TestConstantsCommand:

@@ -1,19 +1,15 @@
 """Detector recursions against brute-force definitions, and run mechanics."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from quickdetect import (
-    AlarmRecord,
-    cusum_step,
-    fresh_state,
-    multi_cyclic_run,
-    run_detector,
-    sr_step,
-    to_ratios,
-)
+from quickdetect import AlarmRecord, multi_cyclic_run, run_detector, to_ratios
+
+#: far above any statistic the test streams reach, so nothing alarms
+NO_ALARM = 1e300
 
 
 def brute_force_cusum(z):
@@ -43,37 +39,29 @@ class TestRecursionsMatchDefinitions:
     def test_cusum(self, rng):
         for _ in range(20):
             z = rng.normal(0.1, 1.0, size=60)
-            state = fresh_state("cusum")
-            for n, increment in enumerate(z, start=1):
-                state = cusum_step(state, increment)
-                expected = brute_force_cusum(z[:n])[-1]
-                assert state.statistic == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            statistics = run_detector(z, kind="cusum", threshold=NO_ALARM).statistics
+            expected = brute_force_cusum(list(z))
+            for n in range(z.size):
+                assert statistics[n] == pytest.approx(expected[n], rel=1e-9, abs=1e-12)
 
     def test_sr(self, rng):
         for _ in range(20):
-            r = np.exp(rng.normal(0.0, 0.4, size=60))
-            state = fresh_state("sr")
-            expected = brute_force_sr(list(r))
-            for n, ratio in enumerate(r, start=1):
-                state = sr_step(state, ratio)
-                assert state.statistic == pytest.approx(expected[n - 1], rel=1e-9)
+            z = rng.normal(0.0, 0.4, size=60)
+            statistics = multi_cyclic_run(z, kind="sr", threshold=NO_ALARM).statistics
+            expected = brute_force_sr(list(np.exp(z)))
+            for n in range(z.size):
+                assert statistics[n] == pytest.approx(expected[n], rel=1e-9)
 
     def test_cusum_reflects_at_zero(self):
-        state = fresh_state("cusum")
-        state = cusum_step(state, -3.0)
-        assert state.statistic == 0.0
-        state = cusum_step(state, 1.5)
-        assert state.statistic == 1.5
+        trace = run_detector([-3.0, 1.5], kind="cusum", threshold=NO_ALARM)
+        assert list(trace.statistics) == [0.0, 1.5]
 
     def test_statistics_never_negative(self, rng):
         z = rng.normal(-0.5, 1.0, size=500)
-        w = fresh_state("cusum")
-        r = fresh_state("sr")
-        for increment, ratio in zip(z, np.exp(z)):
-            w = cusum_step(w, increment)
-            r = sr_step(r, ratio)
-            assert w.statistic >= 0.0
-            assert r.statistic > 0.0
+        w = multi_cyclic_run(z, kind="cusum", threshold=NO_ALARM).statistics
+        r = multi_cyclic_run(z, kind="sr", threshold=NO_ALARM).statistics
+        assert np.all(w >= 0.0)
+        assert np.all(r > 0.0)
 
 
 class TestMartingaleIdentity:
@@ -121,17 +109,12 @@ class TestMartingaleIdentity:
 
 
 class TestStepValidation:
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="cusum_step"):
-            cusum_step(fresh_state("sr"), 1.0)
-        with pytest.raises(ValueError, match="sr_step"):
-            sr_step(fresh_state("cusum"), 1.0)
-
-    def test_sr_ratio_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            sr_step(fresh_state("sr"), 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            sr_step(fresh_state("sr"), -1.0)
+    def test_increments_must_be_finite_and_1d(self):
+        for runner in (run_detector, multi_cyclic_run):
+            with pytest.raises(ValueError, match="finite"):
+                runner([0.5, np.nan], kind="sr", threshold=1.0)
+            with pytest.raises(ValueError, match="1-D"):
+                runner(np.zeros((2, 2)), kind="cusum", threshold=1.0)
 
     def test_to_ratios_clamps(self):
         ratios = to_ratios([-1000.0, 0.0, 1000.0])
@@ -150,10 +133,8 @@ class TestRunDetector:
         assert alarm.statistic_at_stop == pytest.approx(0.8)  # >= triggers
 
     def test_consumption_stops_at_alarm(self):
-        stream = iter([1.0, 1.0, 1.0, 1.0])
-        trace = run_detector(stream, kind="cusum", threshold=1.5)
+        trace = run_detector([1.0, 1.0, 1.0, 1.0], kind="cusum", threshold=1.5)
         assert trace.increments_consumed == 2
-        assert list(stream) == [1.0, 1.0]  # untouched remainder
 
     def test_no_alarm_is_valid(self):
         trace = run_detector([0.1, -0.2, 0.1], kind="cusum", threshold=5.0)
@@ -213,13 +194,54 @@ class TestMultiCyclic:
         assert trace.detection_delay is None
 
     def test_sr_cycles(self):
-        ratios = [1.0] * 7
-        trace = multi_cyclic_run(ratios, kind="sr", threshold=3.0)
+        # zero log increments are likelihood ratios of exactly 1
+        trace = multi_cyclic_run([0.0] * 7, kind="sr", threshold=3.0)
         # R grows 1,2,3 -> alarm, restart: statistics are periodic
         np.testing.assert_allclose(
             trace.statistics, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
         )
         assert [a.global_time for a in trace.alarms] == [3, 6]
+
+
+    @pytest.mark.parametrize("kind, threshold", [("cusum", 3.0), ("sr", 20.0)])
+    def test_single_run_is_first_cycle(self, rng, kind, threshold):
+        # random streams, some longer than a block, some without any alarm
+        for _ in range(30):
+            n = int(rng.integers(1, 800))
+            z = rng.normal(rng.uniform(-0.5, 0.3), 1.0, n)
+            single = run_detector(z, kind=kind, threshold=threshold)
+            cyclic = multi_cyclic_run(z, kind=kind, threshold=threshold)
+            first = cyclic.first_alarm
+            cut = first.global_time if first else n
+            np.testing.assert_array_equal(single.statistics, cyclic.statistics[:cut])
+            assert single.first_alarm == first
+
+    @pytest.mark.parametrize("kind, threshold", [("cusum", 4.0), ("sr", 50.0)])
+    def test_restarts_match_scalar_recursion(self, rng, kind, threshold):
+        z = rng.normal(0.05, 1.0, size=2000)
+        statistic, expected, alarms = 0.0, [], []
+        for step, increment in enumerate(z, start=1):
+            if kind == "cusum":
+                statistic = max(0.0, statistic + increment)
+            else:
+                statistic = (1.0 + statistic) * math.exp(increment)
+            expected.append(statistic)
+            if statistic >= threshold:
+                alarms.append(step)
+                statistic = 0.0
+        trace = multi_cyclic_run(z, kind=kind, threshold=threshold)
+        assert len(alarms) > 10
+        assert [a.global_time for a in trace.alarms] == alarms
+        np.testing.assert_allclose(trace.statistics, expected, rtol=1e-9, atol=1e-12)
+
+    def test_sr_statistic_stays_finite(self):
+        # an increment beyond float range saturates instead of becoming inf
+        trace = multi_cyclic_run(np.array([0.0, 800.0, 0.0]), kind="sr", threshold=1e6)
+        assert np.all(np.isfinite(trace.statistics))
+        assert [a.global_time for a in trace.alarms] == [2]
+        assert trace.statistics[2] == 1.0  # a fresh start after the alarm
+        single = run_detector([0.0, 800.0], kind="sr", threshold=1e6)
+        assert np.isfinite(single.first_alarm.statistic_at_stop)
 
 
 class TestTraceSerialization:

@@ -1,4 +1,4 @@
-"""Change models, exact LLR, score designs, and the rank score."""
+"""Change models, exact LLR and score designs."""
 
 import math
 
@@ -8,12 +8,10 @@ from scipy import integrate, stats
 
 from quickdetect import (
     GaussianChangeModel,
-    RankState,
     ScoreParams,
     design_coefficients,
     linear_quadratic_score,
     llr,
-    rank_score,
 )
 from quickdetect.series import MomentEstimate
 
@@ -129,42 +127,3 @@ class TestScoreDesign:
     def test_scoreparams_validation(self):
         with pytest.raises(ValueError, match="finite"):
             ScoreParams(c1=np.inf, c2=0.0, c3=0.0)
-
-
-class TestRankScore:
-    def test_matches_direct_count(self, rng):
-        # the incremental computation must agree with the definition
-        # U_n = #{k <= n : x_k < x_n} recomputed from scratch each step
-        for _ in range(50):
-            x = rng.normal(size=30)
-            state = RankState(c=0.37)
-            for n, value in enumerate(x):
-                direct = int(np.sum(x[:n] < value))
-                score, state = rank_score(state, value)
-                assert score == direct - 0.37
-            assert len(state) == x.size
-
-    def test_ties_never_count(self):
-        state = RankState(c=0.0)
-        for expected, value in [(0, 5.0), (0, 5.0), (2, 7.0), (0, 3.0), (3, 7.0)]:
-            score, state = rank_score(state, value)
-            assert score == expected
-
-    def test_uniform_law_under_iid(self, rng):
-        # U_n is uniform on {0..n-1} for continuous i.i.d. data; check the
-        # histogram of U_5 over many independent streams
-        n, reps = 5, 20_000
-        x = rng.standard_normal((reps, n))
-        u = np.sum(x[:, : n - 1] < x[:, n - 1 : n], axis=1)
-        counts = np.bincount(u, minlength=n)
-        expected = reps / n
-        sd = math.sqrt(reps * (1 / n) * (1 - 1 / n))
-        assert np.all(np.abs(counts - expected) < 4.0 * sd)
-
-    def test_history_must_be_sorted(self):
-        with pytest.raises(ValueError, match="sorted"):
-            RankState(history=(2.0, 1.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            rank_score(RankState(), float("nan"))
