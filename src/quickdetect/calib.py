@@ -23,6 +23,15 @@ Stopping times are then pathwise nondecreasing in the threshold, which makes
 the bisection in :func:`solve_threshold` exact apart from Monte Carlo noise
 shared across iterations.
 
+A fresh-start path (ARL, SADD) does not depend on the threshold at all: the
+stopping time at ``h`` is the first step at which the path's running maximum
+reaches ``h``.  So each replication's path is drawn once and kept as its
+ladder record, the steps and heights of its strict new maxima, and a
+stopping time is a lookup in that record.  :func:`solve_threshold` draws
+each replication's path once for the whole search, and extends it only when
+a threshold above its running maximum is asked for.  The STADD path restarts
+after every alarm, so it depends on the threshold and is drawn per call.
+
 Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them is an error.
 
@@ -33,8 +42,10 @@ The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -151,52 +162,132 @@ class DetectorConfig:
         raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
 
 
-def _first_crossing(
-    config: DetectorConfig,
+class _Run:
+    """One replication's fresh-start path, drawn only as far as queries need.
+
+    Under common random numbers the path does not depend on the threshold,
+    so one path answers every threshold: the stopping time at ``h`` is the
+    first step whose value reaches ``h``, which is always a strict new
+    maximum.  The run keeps the end state, the steps drawn, the running
+    maximum ``top`` and the ladder record (``epochs``, 1-based steps, and
+    ``heights`` of the strict new maxima, so ``heights`` increases).  A
+    query above ``top`` extends the path, in ``_BLOCK``-step blocks through
+    the same draws and kernel calls as a single run at that threshold, until
+    ``top`` reaches it or the path reaches the cap.
+    """
+
+    __slots__ = (
+        "config", "regime", "cap", "rng", "state", "steps", "top", "epochs", "heights"
+    )
+
+    def __init__(
+        self, config: DetectorConfig, regime: str, cap: int, rng: np.random.Generator
+    ) -> None:
+        self.config = config
+        self.regime = regime
+        self.cap = cap
+        self.rng = rng
+        self.state = 0.0
+        self.steps = 0
+        self.top = -math.inf
+        self.epochs = array("q")
+        self.heights = array("d")
+
+    def stop_time(self, threshold: float) -> int | None:
+        """Steps to the first alarm at ``threshold``, or None at the cap."""
+        if self.top < threshold:
+            self._extend(threshold)
+        j = bisect_left(self.heights, threshold)
+        return self.epochs[j] if j < len(self.heights) else None
+
+    def _extend(self, threshold: float) -> None:
+        config = self.config
+        top = self.top
+        paths: list[np.ndarray] = []  # from the first block with a new maximum on
+        while top < threshold and self.steps < self.cap:
+            block = min(_BLOCK, self.cap - self.steps)
+            z = config.log_increments(config.sample(self.rng, block, self.regime))
+            path = _path(config.kind, self.state, z)
+            peak = np.fmax.reduce(path)  # fmax skips NaN, which never alarms
+            if paths or peak > top:
+                paths.append(path)
+            if peak > top:
+                top = float(peak)
+            self.state = float(path[-1])
+            self.steps += block
+        if paths:
+            # one record update per extension, not per block, keeps it cheap
+            values = np.concatenate(([self.top], *paths))
+            ahead = np.fmax.accumulate(values)
+            new = np.nonzero(values[1:] > ahead[:-1])[0]
+            self.heights.frombytes(values[1:][new].tobytes())
+            new += self.steps - values.size + 2  # values[1:] ends at step self.steps
+            self.epochs.frombytes(new.astype(np.int64, copy=False).tobytes())
+            self.top = top
+
+
+def _runs(
+    config: DetectorConfig, spec: CalibrationSpec, regime: str, stream: int
+) -> Iterator[_Run]:
+    """Fresh runs of replications ``0 .. replications - 1`` of one stream."""
+    for r in range(spec.replications):
+        yield _Run(config, regime, spec.run_cap, substream(spec.seed, stream, r))
+
+
+def _evaluate(
+    runs: Iterable[_Run],
+    spec: CalibrationSpec,
+    metric: str,
     threshold: float,
-    rng: np.random.Generator,
-    cap: int,
-    regime: str,
-) -> int | None:
-    """Steps to the first alarm from a fresh detector, or None at the cap."""
-    state = 0.0
-    consumed = 0
-    while consumed < cap:
-        block = min(_BLOCK, cap - consumed)
-        z = config.log_increments(config.sample(rng, block, regime))
-        path = _path(config.kind, state, z)
-        hits = np.nonzero(path >= threshold)[0]
-        if hits.size:
-            return consumed + int(hits[0]) + 1
-        state = float(path[-1])
-        consumed += block
-    return None
+    give_up: Callable[[float], bool] | None = None,
+) -> PerformanceEstimate | None:
+    """Mean stopping time over ``runs``, summed in replication order.
+
+    Capped runs count at the cap.  With ``give_up``, the sum stops and None
+    is returned as soon as ``give_up(partial sum / replications)`` holds;
+    the full mean can only be larger than that partial mean.
+    """
+    n = spec.replications
+    times = np.empty(n)
+    total = 0
+    cap_hits = 0
+    for r, run in enumerate(runs):
+        t = run.stop_time(threshold)
+        if t is None:
+            cap_hits += 1
+            t = run.cap
+        times[r] = t
+        total += t
+        if give_up is not None and give_up(total / n):
+            return None
+    value, se = mean_se(times)
+    return PerformanceEstimate(
+        metric=metric,
+        value=value,
+        std_error=se,
+        replications=n,
+        threshold=threshold,
+        cap_hits=cap_hits,
+    )
 
 
-def _stop_times(
+def _fresh_start_estimate(
     config: DetectorConfig,
     threshold: float,
     spec: CalibrationSpec,
+    metric: str,
     regime: str,
     stream: int,
-    strict: bool = True,
-) -> tuple[np.ndarray, int]:
-    cap = spec.run_cap
-    times = np.empty(spec.replications)
-    cap_hits = 0
-    for r in range(spec.replications):
-        rng = substream(spec.seed, stream, r)
-        t = _first_crossing(config, threshold, rng, cap, regime)
-        if t is None:
-            cap_hits += 1
-            t = cap
-        times[r] = t
-    if strict and cap_hits > 0.01 * spec.replications:
+) -> PerformanceEstimate:
+    # one threshold: each run is dropped as soon as it has answered
+    check_threshold(threshold)
+    est = _evaluate(_runs(config, spec, regime, stream), spec, metric, threshold)
+    if est.cap_hits > 0.01 * spec.replications:
         raise CalibrationError(
-            f"{cap_hits}/{spec.replications} runs hit the {cap}-step cap; "
-            "the threshold is far above the target false-alarm level"
+            f"{est.cap_hits}/{spec.replications} runs hit the {spec.run_cap}-step "
+            "cap; the threshold is far above the target false-alarm level"
         )
-    return times, cap_hits
+    return est
 
 
 def estimate_arl(
@@ -207,34 +298,14 @@ def estimate_arl(
     Capped replications enter at the cap value and are reported via
     ``cap_hits`` rather than silently dropped.
     """
-    check_threshold(threshold)
-    times, cap_hits = _stop_times(config, threshold, spec, "pre", _STREAM_ARL)
-    value, se = mean_se(times)
-    return PerformanceEstimate(
-        metric="arl",
-        value=value,
-        std_error=se,
-        replications=spec.replications,
-        threshold=threshold,
-        cap_hits=cap_hits,
-    )
+    return _fresh_start_estimate(config, threshold, spec, "arl", "pre", _STREAM_ARL)
 
 
 def estimate_sadd(
     config: DetectorConfig, threshold: float, spec: CalibrationSpec
 ) -> PerformanceEstimate:
     """Worst-case mean detection delay: change in force from the first step."""
-    check_threshold(threshold)
-    times, cap_hits = _stop_times(config, threshold, spec, "post", _STREAM_SADD)
-    value, se = mean_se(times)
-    return PerformanceEstimate(
-        metric="sadd",
-        value=value,
-        std_error=se,
-        replications=spec.replications,
-        threshold=threshold,
-        cap_hits=cap_hits,
-    )
+    return _fresh_start_estimate(config, threshold, spec, "sadd", "post", _STREAM_SADD)
 
 
 def _stadd_delay(
@@ -328,32 +399,38 @@ def solve_threshold(
     end by doubling until the ARL clears gamma.  Bisection then runs on the
     log threshold under common random numbers until the ARL lands within
     ``relative_tolerance`` of gamma.  Deterministic given the spec.
+
+    Every evaluation reads the same store of ladder records, one path per
+    replication, so the search draws each path once, as far as its highest
+    threshold needs.  An evaluation sums the stopping times in replication
+    order and stops as soon as the partial sum puts the mean above
+    ``gamma`` plus the tolerance: the full mean could only be larger, so
+    the search takes the branch a full evaluation would.  Only complete
+    estimates enter the monotonicity check and can be accepted.
     """
     gamma = spec.gamma
     tol = spec.relative_tolerance * gamma
+    runs = list(_runs(config, spec, "pre", _STREAM_ARL))  # one path each, for the whole search
     evaluations: dict[float, PerformanceEstimate] = {}
 
-    def arl_at(threshold: float) -> PerformanceEstimate:
+    def arl_at(threshold: float) -> PerformanceEstimate | None:
         # bracketing evaluations tolerate capped runs (a cap-heavy estimate
         # just means "far above gamma", which is useful bracket information);
-        # only the accepted solution is held to the strict cap contract
+        # only the accepted solution is held to the strict cap contract.
+        # None means the partial sum already put the mean above gamma + tol.
         est = evaluations.get(threshold)
         if est is None:
-            times, cap_hits = _stop_times(
-                config, threshold, spec, "pre", _STREAM_ARL, strict=False
-            )
-            value, se = mean_se(times)
-            est = PerformanceEstimate(
-                metric="arl",
-                value=value,
-                std_error=se,
-                replications=spec.replications,
-                threshold=threshold,
-                cap_hits=cap_hits,
-            )
-            evaluations[threshold] = est
-            _check_monotone(evaluations)
+            est = _evaluate(runs, spec, "arl", threshold, lambda mean: mean - gamma > tol)
+            if est is not None:
+                evaluations[threshold] = est
+                _check_monotone(evaluations)
         return est
+
+    def within(est: PerformanceEstimate | None) -> bool:
+        return est is not None and abs(est.value - gamma) <= tol
+
+    def below(est: PerformanceEstimate | None) -> bool:
+        return est is not None and est.value < gamma
 
     def accept(threshold: float, est: PerformanceEstimate):
         if est.cap_hits > 0.01 * spec.replications:
@@ -365,30 +442,32 @@ def solve_threshold(
 
     hi = math.log(gamma) if config.kind == "cusum" else gamma
     est = arl_at(hi)
-    if abs(est.value - gamma) <= tol:
+    if within(est):
         return accept(hi, est)
     expansions = 0
-    while est.value < gamma:
+    while below(est):
         expansions += 1
         if expansions > 60:
             raise CalibrationError("no upper bracket found after 60 doublings")
         hi *= 2.0
         est = arl_at(hi)
-        if abs(est.value - gamma) <= tol:
+        if within(est):
             return accept(hi, est)
     lo = hi / 2.0
-    while arl_at(lo).value >= gamma:
-        if abs(arl_at(lo).value - gamma) <= tol:
-            return accept(lo, arl_at(lo))
+    est = arl_at(lo)
+    while not below(est):
+        if within(est):
+            return accept(lo, est)
         lo /= 2.0
         if lo < 1e-12:
             raise CalibrationError("no lower bracket found above 1e-12")
+        est = arl_at(lo)
     for _ in range(spec.max_iterations):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         est = arl_at(mid)
-        if abs(est.value - gamma) <= tol:
+        if within(est):
             return accept(mid, est)
-        if est.value < gamma:
+        if below(est):
             lo = mid
         else:
             hi = mid

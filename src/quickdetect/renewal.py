@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ._rand import mean_se, substream
 from .detect import LLR_CLAMP, check_threshold
@@ -226,6 +225,8 @@ def _converging_sum(term_fn, cap: int, what: str) -> float:
 
 def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
     """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal CDFs."""
+    from scipy import stats  # imported here: the only use, and a slow import
+
     _, i_g = kl_numbers(model)
 
     def zeta_term(k: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 
 class CsvFormatError(ValueError):
@@ -327,6 +326,8 @@ def diagnostics(
     n = x.size
     if bins < 1:
         raise ValueError("bins must be positive")
+    from scipy import stats  # imported here: the only use, and a slow import
+
     moments = estimate_moments(series)
     if moments.sd == 0.0:
         raise ValueError("diagnostics undefined for a constant series")

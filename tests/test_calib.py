@@ -17,7 +17,12 @@ from quickdetect import (
     estimate_stadd,
     solve_threshold,
 )
-from quickdetect.detect import _cusum_path, _sr_path
+from quickdetect import calib
+from quickdetect._rand import substream
+from quickdetect.detect import _BLOCK, _cusum_path, _path, _sr_path
+
+HST = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
+HST_SCORE = design_coefficients(0.2266 / 0.2306, 0.0228 / 0.2266)
 
 
 def flat_increments(value):
@@ -274,3 +279,235 @@ class TestSpecValidation:
             PerformanceEstimate("arl", float("nan"), 0.0, 10, 1.0)
         with pytest.raises(ValueError, match="cap hits"):
             PerformanceEstimate("arl", 1.0, 0.0, 10, 1.0, cap_hits=11)
+
+
+def first_crossing(config, threshold, rng, cap, regime):
+    """Oracle: one fresh run at one threshold, block by block."""
+    state = 0.0
+    consumed = 0
+    while consumed < cap:
+        block = min(_BLOCK, cap - consumed)
+        z = config.log_increments(config.sample(rng, block, regime))
+        path = _path(config.kind, state, z)
+        hits = np.nonzero(path >= threshold)[0]
+        if hits.size:
+            return consumed + int(hits[0]) + 1
+        state = float(path[-1])
+        consumed += block
+    return None
+
+
+def oracle_mean(config, threshold, spec, regime="pre", stream=calib._STREAM_ARL):
+    """Oracle: full mean over fresh runs, capped runs at the cap."""
+    times = []
+    cap_hits = 0
+    for r in range(spec.replications):
+        rng = substream(spec.seed, stream, r)
+        t = first_crossing(config, threshold, rng, spec.run_cap, regime)
+        if t is None:
+            cap_hits += 1
+            t = spec.run_cap
+        times.append(t)
+    times = np.array(times, dtype=float)
+    return times.mean(), times.std(ddof=1) / math.sqrt(times.size), cap_hits
+
+
+def oracle_solve(config, spec):
+    """Oracle: the bisection of solve_threshold on full fresh evaluations."""
+    gamma = spec.gamma
+    tol = spec.relative_tolerance * gamma
+    cache = {}
+
+    def arl(threshold):
+        if threshold not in cache:
+            cache[threshold] = oracle_mean(config, threshold, spec)
+        return cache[threshold][0]
+
+    def result(threshold):
+        value, se, cap_hits = cache[threshold]
+        return threshold, value, se, cap_hits
+
+    hi = math.log(gamma) if config.kind == "cusum" else gamma
+    if abs(arl(hi) - gamma) <= tol:
+        return result(hi)
+    while arl(hi) < gamma:
+        hi *= 2.0
+        if abs(arl(hi) - gamma) <= tol:
+            return result(hi)
+    lo = hi / 2.0
+    while arl(lo) >= gamma:
+        if abs(arl(lo) - gamma) <= tol:
+            return result(lo)
+        lo /= 2.0
+    for _ in range(spec.max_iterations):
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        if abs(arl(mid) - gamma) <= tol:
+            return result(mid)
+        if arl(mid) < gamma:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("oracle bisection did not converge")
+
+
+def detector(kind, mode):
+    if mode == "exact":
+        return DetectorConfig(kind=kind, model=GaussianChangeModel(0.0, 1.0, 1.0, 1.0))
+    return DetectorConfig(kind=kind, model=HST, mode="score", score=HST_SCORE)
+
+
+#: thresholds from a few steps to well past the cap of gamma = 5 (500 steps)
+LADDERS = {
+    ("cusum", "exact"): np.geomspace(0.05, 9.0, 9),
+    ("sr", "exact"): np.geomspace(1.1, 5000.0, 9),
+    ("cusum", "score"): np.geomspace(0.005, 3.0, 9),
+    ("sr", "score"): np.geomspace(1.1, 3000.0, 9),
+}
+
+
+class TestLadderStore:
+    """One path per replication answers every threshold as a fresh run does."""
+
+    @pytest.mark.parametrize("kind,mode", sorted(LADDERS))
+    def test_stop_times_match_fresh_runs_in_any_order(self, kind, mode):
+        config = detector(kind, mode)
+        spec = CalibrationSpec(gamma=5.0, replications=40, seed=3)
+        thresholds = [float(t) for t in LADDERS[kind, mode]]
+        expected = {
+            t: [
+                first_crossing(
+                    config, t, substream(3, calib._STREAM_ARL, r), spec.run_cap, "pre"
+                )
+                for r in range(spec.replications)
+            ]
+            for t in thresholds
+        }
+        answers = [t for times in expected.values() for t in times]
+        assert None in answers  # some runs reach the cap ...
+        assert any(t is not None for t in answers)  # ... and some alarm
+        shuffled = list(np.random.default_rng(5).permutation(thresholds))
+        for order in (thresholds, thresholds[::-1], shuffled):
+            runs = list(calib._runs(config, spec, "pre", calib._STREAM_ARL))
+            for t in order:
+                assert [run.stop_time(t) for run in runs] == expected[t], (order, t)
+
+    @pytest.mark.parametrize("kind,threshold", [("cusum", 4.0), ("sr", 60.0)])
+    def test_one_shot_estimates_match_fresh_runs(self, kind, threshold):
+        config = detector(kind, "exact")
+        spec = CalibrationSpec(gamma=50.0, replications=200, seed=4)
+        for estimate, regime, stream in (
+            (estimate_arl, "pre", calib._STREAM_ARL),
+            (estimate_sadd, "post", calib._STREAM_SADD),
+        ):
+            est = estimate(config, threshold, spec)
+            expected = oracle_mean(config, threshold, spec, regime, stream)
+            assert (est.value, est.std_error, est.cap_hits) == expected
+
+    def test_record_answers_without_drawing(self, unit_shift_model):
+        config = DetectorConfig(kind="cusum", model=unit_shift_model)
+        spec = CalibrationSpec(gamma=50.0, replications=30, seed=2)
+        runs = list(calib._runs(config, spec, "pre", calib._STREAM_ARL))
+        high = [run.stop_time(4.0) for run in runs]
+        drawn = [run.steps for run in runs]
+        low = [run.stop_time(1.0) for run in runs]
+        assert [run.steps for run in runs] == drawn
+        assert all(a <= b for a, b in zip(low, high))
+
+    @pytest.mark.parametrize(
+        "times,gives_up,answered",
+        [
+            ([12, 12, 12, 12], False, 4),  # mean exactly gamma + tol
+            ([45, 1, 1, 1], False, 4),  # partial means 11.25, 11.5, 11.75, 12
+            ([12, 12, 12, 13], True, 4),  # 12.25 only once all are in
+            ([49, 1, 1, 1], True, 1),  # 49 / 4 > 12 after the first run
+        ],
+    )
+    def test_give_up_boundary(self, times, gives_up, answered):
+        class Fixed:
+            cap = 100
+
+            def __init__(self, t):
+                self.t = t
+
+            def stop_time(self, threshold):
+                asked.append(threshold)
+                return self.t
+
+        asked = []
+        spec = CalibrationSpec(gamma=10.0, replications=4, relative_tolerance=0.2)
+        est = calib._evaluate(
+            [Fixed(t) for t in times], spec, "arl", 1.0, lambda m: m - 10.0 > 2.0
+        )
+        assert (est is None) == gives_up
+        assert len(asked) == answered
+        if est is not None:
+            assert est.value == np.mean(times)
+
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    def test_give_up_exactly_when_the_full_mean_is_above(self, kind):
+        # an evaluation may stop early only where the full mean exceeds
+        # gamma + tol; otherwise it returns the full estimate
+        config = detector(kind, "score")
+        spec = CalibrationSpec(gamma=25.0, replications=200, seed=7)
+        gamma, tol = spec.gamma, spec.relative_tolerance * spec.gamma
+        runs = list(calib._runs(config, spec, "pre", calib._STREAM_ARL))
+        # around the solutions, h = 0.32 and A = 22
+        lo, hi = {"cusum": (0.16, 0.65), "sr": (11.0, 44.0)}[kind]
+        thresholds = np.geomspace(lo, hi, 25)
+        outcomes = set()
+        for t in map(float, thresholds):
+            value, se, cap_hits = oracle_mean(config, t, spec)
+            est = calib._evaluate(runs, spec, "arl", t, lambda m: m - gamma > tol)
+            if value - gamma > tol:
+                assert est is None, t
+            else:
+                assert (est.value, est.std_error, est.cap_hits) == (value, se, cap_hits)
+            outcomes.add("above" if est is None else "full")
+        assert outcomes == {"above", "full"}
+
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    @pytest.mark.parametrize("mode,gamma", [("score", 25.0), ("exact", 30.0)])
+    def test_solver_decisions_match_full_evaluations(
+        self, kind, mode, gamma, monkeypatch
+    ):
+        config = detector(kind, mode)
+        spec = CalibrationSpec(gamma=gamma, replications=300, seed=11)
+        expected = oracle_solve(config, spec)
+
+        generators = []
+        real_substream = calib.substream
+
+        def counting_substream(*key):
+            generators.append(key)
+            return real_substream(*key)
+
+        outcomes = []
+        real_evaluate = calib._evaluate
+
+        def recording_evaluate(runs, spec, metric, threshold, give_up=None):
+            # the rule of the "above gamma + tol" branch, float for float
+            tol = spec.relative_tolerance * spec.gamma
+            means = [spec.gamma + tol]
+            for _ in range(3):
+                means = [np.nextafter(means[0], 0.0), *means, np.nextafter(means[-1], np.inf)]
+            assert [give_up(m) for m in means] == [m - spec.gamma > tol for m in means]
+            outcomes.append(real_evaluate(runs, spec, metric, threshold, give_up))
+            # each evaluation gives up exactly where the full mean is above
+            # gamma + tol, and otherwise equals the full evaluation
+            value, se, cap_hits = oracle_mean(config, threshold, spec)
+            if value - spec.gamma > spec.relative_tolerance * spec.gamma:
+                assert outcomes[-1] is None, threshold
+            else:
+                est = outcomes[-1]
+                assert (est.value, est.std_error, est.cap_hits) == (value, se, cap_hits)
+            return outcomes[-1]
+
+        monkeypatch.setattr(calib, "substream", counting_substream)
+        monkeypatch.setattr(calib, "_evaluate", recording_evaluate)
+        threshold, est = solve_threshold(config, spec)
+        assert (threshold, est.value, est.std_error, est.cap_hits) == expected
+        assert len(generators) == spec.replications
+        if (kind, mode) == ("cusum", "score"):
+            # the theory bracket log(gamma) is far above gamma here: the
+            # first evaluation gives up early
+            assert outcomes[0] is None

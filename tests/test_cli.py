@@ -12,6 +12,7 @@ entry-point metadata to match and the command to be on ``PATH``.
 import importlib.metadata
 import json
 import math
+import os
 import pkgutil
 import shutil
 import subprocess
@@ -595,6 +596,22 @@ class TestSimulateCommand:
 
 
 class TestEntryPoint:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second to import and only the Q-Q plot
+        # and the exact renewal constants use it, so they import it themselves
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, quickdetect.cli; "
+            "sys.exit('scipy.stats' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr or "scipy.stats was imported"
+
     def test_module_invocation(self, price_csv, tmp_path):
         out = tmp_path / "o"
         result = subprocess.run(
