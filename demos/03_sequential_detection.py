@@ -37,7 +37,7 @@ x = np.concatenate(
 
 z = llr(model, x)
 for kind, threshold in (("cusum", 4.0), ("sr", 250.0)):
-    trace = run_detector(z, kind=kind, mode="exact", threshold=threshold)
+    trace = run_detector(z, kind=kind, threshold=threshold)
     alarm = trace.first_alarm
     print(f"exact {kind:5s} threshold {threshold:6.1f}: "
           f"alarm at step {alarm.global_time} "
@@ -48,13 +48,12 @@ for kind, threshold in (("cusum", 4.0), ("sr", 250.0)):
 std = model.standardized
 params = design_coefficients(q=1.0 / std.sigma_post, delta=std.mu_post)
 score = linear_quadratic_score(params, (x - model.mu_pre) / model.sigma_pre)
-trace = run_detector(score, kind="cusum", mode="score", threshold=4.0)
+trace = run_detector(score, kind="cusum", threshold=4.0)
 print(f"score cusum  threshold    4.0: alarm at step {trace.first_alarm.global_time}")
 
 # --- multi-cyclic: keep watching after every alarm ------------------------
 
-trace = multi_cyclic_run(z, kind="cusum", mode="exact", threshold=4.0,
-                         change_point=CHANGE)
+trace = multi_cyclic_run(z, kind="cusum", threshold=4.0, change_point=CHANGE)
 alarms = [a.global_time for a in trace.alarms]
 print(f"\nmulti-cyclic cusum alarms at {alarms}")
 print(f"false alarms before the change: {sum(1 for t in alarms if t <= CHANGE)}")

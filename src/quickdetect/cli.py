@@ -89,6 +89,8 @@ class RunConfig:
             raise ValueError(f"mode must be one of {detect.MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.train_end is not None and self.train_end < 2:
+            raise ValueError(f"--train-end must be at least 2, got {self.train_end}")
         object.__setattr__(self, "lags", tuple(int(k) for k in self.lags))
 
     def schema(self) -> series.CsvSchema:
@@ -627,12 +629,12 @@ def _detect_increments(
         return models.llr(model, returns.values), tuple(notes)
     if config.q is not None and config.delta is not None:
         params = models.design_coefficients(config.q, config.delta)
-        train = (0, config.train_end) if config.train_end else None
+        train = None if config.train_end is None else (0, config.train_end)
         moments = series.estimate_moments(returns, train)
         notes.append(
             f"standardized by moments over [{moments.interval[0]}, {moments.interval[1]})"
         )
-    elif config.train_end:
+    elif config.train_end is not None:
         pre = series.estimate_moments(returns, (0, config.train_end))
         post = series.estimate_moments(returns, (config.train_end, len(returns)))
         params = models.design_coefficients(
@@ -663,7 +665,7 @@ def _cmd_detect(config: RunConfig) -> Report:
             continue
         ran_any = True
         runner = detect.multi_cyclic_run if config.multi_cyclic else detect.run_detector
-        trace = runner(increments, kind=kind, mode=config.mode, threshold=threshold)
+        trace = runner(increments, kind=kind, threshold=threshold)
         entries = [
             ReportEntry("threshold", threshold),
             ReportEntry("observations", trace.increments_consumed, "observations"),

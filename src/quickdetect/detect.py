@@ -24,10 +24,8 @@ as the true detection.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -151,7 +149,6 @@ class DetectionTrace:
     """Per-step statistic values and the alarms raised while consuming a stream."""
 
     kind: str
-    mode: str
     threshold: float
     statistics: np.ndarray
     alarms: tuple[AlarmRecord, ...]
@@ -193,20 +190,9 @@ class DetectionTrace:
             return None
         return alarm.global_time - self.change_point
 
-    def write_csv(self, path: str | Path) -> Path:
-        """Serialize the trace as ``step,statistic,alarm`` rows."""
-        path = Path(path)
-        alarm_steps = {alarm.global_time for alarm in self.alarms}
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "statistic", "alarm"])
-            for step, value in enumerate(self.statistics, start=1):
-                writer.writerow([step, repr(float(value)), int(step in alarm_steps)])
-        return path
-
 
 def _run(
-    increments, kind: str, mode: str, threshold: float, first_only: bool
+    increments, kind: str, threshold: float, first_only: bool
 ) -> tuple[np.ndarray, list[int]]:
     """Statistics and alarm steps of a run that restarts after every alarm.
 
@@ -215,8 +201,6 @@ def _run(
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     check_threshold(threshold)
     z = np.asarray(increments, dtype=float)
     if z.ndim != 1:
@@ -255,23 +239,16 @@ def _alarm_records(
     )
 
 
-def run_detector(
-    increments,
-    kind: str,
-    mode: str = "exact",
-    threshold: float = 1.0,
-) -> DetectionTrace:
+def run_detector(increments, kind: str, threshold: float = 1.0) -> DetectionTrace:
     """Run a fresh detector over log increments until the first crossing (``>=``).
 
     ``increments`` is a 1-D array of log-likelihood ratios or scores, for
-    both kinds; ``mode`` records how they were produced.  The trace stops
-    at the alarm; a stream without a crossing returns a trace with no
-    alarms.
+    both kinds.  The trace stops at the alarm; a stream without a crossing
+    returns a trace with no alarms.
     """
-    statistics, alarms = _run(increments, kind, mode, threshold, first_only=True)
+    statistics, alarms = _run(increments, kind, threshold, first_only=True)
     return DetectionTrace(
         kind=kind,
-        mode=mode,
         threshold=threshold,
         statistics=statistics,
         alarms=_alarm_records(statistics, alarms, threshold),
@@ -281,7 +258,6 @@ def run_detector(
 def multi_cyclic_run(
     increments,
     kind: str,
-    mode: str = "exact",
     threshold: float = 1.0,
     change_point: int | None = None,
 ) -> DetectionTrace:
@@ -294,10 +270,9 @@ def multi_cyclic_run(
     """
     if change_point is not None and change_point < 0:
         raise ValueError("change_point must be nonnegative")
-    statistics, alarms = _run(increments, kind, mode, threshold, first_only=False)
+    statistics, alarms = _run(increments, kind, threshold, first_only=False)
     return DetectionTrace(
         kind=kind,
-        mode=mode,
         threshold=threshold,
         statistics=statistics,
         alarms=_alarm_records(statistics, alarms, threshold),

@@ -20,9 +20,7 @@ series with that segment's fitted moments.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -48,15 +46,6 @@ class BDTrace:
     def split_indices(self) -> np.ndarray:
         """The candidate splits ``n = 1..N-1`` matching ``values``."""
         return np.arange(1, self.values.size + 1)
-
-    def write_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["split", "statistic"])
-            for n, value in zip(self.split_indices, self.values):
-                writer.writerow([int(n), repr(float(value))])
-        return path
 
 
 @dataclass(frozen=True)

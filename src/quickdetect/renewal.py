@@ -26,6 +26,10 @@ Shiryaev-Roberts rest on a handful of constants of that walk:
     independent draw from the stationary pre-change Shiryaev-Roberts
     distribution.
 
+``beta_inf`` and ``c_inf`` come from one simulated pre-change walk per
+replication, run through the CUSUM and Shiryaev-Roberts block kernels of
+:mod:`quickdetect.detect`, so both recursions are defined only there.
+
 With equal pre/post variances the walk is exactly Gaussian,
 ``Z_k ~ N(-k*I, 2*k*I)`` pre-change and ``N(k*I, 2*k*I)`` post-change, and
 the ``zeta``/``varkappa`` series reduce to normal CDF evaluations; with
@@ -53,13 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rand import mean_se, substream
-from .detect import LLR_CLAMP, check_threshold
+from .detect import LLR_CLAMP, _cusum_path, _sr_path, check_threshold
 from .models import GaussianChangeModel, llr
 
 _STREAM_OVERSHOOT = 1
 _STREAM_POST_WALK = 2
 _STREAM_PRE_WALK = 3
-_STREAM_SR_STATIONARY = 4
 
 #: series terms below this magnitude are considered converged
 TERM_TOL = 1e-12
@@ -348,57 +351,36 @@ def _post_walk_draws(model: GaussianChangeModel, policy: EstimationPolicy):
     return minima, u_sums
 
 
-def _pre_walk_tail_means(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Tail-averaged ``Z_n - min_{k<=n} Z_k`` under the pre-change law."""
-    reps = policy.replications
-    horizon = policy.horizon
-    tail_from = horizon // 2  # steps with index > tail_from contribute
-    values = np.empty(reps)
-    for r in range(reps):
-        rng = substream(policy.seed, _STREAM_PRE_WALK, r)
-        z_end = 0.0
-        run_min = 0.0
-        tail_sum = 0.0
-        steps = 0
-        while steps < horizon:
-            block = min(_BLOCK, horizon - steps)
-            incr = llr(model, rng.normal(model.mu_pre, model.sigma_pre, block))
-            z = z_end + np.cumsum(incr)
-            cm = np.minimum(run_min, np.minimum.accumulate(z))
-            d = z - cm
-            lo = max(tail_from - steps, 0)
-            if lo < block:
-                tail_sum += float(np.sum(d[lo:]))
-            z_end = float(z[-1])
-            run_min = float(cm[-1])
-            steps += block
-        values[r] = tail_sum / (horizon - tail_from)
-    return values
+def _pre_walk_draws(model: GaussianChangeModel, policy: EstimationPolicy):
+    """Per-replication CUSUM tail mean and Shiryaev-Roberts draw, pre-change.
 
-
-def _sr_stationary_draws(model: GaussianChangeModel, policy: EstimationPolicy):
-    """One approximately-stationary pre-change Shiryaev-Roberts value per rep.
-
-    Uses the closed form ``R_n = exp(Z_n) * sum_{k=0}^{n-1} exp(-Z_k)`` in
-    log space, which is the plain SR recursion evaluated stably.
+    Each replication draws one pre-change walk and runs both detectors over
+    it with the kernels of :mod:`quickdetect.detect`, carrying their end
+    states across blocks.  The mean of the CUSUM statistic
+    ``Z_n - min_{k<=n} Z_k`` over steps ``n > horizon // 2`` is the
+    replication's ``beta_inf`` draw; the Shiryaev-Roberts value at the
+    horizon is its approximately stationary draw for ``c_inf``.
     """
     reps = policy.replications
     horizon = policy.horizon
-    draws = np.empty(reps)
+    tail_from = horizon // 2  # steps with index > tail_from contribute
+    tails = np.empty(reps)
+    sr_draws = np.empty(reps)
     for r in range(reps):
-        rng = substream(policy.seed, _STREAM_SR_STATIONARY, r)
-        log_r = -np.inf
-        steps = 0
-        while steps < horizon:
+        rng = substream(policy.seed, _STREAM_PRE_WALK, r)
+        w = 0.0
+        sr = 0.0
+        tail_sum = 0.0
+        for steps in range(0, horizon, _BLOCK):
             block = min(_BLOCK, horizon - steps)
-            incr = llr(model, rng.normal(model.mu_pre, model.sigma_pre, block))
-            z = np.cumsum(incr)  # block-local; log_r absorbs earlier history
-            z_prev = np.concatenate(([0.0], z[:-1]))
-            inner = float(np.logaddexp.reduce(-z_prev))
-            log_r = float(z[-1]) + float(np.logaddexp(log_r, inner))
-            steps += block
-        draws[r] = math.exp(min(log_r, LLR_CLAMP))
-    return draws
+            z = llr(model, rng.normal(model.mu_pre, model.sigma_pre, block))
+            w_path = _cusum_path(w, z)
+            tail_sum += float(np.sum(w_path[max(tail_from - steps, 0) :]))
+            w = float(w_path[-1])
+            sr = float(_sr_path(sr, z)[-1])
+        tails[r] = tail_sum / (horizon - tail_from)
+        sr_draws[r] = sr
+    return tails, sr_draws
 
 
 def path_functionals(
@@ -406,18 +388,20 @@ def path_functionals(
 ) -> PathFunctionals:
     """Monte Carlo estimates of ``beta0``, ``beta_inf``, ``c0``, ``c_inf``.
 
-    ``c_inf`` pairs each replication's ``U`` (from the post-change walks)
-    with an independent stationary Shiryaev-Roberts draw, so
+    ``beta0`` and ``c0`` come from the post-change walks.  ``beta_inf`` and
+    the Shiryaev-Roberts draws for ``c_inf`` come from one pre-change walk
+    per replication, evaluated by ``detect._cusum_path`` and
+    ``detect._sr_path``.  ``c_inf`` pairs each replication's ``U`` with the
+    Shiryaev-Roberts draw of the independent pre-change walk, so
     ``c_inf >= c0`` holds pathwise, not just in expectation.
     """
     policy = policy or EstimationPolicy()
     minima, u_sums = _post_walk_draws(model, policy)
     beta0 = Estimate(*mean_se(minima), policy.replications)
-    tails = _pre_walk_tail_means(model, policy)
+    tails, sr_draws = _pre_walk_draws(model, policy)
     beta_inf = Estimate(*mean_se(tails), policy.replications)
     c0 = Estimate(*mean_se(np.log1p(u_sums)), policy.replications)
-    r_draws = _sr_stationary_draws(model, policy)
-    c_inf = Estimate(*mean_se(np.log1p(u_sums + r_draws)), policy.replications)
+    c_inf = Estimate(*mean_se(np.log1p(u_sums + sr_draws)), policy.replications)
     return PathFunctionals(beta0=beta0, beta_inf=beta_inf, c0=c0, c_inf=c_inf)
 
 

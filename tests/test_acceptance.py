@@ -285,7 +285,7 @@ def test_criterion_8_hst_history_reproduction():
     increments = models.linear_quadratic_score(params, standardized.values[nearest:])
     window = (date(2003, 3, 13), date(2003, 3, 18))
     for kind, threshold in (("cusum", 0.3), ("sr", 60.0)):
-        trace = detect.run_detector(increments, kind=kind, mode="score", threshold=threshold)
+        trace = detect.run_detector(increments, kind=kind, threshold=threshold)
         alarm = trace.first_alarm
         assert alarm is not None, kind
         alarm_date = returns.dates[nearest + alarm.global_time - 1]

@@ -9,6 +9,7 @@ and, where a ``quickdetect`` distribution is installed, also requires its
 entry-point metadata to match and the command to be on ``PATH``.
 """
 
+import csv
 import importlib.metadata
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quickdetect import cli, series
+from quickdetect import cli, detect, models, offline, series
 from quickdetect.cli import Report, ReportEntry, RunConfig, UsageError, _parse_schema
 
 
@@ -52,6 +53,13 @@ def load_report(out, command):
 
 def entry_map(report, section):
     return {e["name"]: e for e in report["sections"][section]}
+
+
+def read_table(out, command, name):
+    paths = sorted(Path(out).glob(f"{command}-*.{name}.csv"))
+    assert len(paths) == 1, f"expected one {name} table, found {paths}"
+    with paths[0].open(newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 class TestSchemaFlag:
@@ -300,6 +308,19 @@ class TestExitCodes:
         assert code == 2
         assert "--q/--delta or --train-end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("design", [["--q", "0.714", "--delta", "1.2"], []])
+    def test_detect_train_end_below_two(self, price_csv, tmp_path, capsys, design):
+        # both score-design branches: standardizing moments with --q/--delta,
+        # and the fitted design without them
+        code = run_cli(
+            ["detect", "--input", str(price_csv), *design, "--train-end", "0",
+             "--threshold-h", "5"],
+            tmp_path / "o",
+        )
+        assert code == 2
+        assert "--train-end must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_emitted_paths_printed(self, price_csv, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli(["returns", "--input", str(price_csv)], out) == 0
@@ -410,6 +431,15 @@ class TestSegmentCommand:
         assert any("exceeds the null threshold" in note for note in report["notes"])
         assert report["tables"] == {"bd-trace": 339}
 
+    def test_bd_trace_csv_reads_back(self, price_csv, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["segment", "--input", str(price_csv)], out) == 0
+        rows = read_table(out, "segment", "bd-trace")
+        returns = series.to_returns(series.load_csv(price_csv, series.CsvSchema()))
+        _, trace = offline.bd_estimate(returns)
+        assert [int(row["split"]) for row in rows] == list(range(1, 340))
+        assert [float(row["statistic"]) for row in rows] == trace.values.tolist()
+
     def test_explicit_threshold_disables_splitting(self, price_csv, tmp_path):
         out = tmp_path / "o"
         code = run_cli(
@@ -481,6 +511,33 @@ class TestDetectCommand:
         entries = entry_map(load_report(out, "detect"), "cusum")
         assert entries["observations"]["value"] == 340
         assert entries["alarms"]["value"] >= 1
+
+    def test_trace_csv_reads_back(self, price_csv, tmp_path):
+        out = tmp_path / "o"
+        code = run_cli(
+            ["detect", "--input", str(price_csv), "--mode", "exact", *self.MODEL,
+             "--threshold-h", "3", "--threshold-a", "30", "--multi-cyclic"],
+            out,
+        )
+        assert code == 0
+        report = load_report(out, "detect")
+        returns = series.to_returns(series.load_csv(price_csv, series.CsvSchema()))
+        increments = models.llr(models.GaussianChangeModel(0.0, 0.5, 0.6, 0.7), returns.values)
+        for kind, threshold in (("cusum", 3.0), ("sr", 30.0)):
+            rows = read_table(out, "detect", f"{kind}-trace")
+            assert [int(row["step"]) for row in rows] == list(range(1, 341))
+            assert [row["date"] for row in rows] == [d.isoformat() for d in returns.dates]
+            trace = detect.multi_cyclic_run(increments, kind=kind, threshold=threshold)
+            assert [float(row["statistic"]) for row in rows] == trace.statistics.tolist()
+            entries = entry_map(report, kind)
+            alarm_steps = [
+                entries[f"alarm-{i}-step"]["value"]
+                for i in range(1, entries["alarms"]["value"] + 1)
+            ]
+            assert len(alarm_steps) >= 2
+            flagged = [int(row["step"]) for row in rows if row["alarm"] == "1"]
+            assert flagged == alarm_steps
+            assert {row["alarm"] for row in rows} == {"0", "1"}
 
     def test_single_kind_via_threshold(self, price_csv, tmp_path):
         out = tmp_path / "o"

@@ -1,6 +1,5 @@
 """Detector recursions against brute-force definitions, and run mechanics."""
 
-import csv
 import math
 
 import numpy as np
@@ -149,8 +148,6 @@ class TestRunDetector:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="kind"):
             run_detector([1.0], kind="ewma", threshold=1.0)
-        with pytest.raises(ValueError, match="mode"):
-            run_detector([1.0], kind="cusum", mode="other", threshold=1.0)
         with pytest.raises(ValueError, match="threshold"):
             run_detector([1.0], kind="cusum", threshold=-1.0)
 
@@ -242,18 +239,6 @@ class TestMultiCyclic:
         assert trace.statistics[2] == 1.0  # a fresh start after the alarm
         single = run_detector([0.0, 800.0], kind="sr", threshold=1e6)
         assert np.isfinite(single.first_alarm.statistic_at_stop)
-
-
-class TestTraceSerialization:
-    def test_write_csv_round_trip(self, tmp_path):
-        trace = multi_cyclic_run([0.6, 0.7, -0.1], kind="cusum", threshold=1.2)
-        path = trace.write_csv(tmp_path / "trace.csv")
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert [row["step"] for row in rows] == ["1", "2", "3"]
-        values = [float(row["statistic"]) for row in rows]
-        np.testing.assert_allclose(values, trace.statistics)
-        assert [row["alarm"] for row in rows] == ["0", "1", "0"]
 
 
 class TestAlarmRecord:

@@ -1,6 +1,5 @@
 """Retrospective change-point statistic, estimation, and segmentation."""
 
-import csv
 
 import numpy as np
 import pytest
@@ -203,17 +202,3 @@ class TestSegmentation:
             SegmentationResult(
                 change_points=(5, 5), segments=(), decisions=()
             )
-
-
-class TestTraceSerialization:
-    def test_write_csv(self, tmp_path, rng):
-        x = rng.normal(size=12)
-        _, trace = bd_estimate(x)
-        path = trace.write_csv(tmp_path / "trace.csv")
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 11
-        assert [int(r["split"]) for r in rows] == list(range(1, 12))
-        np.testing.assert_allclose(
-            [float(r["statistic"]) for r in rows], trace.values
-        )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from quickdetect import (
     Estimate,
@@ -17,9 +17,12 @@ from quickdetect import (
     kl_numbers,
     llr,
 )
+from quickdetect._rand import substream
 from quickdetect.renewal import (
+    _STREAM_PRE_WALK,
     _overshoots_exact,
     _overshoots_mc,
+    _pre_walk_draws,
     limiting_overshoots,
     llr_moments,
     path_functionals,
@@ -170,10 +173,55 @@ class TestPathFunctionals:
         reps, horizon = 20_000, 400
         z = np.cumsum(rng.normal(0.5, 1.0, size=(reps, horizon)), axis=1)
         minima = np.minimum(0.0, z.min(axis=1))
-        c0_draws = np.log1p(np.sum(np.exp(-np.clip(z, -700, None)), axis=1))
-        for est, draws in ((funcs.beta0, minima), (funcs.c0, c0_draws)):
+        u_sums = np.sum(np.exp(-np.clip(z, -700, None)), axis=1)
+        del z
+        # independent pre-change walks (drift -1/2), both detectors stepped
+        # by their scalar recursions across all replications at once: the
+        # CUSUM statistic averaged over steps n > horizon/2, and the
+        # Shiryaev-Roberts value at the horizon, paired with U as in c_inf
+        w = np.zeros(reps)
+        sr = np.zeros(reps)
+        tail_sums = np.zeros(reps)
+        for n, step in enumerate(rng.normal(-0.5, 1.0, size=(horizon, reps)), start=1):
+            w = np.maximum(0.0, w + step)
+            sr = (1.0 + sr) * np.exp(step)
+            if n > horizon // 2:
+                tail_sums += w
+        tails = tail_sums / (horizon - horizon // 2)
+        for est, draws in (
+            (funcs.beta0, minima),
+            (funcs.c0, np.log1p(u_sums)),
+            (funcs.beta_inf, tails),
+            (funcs.c_inf, np.log1p(u_sums + sr)),
+        ):
             se = math.hypot(est.std_error, np.std(draws, ddof=1) / math.sqrt(reps))
             assert abs(float(est) - np.mean(draws)) < 3.5 * se
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
+            GaussianChangeModel(0.1, 0.8, 0.6, 1.3),
+            GaussianChangeModel(0.0, 1.0, 2.0, 1.0),
+        ],
+    )
+    def test_pre_walk_draws_match_definitions(self, model):
+        # each replication recomputed from its own pre-change stream, drawn
+        # in one piece: W_n = Z_n - min_{0<=k<=n} Z_k averaged over
+        # n > horizon // 2, and R_horizon = sum_{k<n} exp(Z_n - Z_k) in log
+        # space.  The horizon ends 3 steps into a block, so R_horizon still
+        # holds visible mass from the blocks before it.
+        policy = EstimationPolicy(replications=30, horizon=1_027, seed=5)
+        tails, sr_draws = _pre_walk_draws(model, policy)
+        tail_from = policy.horizon // 2
+        for r in range(policy.replications):
+            rng = substream(policy.seed, _STREAM_PRE_WALK, r)
+            x = rng.normal(model.mu_pre, model.sigma_pre, policy.horizon)
+            z = np.concatenate(([0.0], np.cumsum(llr(model, x))))  # Z_0..Z_horizon
+            w = z - np.minimum.accumulate(z)
+            assert tails[r] == pytest.approx(np.mean(w[tail_from + 1 :]), rel=1e-9)
+            log_sr = z[-1] + special.logsumexp(-z[:-1])
+            assert sr_draws[r] == pytest.approx(math.exp(log_sr), rel=1e-9)
 
     def test_horizon_stability(self, unit_shift_model):
         short = path_functionals(
