@@ -1,11 +1,12 @@
 """How good are the closed-form ARL and delay approximations?
 
-Computes the Kullback-Leibler numbers, the overshoot constants and the
-path functionals for two change models, evaluates the renewal-theory
-approximations at a few thresholds, and pits them against quick Monte
-Carlo estimates.  The equal-variance model gets its overshoot constants
-from an exact series; the unequal-variance one falls back to simulation
-(nonzero standard errors).
+Computes the Kullback-Leibler numbers, the ladder constants (overshoot
+and walk extremes) and the path functionals for two change models,
+evaluates the renewal-theory approximations at a few thresholds, and pits
+them against quick Monte Carlo estimates.  The equal-variance model gets
+its ladder constants from exact series; the unequal-variance one falls
+back to simulation (nonzero standard errors).  The path functionals C0 and
+Cinf are always simulated.
 """
 
 import math
@@ -34,13 +35,15 @@ for label, model in (
     print(f"KL numbers: I_f = {i_f:.4f}, I_g = {i_g:.4f} nats")
 
     constants = estimate_constants(model, policy)
-    se = constants.zeta.std_error
     route = "exact series" if constants.zeta.replications == 0 else "Monte Carlo"
-    print(f"overshoot ({route}): zeta = {constants.zeta.value:.4f}"
-          + (f" (se {se:.4f})" if se else "")
-          + f", varkappa = {constants.varkappa.value:.4f}")
-    print(f"path functionals: beta0 = {constants.beta0.value:+.4f}, "
-          f"C0 = {constants.c0.value:.4f}, Cinf = {constants.c_inf.value:.4f}")
+    ladder = []
+    for name in ("zeta", "varkappa", "beta0", "beta_inf"):
+        est = getattr(constants, name)
+        se = f" (se {est.std_error:.4f})" if est.std_error else ""
+        ladder.append(f"{name} = {est.value:+.4f}{se}")
+    print(f"ladder constants ({route}): " + ", ".join(ladder))
+    print(f"path functionals (Monte Carlo): C0 = {constants.c0.value:.4f}, "
+          f"Cinf = {constants.c_inf.value:.4f}")
 
     config = DetectorConfig(kind="cusum", model=model, mode="exact")
     h = 4.0

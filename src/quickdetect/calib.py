@@ -393,12 +393,12 @@ def solve_threshold(
 ) -> tuple[float, PerformanceEstimate]:
     """Find a threshold whose Monte Carlo ARL matches ``gamma``.
 
-    Exact-likelihood detectors start from the closed bracket guaranteed by
-    theory (``h <= log gamma`` for CUSUM, ``A <= gamma`` for SR, both of
-    which give ARL at least gamma); score-based detectors expand the upper
-    end by doubling until the ARL clears gamma.  Bisection then runs on the
-    log threshold under common random numbers until the ARL lands within
-    ``relative_tolerance`` of gamma.  Deterministic given the spec.
+    Both modes start at ``log gamma`` for CUSUM and ``gamma`` for SR, where
+    theory puts an exact-likelihood detector's ARL at gamma or above.  The
+    upper end doubles only while its ARL is below gamma (score detectors);
+    the lower end then halves until its ARL falls below gamma.  Bisection
+    runs on the log threshold under common random numbers until the ARL
+    lands within ``relative_tolerance`` of gamma.  Deterministic given the spec.
 
     Every evaluation reads the same store of ladder records, one path per
     replication, so the search draws each path once, as far as its highest

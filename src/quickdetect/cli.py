@@ -30,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +101,26 @@ class RunConfig:
             date_format=self.date_format,
         )
 
+    @cached_property
+    def loaded_input(self) -> tuple[str, series.PriceSeries]:
+        """SHA-256 (hex) and prices of the ``--input`` file, read once per run."""
+        path = Path(self.input)
+        if not path.is_file():
+            raise FileNotFoundError(f"no such file: {path}")
+        data = path.read_bytes()
+        return hashlib.sha256(data).hexdigest(), series.load_csv(data, self.schema())
+
     def canonical(self) -> dict:
-        """Everything that affects results, in stable order (``out`` excluded)."""
+        """Everything that affects results, in stable order (``out`` excluded).
+
+        ``input`` enters as ``sha256:<hex>`` of the file's bytes, so every
+        spelling of its path, and every copy of the file, hashes alike.
+        """
         data = asdict(self)
         data.pop("out")
         data["lags"] = list(self.lags)
+        if self.input:
+            data["input"] = "sha256:" + self.loaded_input[0]
         return dict(sorted(data.items()))
 
 
@@ -341,7 +357,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 def _load_returns(config: RunConfig) -> tuple[series.PriceSeries, series.ReturnSeries]:
     if not config.input:
         raise UsageError("this command needs --input")
-    prices = series.load_csv(config.input, config.schema())
+    prices = config.loaded_input[1]
     return prices, series.to_returns(prices)
 
 
@@ -546,35 +562,35 @@ def _cmd_segment(config: RunConfig) -> Report:
     )
 
 
-def _constants_entries(constants: renewal.RenewalConstants) -> tuple[ReportEntry, ...]:
-    def entry(name: str, est: renewal.Estimate, units: str = "") -> ReportEntry:
-        se = est.std_error if est.replications else None
-        return ReportEntry(name, est.value, units, se)
+def _estimates(constants: renewal.RenewalConstants) -> dict[str, renewal.Estimate]:
+    names = ("zeta", "varkappa", "beta0", "beta_inf", "c0", "c_inf")
+    return {name.replace("_", "-"): getattr(constants, name) for name in names}
 
-    return (
+
+def _constants_entries(constants: renewal.RenewalConstants) -> tuple[ReportEntry, ...]:
+    entries = [
         ReportEntry("i-f", constants.i_f, "nats"),
         ReportEntry("i-g", constants.i_g, "nats"),
-        entry("zeta", constants.zeta),
-        entry("varkappa", constants.varkappa, "nats"),
-        entry("beta0", constants.beta0, "nats"),
-        entry("beta-inf", constants.beta_inf, "nats"),
-        entry("c0", constants.c0, "nats"),
-        entry("c-inf", constants.c_inf, "nats"),
-    )
+    ]
+    for name, est in _estimates(constants).items():
+        se = est.std_error if est.replications else None
+        entries.append(ReportEntry(name, est.value, "" if name == "zeta" else "nats", se))
+    return tuple(entries)
 
 
 def _cmd_constants(config: RunConfig) -> Report:
     model = _require_model(config)
     constants = renewal.estimate_constants(model, _policy(config))
+    routes: dict[str, list[str]] = {}
+    for name, est in _estimates(constants).items():
+        reps = est.replications
+        route = f"estimated by Monte Carlo ({reps} replications)" if reps else "computed exactly"
+        routes.setdefault(route, []).append(name)
     return Report(
         command="constants",
         config=config,
         sections=(("constants", _constants_entries(constants)),),
-        notes=(
-            "zeta/varkappa computed exactly (equal variances)"
-            if model.sigma_pre == model.sigma_post
-            else "zeta/varkappa estimated by Monte Carlo (unequal variances)",
-        ),
+        notes=tuple(f"{'/'.join(names)} {route}" for route, names in routes.items()),
     )
 
 

@@ -14,27 +14,30 @@ Shiryaev-Roberts rest on a handful of constants of that walk:
 ``varkappa``
     Limiting mean overshoot,
     ``E[Z_1^2]/(2 E[Z_1]) + sum_k (1/k) E_post[min(0, Z_k)]``.
-``beta0``
-    ``E_post[min_{n >= 0} Z_n] <= 0``, the expected global minimum of the
-    post-change walk.
-``beta_inf``
-    Stationary mean of ``Z_n - min_{k <= n} Z_k`` under the pre-change law
-    (the CUSUM statistic's stationary mean without a change).
+``beta0``, ``beta_inf``
+    ``E_post[min_{n >= 0} Z_n] <= 0`` and the pre-change stationary mean of
+    the CUSUM statistic ``Z_n - min_{k <= n} Z_k``.  By Spitzer's identity
+    (Spitzer 1956; Siegmund 1985, *Sequential Analysis*, ch. VIII) they are
+    ``sum_k (1/k) E_post[min(0, Z_k)]`` (the ``varkappa`` correction) and
+    ``sum_k (1/k) E_pre[Z_k^+]``.
 ``c0``, ``c_inf``
     ``E[log(1 + U)]`` and ``E[log(1 + R_inf + U)]`` where
     ``U = sum_k exp(-Z_k)`` under the post-change law and ``R_inf`` is an
-    independent draw from the stationary pre-change Shiryaev-Roberts
-    distribution.
-
-``beta_inf`` and ``c_inf`` come from one simulated pre-change walk per
-replication, run through the CUSUM and Shiryaev-Roberts block kernels of
-:mod:`quickdetect.detect`, so both recursions are defined only there.
+    independent stationary pre-change Shiryaev-Roberts draw.  Reversed in
+    time, ``R_n = sum_{k <= n} exp(Z_n - Z_{k-1})`` has the law of
+    ``sum_{j <= n} exp(Z_j)``, so both are sums ``sum_k exp(s * Z_k)`` of
+    one simulated walk: ``s = -1`` post-change, ``s = +1`` pre-change up to
+    ``n = horizon``.  They have no series.
 
 With equal pre/post variances the walk is exactly Gaussian,
-``Z_k ~ N(-k*I, 2*k*I)`` pre-change and ``N(k*I, 2*k*I)`` post-change, and
-the ``zeta``/``varkappa`` series reduce to normal CDF evaluations; with
-unequal variances the log-likelihood ratio is quadratic in the observation,
-the walk is not Gaussian, and both series are estimated by Monte Carlo.
+``Z_k ~ N(-k*I, 2*k*I)`` pre-change and ``N(k*I, 2*k*I)`` post-change: the
+series reduce to normal CDF evaluations, and the pre-change walk is the
+mirror image of the post-change one, so ``beta_inf = -beta0`` exactly.
+With unequal variances the log-likelihood ratio is quadratic in the
+observation and the walk is not Gaussian.  ``zeta`` and ``varkappa`` are
+then series estimated by Monte Carlo, and ``beta0`` and ``beta_inf`` are
+read off the same walks directly (a Monte Carlo ``beta_inf`` series has
+many times the standard error of the CUSUM tail mean).
 
 The approximations themselves::
 
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rand import mean_se, substream
-from .detect import LLR_CLAMP, _cusum_path, _sr_path, check_threshold
+from .detect import LLR_CLAMP, _cusum_path, check_threshold
 from .models import GaussianChangeModel, llr
 
 _STREAM_OVERSHOOT = 1
@@ -68,8 +71,8 @@ _STREAM_PRE_WALK = 3
 TERM_TOL = 1e-12
 #: hard cap on series length regardless of the policy
 TRUNCATION_HARD_CAP = 10**6
-#: a post-change walk this high can no longer move its minimum or add
-#: visible mass to sum(exp(-Z_k)); paths are cut here
+#: a walk this far on the escaping side adds no visible mass to
+#: sum(exp(s * Z_k)); paths are cut here
 ESCAPE_MARGIN = 50.0
 _BLOCK = 512
 
@@ -118,14 +121,6 @@ class EstimationPolicy:
             raise ValueError("horizon must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PathFunctionals:
-    beta0: Estimate
-    beta_inf: Estimate
-    c0: Estimate
-    c_inf: Estimate
 
 
 @dataclass(frozen=True)
@@ -203,10 +198,6 @@ def llr_moments(model: GaussianChangeModel, regime: str) -> tuple[float, float]:
     raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
 
 
-def _equal_variance(model: GaussianChangeModel) -> bool:
-    return model.sigma_pre == model.sigma_post
-
-
 def _converging_sum(term_fn, cap: int, what: str) -> float:
     """Sum ``term_fn(k)`` over k >= 1 until terms drop below TERM_TOL."""
     cap = min(cap, TRUNCATION_HARD_CAP)
@@ -227,7 +218,11 @@ def _converging_sum(term_fn, cap: int, what: str) -> float:
 
 
 def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal CDFs."""
+    """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal CDFs.
+
+    The ``varkappa`` correction is Spitzer's series for ``beta0``, and its
+    mirror image is the series for ``beta_inf``.
+    """
     from scipy import stats  # imported here: the only use, and a slow import
 
     _, i_g = kl_numbers(model)
@@ -246,31 +241,45 @@ def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
     if zeta > 1.0 + 1e-9:
         raise RuntimeError(f"zeta computed as {zeta}, outside (0, 1]")
     first = 1.0 + i_g / 2.0  # E[Z_1^2]/(2 E[Z_1]) for N(I, 2I)
-    correction = _converging_sum(kappa_term, policy.truncation, "varkappa")
-    return Estimate(min(zeta, 1.0)), Estimate(first + correction)
+    beta0 = _converging_sum(kappa_term, policy.truncation, "varkappa")
+    return Estimate(min(zeta, 1.0)), Estimate(first + beta0), Estimate(beta0), Estimate(-beta0)
 
 
 def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Unequal-variance route: estimate the series terms from simulated walks."""
+    """Unequal-variance route: estimate the series terms from simulated walks.
+
+    Each replication draws a pre- and a post-change walk of ``length``
+    steps from one stream.  The post-change walk's ``min(0, min_k Z_k)`` is
+    its ``beta0`` draw.  The pre-change walk, continued from the same
+    stream when ``horizon`` is longer, gives the ``beta_inf`` draw: the
+    mean CUSUM statistic over steps ``n > horizon // 2``.
+    """
     i_f, i_g = kl_numbers(model)
     drift = min(i_f, i_g)
     length = int(min(policy.truncation, TRUNCATION_HARD_CAP, 60.0 / drift + 64))
     reps = policy.replications
+    horizon = policy.horizon
     inv_k = 1.0 / np.arange(1, length + 1)
     s_vals = np.empty(reps)
     t_vals = np.empty(reps)
+    minima = np.empty(reps)
+    tails = np.empty(reps)
     tail_hits = 0
     for r in range(reps):
         rng = substream(policy.seed, _STREAM_OVERSHOOT, r)
-        z_pre = np.cumsum(llr(model, rng.normal(model.mu_pre, model.sigma_pre, length)))
-        z_post = np.cumsum(
-            llr(model, rng.normal(model.mu_post, model.sigma_post, length))
-        )
+        x_pre = llr(model, rng.normal(model.mu_pre, model.sigma_pre, length))
+        z_pre = np.cumsum(x_pre)
+        z_post = np.cumsum(llr(model, rng.normal(model.mu_post, model.sigma_post, length)))
         crossings = (z_pre > 0.0).astype(float) + (z_post <= 0.0).astype(float)
         s_vals[r] = float(inv_k @ crossings)
         t_vals[r] = float(inv_k @ np.minimum(0.0, z_post))
         if z_pre[-1] > 0.0 or z_post[-1] <= 0.0:
             tail_hits += 1
+        minima[r] = min(0.0, float(np.min(z_post)))
+        if horizon > length:
+            more = llr(model, rng.normal(model.mu_pre, model.sigma_pre, horizon - length))
+            x_pre = np.concatenate((x_pre, more))
+        tails[r] = float(np.mean(_cusum_path(0.0, x_pre[:horizon])[horizon // 2 :]))
     if tail_hits > 0.005 * reps:
         raise RuntimeError(
             f"overshoot series not converged at {length} terms "
@@ -278,131 +287,100 @@ def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
         )
     s_mean, s_se = mean_se(s_vals)
     zeta = math.exp(-s_mean) / i_g
-    if zeta > 1.0 + 1e-9:
-        raise RuntimeError(f"zeta estimated as {zeta}, outside (0, 1]")
     mean_post, var_post = llr_moments(model, "post")
     first = (var_post + mean_post * mean_post) / (2.0 * mean_post)
     t_mean, t_se = mean_se(t_vals)
+    varkappa = first + t_mean
+    for name, value, se, bad, allowed in (
+        ("zeta", zeta, zeta * s_se, zeta > 1.0 + 1e-9, "(0, 1]"),
+        ("varkappa", varkappa, t_se, varkappa < 0.0, "[0, inf)"),
+    ):
+        if bad:
+            raise RuntimeError(
+                f"{name} estimated as {value:.6g} (se {se:.2g}, {reps} "
+                f"replications), outside {allowed}: too few replications "
+                "for this model; raise --replications"
+            )
     return (
         Estimate(min(zeta, 1.0), zeta * s_se, reps),
-        Estimate(first + t_mean, t_se, reps),
+        Estimate(varkappa, t_se, reps),
+        Estimate(*mean_se(minima), reps),
+        Estimate(*mean_se(tails), reps),
     )
 
 
 def limiting_overshoots(
     model: GaussianChangeModel, policy: EstimationPolicy | None = None
-) -> tuple[Estimate, Estimate]:
-    """``(zeta, varkappa)`` for the model.
+) -> tuple[Estimate, Estimate, Estimate, Estimate]:
+    """The ladder constants ``(zeta, varkappa, beta0, beta_inf)``.
 
-    Uses the exact Gaussian-walk series when the two variances are equal
-    and per-term Monte Carlo otherwise (the Monte Carlo fields then carry
-    standard errors and replication counts).
+    With equal variances all four are exact series (SE 0, 0 replications)
+    and ``beta_inf == -beta0``; otherwise all four are Monte Carlo estimates
+    from one set of simulated walks, with standard errors.
     """
     policy = policy or EstimationPolicy()
-    if _equal_variance(model):
+    if model.sigma_pre == model.sigma_post:
         return _overshoots_exact(model, policy)
     return _overshoots_mc(model, policy)
 
 
-def _post_walk_draws(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Per-replication minimum of the post-change walk and ``sum exp(-Z_k)``.
+def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str):
+    """Per-replication ``sum_k exp(s * Z_k)`` and the count of unescaped walks.
 
-    Paths are cut once the walk clears ESCAPE_MARGIN: beyond that point the
-    running minimum cannot move and further terms of the sum are below
-    ``exp(-50)``.  Replications that reach the step cap without escaping are
-    counted and, if frequent, rejected as a too-short horizon.
+    ``"post"``: ``s = -1`` (the sum is ``U``), capped at the truncation.
+    ``"pre"``: ``s = +1`` (the time-reversed Shiryaev-Roberts statistic),
+    capped at the horizon.  A walk stops early once ``s * Z`` falls below
+    ``-ESCAPE_MARGIN``; walks that reach the cap first are counted.
     """
-    reps = policy.replications
-    u_terms = min(policy.truncation, TRUNCATION_HARD_CAP)
-    cap = max(policy.horizon, u_terms)
-    minima = np.empty(reps)
-    u_sums = np.empty(reps)
+    if regime == "post":
+        sign, stream, mu, sigma = -1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post
+        cap = min(policy.truncation, TRUNCATION_HARD_CAP)
+    else:
+        sign, stream, mu, sigma = 1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre
+        cap = policy.horizon
+    sums = np.empty(policy.replications)
     unsettled = 0
-    for r in range(reps):
-        rng = substream(policy.seed, _STREAM_POST_WALK, r)
+    for r in range(policy.replications):
+        rng = substream(policy.seed, stream, r)
         z_end = 0.0
-        z_min = 0.0
-        u = 0.0
+        total = 0.0
         steps = 0
-        while steps < cap and z_end <= ESCAPE_MARGIN:
+        while steps < cap and sign * z_end >= -ESCAPE_MARGIN:
             block = min(_BLOCK, cap - steps)
-            incr = llr(model, rng.normal(model.mu_post, model.sigma_post, block))
-            z = z_end + np.cumsum(incr)
-            # the minimum is tracked up to the horizon, the sum up to the
-            # truncation cap; past the escape margin neither can move
-            min_within = policy.horizon - steps
-            if min_within > 0:
-                z_min = min(z_min, float(np.min(z[:min_within])))
-            u_within = min(u_terms - steps, block)
-            if u_within > 0:
-                exponents = -np.clip(z[:u_within], -LLR_CLAMP, None)
-                u += float(np.sum(np.exp(exponents)))
+            z = z_end + np.cumsum(llr(model, rng.normal(mu, sigma, block)))
+            total += float(np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP))))
             z_end = float(z[-1])
             steps += block
-        if z_end <= ESCAPE_MARGIN:
+        if sign * z_end >= -ESCAPE_MARGIN:
             unsettled += 1
-        minima[r] = z_min
-        u_sums[r] = u
-    if unsettled > max(1, 0.01 * reps):
-        raise RuntimeError(
-            f"{unsettled}/{reps} post-change walks never escaped within "
-            f"{cap} steps; increase the horizon/truncation or check the model"
-        )
-    return minima, u_sums
-
-
-def _pre_walk_draws(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Per-replication CUSUM tail mean and Shiryaev-Roberts draw, pre-change.
-
-    Each replication draws one pre-change walk and runs both detectors over
-    it with the kernels of :mod:`quickdetect.detect`, carrying their end
-    states across blocks.  The mean of the CUSUM statistic
-    ``Z_n - min_{k<=n} Z_k`` over steps ``n > horizon // 2`` is the
-    replication's ``beta_inf`` draw; the Shiryaev-Roberts value at the
-    horizon is its approximately stationary draw for ``c_inf``.
-    """
-    reps = policy.replications
-    horizon = policy.horizon
-    tail_from = horizon // 2  # steps with index > tail_from contribute
-    tails = np.empty(reps)
-    sr_draws = np.empty(reps)
-    for r in range(reps):
-        rng = substream(policy.seed, _STREAM_PRE_WALK, r)
-        w = 0.0
-        sr = 0.0
-        tail_sum = 0.0
-        for steps in range(0, horizon, _BLOCK):
-            block = min(_BLOCK, horizon - steps)
-            z = llr(model, rng.normal(model.mu_pre, model.sigma_pre, block))
-            w_path = _cusum_path(w, z)
-            tail_sum += float(np.sum(w_path[max(tail_from - steps, 0) :]))
-            w = float(w_path[-1])
-            sr = float(_sr_path(sr, z)[-1])
-        tails[r] = tail_sum / (horizon - tail_from)
-        sr_draws[r] = sr
-    return tails, sr_draws
+        sums[r] = total
+    return sums, unsettled
 
 
 def path_functionals(
     model: GaussianChangeModel, policy: EstimationPolicy | None = None
-) -> PathFunctionals:
-    """Monte Carlo estimates of ``beta0``, ``beta_inf``, ``c0``, ``c_inf``.
+) -> tuple[Estimate, Estimate]:
+    """Monte Carlo estimates ``(c0, c_inf)``.
 
-    ``beta0`` and ``c0`` come from the post-change walks.  ``beta_inf`` and
-    the Shiryaev-Roberts draws for ``c_inf`` come from one pre-change walk
-    per replication, evaluated by ``detect._cusum_path`` and
-    ``detect._sr_path``.  ``c_inf`` pairs each replication's ``U`` with the
-    Shiryaev-Roberts draw of the independent pre-change walk, so
-    ``c_inf >= c0`` holds pathwise, not just in expectation.
+    Each replication pairs ``U`` with the Shiryaev-Roberts draw
+    ``sum_{j <= horizon} exp(Z_j)`` of an independent pre-change walk, so
+    ``c_inf >= c0`` holds pathwise.  More than 1% of post-change walks that
+    never escape is an error; the pre-change sum is cut at the horizon.
     """
     policy = policy or EstimationPolicy()
-    minima, u_sums = _post_walk_draws(model, policy)
-    beta0 = Estimate(*mean_se(minima), policy.replications)
-    tails, sr_draws = _pre_walk_draws(model, policy)
-    beta_inf = Estimate(*mean_se(tails), policy.replications)
-    c0 = Estimate(*mean_se(np.log1p(u_sums)), policy.replications)
-    c_inf = Estimate(*mean_se(np.log1p(u_sums + sr_draws)), policy.replications)
-    return PathFunctionals(beta0=beta0, beta_inf=beta_inf, c0=c0, c_inf=c_inf)
+    reps = policy.replications
+    u_sums, unsettled = _exp_sums(model, policy, "post")
+    if unsettled > max(1, 0.01 * reps):
+        raise RuntimeError(
+            f"{unsettled}/{reps} post-change walks never escaped within "
+            f"{min(policy.truncation, TRUNCATION_HARD_CAP)} steps; increase "
+            "the truncation or check the model"
+        )
+    r_sums, _ = _exp_sums(model, policy, "pre")
+    return (
+        Estimate(*mean_se(np.log1p(u_sums)), reps),
+        Estimate(*mean_se(np.log1p(u_sums + r_sums)), reps),
+    )
 
 
 def estimate_constants(
@@ -415,17 +393,17 @@ def estimate_constants(
     """
     policy = policy or EstimationPolicy()
     i_f, i_g = kl_numbers(model)
-    zeta, varkappa = limiting_overshoots(model, policy)
-    funcs = path_functionals(model, policy)
+    zeta, varkappa, beta0, beta_inf = limiting_overshoots(model, policy)
+    c0, c_inf = path_functionals(model, policy)
     return RenewalConstants(
         i_f=i_f,
         i_g=i_g,
         zeta=zeta,
         varkappa=varkappa,
-        beta0=funcs.beta0,
-        beta_inf=funcs.beta_inf,
-        c0=funcs.c0,
-        c_inf=funcs.c_inf,
+        beta0=beta0,
+        beta_inf=beta_inf,
+        c0=c0,
+        c_inf=c_inf,
     )
 
 

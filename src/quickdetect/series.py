@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,8 +181,8 @@ class DiagnosticBundle:
     lag_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
-    """Load a dated price series from a CSV file.
+def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> PriceSeries:
+    """Load a dated price series from a CSV file, given its path or its bytes.
 
     Rows are sorted by date after parsing.  Any row with an unparsable date,
     a non-numeric price, or a non-positive price is an error naming the row;
@@ -189,12 +190,14 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> PriceSeries:
     Identical input bytes always produce the identical series.
     """
     schema = schema or CsvSchema()
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
+    if not isinstance(source, bytes):
+        path = Path(source)
+        if not path.is_file():
+            raise FileNotFoundError(f"no such file: {path}")
+        source = path.read_bytes()
     rows: list[tuple[dt.date, float]] = []
     bad: list[str] = []
-    with path.open(newline="") as handle:
+    with io.TextIOWrapper(io.BytesIO(source), newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         for col in (schema.date_column, schema.price_column):

@@ -249,8 +249,8 @@ class TestSolver:
         assert solve_threshold(config, spec) == solve_threshold(config, spec)
 
     def test_score_mode_round_trip(self):
-        # faint fitted design: the solver must expand past log(gamma) on its
-        # own because no exact-likelihood bracket applies
+        # faint fitted design: the ARL at log(gamma) is far above gamma, so
+        # the solver must halve its way down with no exact-likelihood bound
         model = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
         params = design_coefficients(0.2266 / 0.2306, 0.0228 / 0.2266)
         config = DetectorConfig(kind="cusum", model=model, mode="score", score=params)

@@ -10,6 +10,7 @@ entry-point metadata to match and the command to be on ``PATH``.
 """
 
 import csv
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -268,7 +269,7 @@ class TestExitCodes:
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(["returns", "--input", str(tmp_path / "nope.csv")], tmp_path)
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: no such file" in capsys.readouterr().err
 
     def test_malformed_csv_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -341,6 +342,31 @@ class TestDeterminism:
         assert files1 == files2 and files1
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_input_hashed_by_contents_not_path(self, price_csv, tmp_path, monkeypatch):
+        # one CSV read through two spellings of its path and through a
+        # byte-identical copy elsewhere: same report names and bytes
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        shutil.copyfile(price_csv, tmp_path / "a" / "p.csv")
+        shutil.copyfile(price_csv, tmp_path / "b" / "p.csv")
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for i, spelling in enumerate(("a/p.csv", "./a/p.csv", "b/p.csv")):
+            out = tmp_path / f"out{i}"
+            assert run_cli(["segment", "--input", spelling, "--seed", "11"], out) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        report = load_report(tmp_path / "out0", "segment")
+        digest = hashlib.sha256(price_csv.read_bytes()).hexdigest()
+        assert report["config"]["input"] == f"sha256:{digest}"
+        # one changed byte in the file changes the hash
+        data = bytearray(price_csv.read_bytes())
+        data[-2] = ord("9") if data[-2] != ord("9") else ord("8")
+        (tmp_path / "b" / "p.csv").write_bytes(bytes(data))
+        out = tmp_path / "changed"
+        assert run_cli(["segment", "--input", "b/p.csv", "--seed", "11"], out) == 0
+        assert load_report(out, "segment")["config_hash"] != report["config_hash"]
 
     def test_filename_hash_matches_report(self, price_csv, tmp_path):
         out = tmp_path / "o"
@@ -588,7 +614,13 @@ class TestConstantsCommand:
         assert entries["zeta"]["value"] == pytest.approx(0.5604, abs=2e-3)
         assert entries["varkappa"]["value"] == pytest.approx(0.718, abs=3e-3)
         assert entries["zeta"]["std_error"] is None  # exact, not Monte Carlo
-        assert any("computed exactly" in note for note in report["notes"])
+        for name, sign in (("beta0", -1.0), ("beta-inf", 1.0)):
+            assert entries[name]["std_error"] is None
+            assert entries[name]["value"] == pytest.approx(sign * 0.5320627119653165, abs=1e-9)
+        assert report["notes"] == [
+            "zeta/varkappa/beta0/beta-inf computed exactly",
+            "c0/c-inf estimated by Monte Carlo (300 replications)",
+        ]
 
     def test_unequal_variances_use_monte_carlo(self, tmp_path):
         out = tmp_path / "o"
@@ -602,8 +634,11 @@ class TestConstantsCommand:
         report = load_report(out, "constants")
         entries = entry_map(report, "constants")
         assert 0.0 < entries["zeta"]["value"] < 1.0
-        assert entries["zeta"]["std_error"] > 0.0
-        assert any("Monte Carlo" in note for note in report["notes"])
+        for name in ("zeta", "varkappa", "beta0", "beta-inf"):
+            assert entries[name]["std_error"] > 0.0, name
+        assert report["notes"] == [
+            "zeta/varkappa/beta0/beta-inf/c0/c-inf estimated by Monte Carlo (300 replications)"
+        ]
 
 
 class TestCalibrateCommand:

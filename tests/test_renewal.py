@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from quickdetect import (
     Estimate,
@@ -19,16 +19,19 @@ from quickdetect import (
 )
 from quickdetect._rand import substream
 from quickdetect.renewal import (
+    _STREAM_POST_WALK,
     _STREAM_PRE_WALK,
+    _exp_sums,
     _overshoots_exact,
     _overshoots_mc,
-    _pre_walk_draws,
     limiting_overshoots,
     llr_moments,
     path_functionals,
 )
 
 FAST_POLICY = EstimationPolicy(replications=4_000, horizon=2_000, seed=11)
+#: the paper's HST model: a faint change in mean and scale
+HST = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
 
 
 class TestKlNumbers:
@@ -102,7 +105,7 @@ class TestOvershoots:
         # series evaluated independently by hand:
         # zeta = 2 exp(-2 sum Phi(-sqrt(k)/2)/k) ~ 0.5604,
         # varkappa = 1.25 + sum E[min(0, Z_k)]/k ~ 0.7183
-        zeta, varkappa = limiting_overshoots(unit_shift_model)
+        zeta, varkappa, *_ = limiting_overshoots(unit_shift_model)
         assert float(zeta) == pytest.approx(0.5604, abs=1e-3)
         assert float(varkappa) == pytest.approx(0.718, abs=2e-3)
         # the exact route carries no Monte Carlo error
@@ -121,13 +124,13 @@ class TestOvershoots:
             partials.append(math.exp(-partial) / i)
         # truncating the (positive-term) series can only inflate zeta
         assert partials[0] > partials[1] > partials[2] > zeta_direct - 1e-12
-        zeta, _ = limiting_overshoots(unit_shift_model)
+        zeta, *_ = limiting_overshoots(unit_shift_model)
         assert float(zeta) == pytest.approx(zeta_direct, abs=1e-6)
 
     def test_direct_overshoot_simulation(self, unit_shift_model):
         # the renewal-theoretic meaning: chi = Z_tau - a at the first
         # crossing of a high level a; zeta ~ E[exp(-chi)], kappa ~ E[chi]
-        zeta, varkappa = limiting_overshoots(unit_shift_model)
+        zeta, varkappa, *_ = limiting_overshoots(unit_shift_model)
         rng = np.random.default_rng(314159)
         a = 20.0
         reps = 20_000
@@ -143,30 +146,70 @@ class TestOvershoots:
         assert abs(np.mean(e_exp) - float(zeta)) < 4.0 * se_z
         assert abs(np.mean(chi) - float(varkappa)) < 4.0 * se_k
 
+    @pytest.mark.parametrize(
+        "model",
+        [GaussianChangeModel(0.0, 1.0, 1.0, 1.0), GaussianChangeModel(0.5, 0.7, -0.3, 0.7)],
+    )
+    def test_exact_ladder_constants_match_spitzer_series(self, model):
+        # Spitzer: beta0 = sum (1/k) E_post[min(0, Z_k)] and
+        # beta_inf = sum (1/k) E_pre[Z_k^+], each recomputed here from
+        # E[X^+] = m Phi(m/s) + s phi(m/s) for X ~ N(m, s^2), with
+        # Z_k ~ N(-k I, 2 k I) pre-change and N(k I, 2 k I) post-change
+        _, i = kl_numbers(model)
+        k = np.arange(1, 200_001, dtype=float)
+        s = np.sqrt(2.0 * k * i)
+
+        def positive_part(m):
+            return m * stats.norm.cdf(m / s) + s * stats.norm.pdf(m / s)
+
+        beta_inf_direct = float(np.sum(positive_part(-k * i) / k))
+        # E[min(0, X)] = E[X] - E[X^+] for X ~ N(k I, 2 k I)
+        beta0_direct = float(np.sum((k * i - positive_part(k * i)) / k))
+        _, _, beta0, beta_inf = limiting_overshoots(model)
+        assert float(beta0) == pytest.approx(beta0_direct, rel=1e-9)
+        assert float(beta_inf) == pytest.approx(beta_inf_direct, rel=1e-9)
+        for est in (beta0, beta_inf):
+            assert est.std_error == 0.0 and est.replications == 0
+        assert float(beta_inf) == -float(beta0)
+
     def test_mc_route_agrees_with_exact_route(self, unit_shift_model):
         # the Monte Carlo estimator is valid for any model; on an
         # equal-variance model it must reproduce the closed-form answer
-        exact_z, exact_k = _overshoots_exact(unit_shift_model, FAST_POLICY)
-        mc_z, mc_k = _overshoots_mc(unit_shift_model, FAST_POLICY)
-        assert abs(float(mc_z) - float(exact_z)) < 3.5 * mc_z.std_error
-        assert abs(float(mc_k) - float(exact_k)) < 3.5 * mc_k.std_error
-        assert mc_z.replications == FAST_POLICY.replications
+        exact = _overshoots_exact(unit_shift_model, FAST_POLICY)
+        mc = _overshoots_mc(unit_shift_model, FAST_POLICY)
+        for name, e, m in zip(("zeta", "varkappa", "beta0", "beta_inf"), exact, mc):
+            assert m.replications == FAST_POLICY.replications, name
+            assert abs(float(m) - float(e)) < 3.5 * m.std_error, name
 
     def test_unequal_variance_route_is_mc(self, variance_model):
-        zeta, varkappa = limiting_overshoots(variance_model, FAST_POLICY)
+        constants = limiting_overshoots(variance_model, FAST_POLICY)
+        zeta, varkappa, beta0, beta_inf = constants
         assert 0.0 < float(zeta) <= 1.0
         assert float(varkappa) > 0.0
-        assert zeta.std_error > 0.0
-        assert varkappa.replications == FAST_POLICY.replications
+        assert float(beta0) <= 0.0 <= float(beta_inf)
+        for est in constants:
+            assert est.std_error > 0.0
+            assert est.replications == FAST_POLICY.replications
+
+    @pytest.mark.parametrize("seed, name", [(1, "zeta"), (3, "varkappa")])
+    def test_small_budget_on_the_hst_model_names_its_cause(self, seed, name):
+        # at R = 1000 these seeds put zeta above 1 and varkappa below 0;
+        # at R = 10 000 they sit well inside their ranges
+        policy = EstimationPolicy(replications=1_000, seed=seed)
+        with pytest.raises(RuntimeError) as info:
+            _overshoots_mc(HST, policy)
+        message = str(info.value)
+        assert message.startswith(f"{name} estimated as")
+        assert "se " in message and "1000 replications" in message
+        assert "raise --replications" in message
 
 
 class TestPathFunctionals:
     def test_invariants_and_direct_beta0_c0(self, unit_shift_model):
-        funcs = path_functionals(unit_shift_model, FAST_POLICY)
-        assert float(funcs.beta0) <= 0.0
-        assert float(funcs.beta_inf) >= 0.0
-        assert float(funcs.c0) >= 0.0
-        assert float(funcs.c_inf) >= float(funcs.c0)
+        c0, c_inf = path_functionals(unit_shift_model, FAST_POLICY)
+        _, _, beta0, beta_inf = limiting_overshoots(unit_shift_model, FAST_POLICY)
+        assert float(c0) >= 0.0
+        assert float(c_inf) >= float(c0)
         # independent simulation of the two post-change functionals: the
         # walk minimum and log(1 + sum exp(-Z_k)) settle fast at drift 1/2
         rng = np.random.default_rng(2718)
@@ -189,10 +232,10 @@ class TestPathFunctionals:
                 tail_sums += w
         tails = tail_sums / (horizon - horizon // 2)
         for est, draws in (
-            (funcs.beta0, minima),
-            (funcs.c0, np.log1p(u_sums)),
-            (funcs.beta_inf, tails),
-            (funcs.c_inf, np.log1p(u_sums + sr)),
+            (beta0, minima),
+            (c0, np.log1p(u_sums)),
+            (beta_inf, tails),
+            (c_inf, np.log1p(u_sums + sr)),
         ):
             se = math.hypot(est.std_error, np.std(draws, ddof=1) / math.sqrt(reps))
             assert abs(float(est) - np.mean(draws)) < 3.5 * se
@@ -203,34 +246,41 @@ class TestPathFunctionals:
             GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
             GaussianChangeModel(0.1, 0.8, 0.6, 1.3),
             GaussianChangeModel(0.0, 1.0, 2.0, 1.0),
+            # faint: walks run for several blocks before they escape
+            GaussianChangeModel(0.0, 1.0, 0.3, 1.0),
         ],
     )
-    def test_pre_walk_draws_match_definitions(self, model):
-        # each replication recomputed from its own pre-change stream, drawn
-        # in one piece: W_n = Z_n - min_{0<=k<=n} Z_k averaged over
-        # n > horizon // 2, and R_horizon = sum_{k<n} exp(Z_n - Z_k) in log
-        # space.  The horizon ends 3 steps into a block, so R_horizon still
-        # holds visible mass from the blocks before it.
-        policy = EstimationPolicy(replications=30, horizon=1_027, seed=5)
-        tails, sr_draws = _pre_walk_draws(model, policy)
-        tail_from = policy.horizon // 2
+    @pytest.mark.parametrize("regime", ["post", "pre"])
+    def test_exp_sums_match_definitions(self, model, regime):
+        # each replication recomputed from its own stream, drawn in one
+        # piece: sum_{k <= cap} exp(s Z_k), with s = -1 and the cap at the
+        # truncation post-change, s = +1 and the cap at the horizon
+        # pre-change.  The horizon ends 3 steps into a block.  Terms past
+        # the walk's escape are below exp(-50) and do not show here.
+        policy = EstimationPolicy(replications=30, horizon=1_027, truncation=3_000, seed=5)
+        sums, unsettled = _exp_sums(model, policy, regime)
+        sign, stream, mu, sigma, cap = {
+            "post": (-1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post, policy.truncation),
+            "pre": (1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre, policy.horizon),
+        }[regime]
         for r in range(policy.replications):
-            rng = substream(policy.seed, _STREAM_PRE_WALK, r)
-            x = rng.normal(model.mu_pre, model.sigma_pre, policy.horizon)
-            z = np.concatenate(([0.0], np.cumsum(llr(model, x))))  # Z_0..Z_horizon
-            w = z - np.minimum.accumulate(z)
-            assert tails[r] == pytest.approx(np.mean(w[tail_from + 1 :]), rel=1e-9)
-            log_sr = z[-1] + special.logsumexp(-z[:-1])
-            assert sr_draws[r] == pytest.approx(math.exp(log_sr), rel=1e-9)
+            rng = substream(policy.seed, stream, r)
+            z = np.cumsum(llr(model, rng.normal(mu, sigma, cap)))
+            assert sums[r] == pytest.approx(np.sum(np.exp(sign * z)), rel=1e-9)
+        if regime == "post":
+            assert unsettled == 0
 
-    def test_horizon_stability(self, unit_shift_model):
-        short = path_functionals(
-            unit_shift_model, EstimationPolicy(replications=4_000, horizon=1_000, seed=11)
-        )
-        long = path_functionals(
-            unit_shift_model, EstimationPolicy(replications=4_000, horizon=2_000, seed=11)
-        )
-        for name in ("beta0", "beta_inf", "c0", "c_inf"):
+    def test_horizon_stability(self, variance_model):
+        # with unequal variances beta_inf and c_inf are read off walks of
+        # `horizon` steps; zeta, varkappa, beta0 and c0 do not use it
+        constants = {}
+        for horizon in (1_000, 2_000):
+            policy = EstimationPolicy(replications=4_000, horizon=horizon, seed=11)
+            constants[horizon] = estimate_constants(variance_model, policy)
+        short, long = constants[1_000], constants[2_000]
+        for name in ("zeta", "varkappa", "beta0", "c0"):
+            assert getattr(short, name) == getattr(long, name), name
+        for name in ("beta_inf", "c_inf"):
             a, b = getattr(short, name), getattr(long, name)
             combined = math.hypot(a.std_error, b.std_error)
             assert abs(float(a) - float(b)) < 2.0 * combined + 0.02, name
