@@ -14,7 +14,8 @@ The operating characteristics estimated here:
     long pre-change stretch of length ``nu``, inject the change, and measure
     the first alarm after it.  ``nu`` must already be in the stationary
     regime; doubling it must move the estimate by less than two combined
-    standard errors, and this is checked on every call.
+    standard errors, ``2 * hypot(se_nu, se_2nu)``, and this is checked on
+    every call.
 
 All estimators draw each replication from a stream derived from
 ``(seed, estimator, replication index)``, so repeated calls with different
@@ -25,18 +26,26 @@ shared across iterations.
 
 A fresh-start path (ARL, SADD) does not depend on the threshold at all: the
 stopping time at ``h`` is the first step at which the path's running maximum
-reaches ``h``.  So each replication's path is drawn once and kept as its
-ladder record, the steps and heights of its strict new maxima, and a
-stopping time is a lookup in that record.  :func:`solve_threshold` draws
-each replication's path once for the whole search, and extends it only when
-a threshold above its running maximum is asked for.  The STADD path restarts
-after every alarm, so it depends on the threshold and is drawn per call.
+reaches ``h``.  :func:`solve_threshold` asks one path many thresholds, so it
+keeps each replication's path as a ladder record, the steps and heights of
+its strict new maxima, and a stopping time is a lookup in that record; the
+path is drawn once for the whole search, and extended only when a threshold
+above its running maximum is asked for.  The one-shot estimators
+(:func:`estimate_arl`, :func:`estimate_sadd`) ask one threshold, so they
+only look for each path's first crossing.  The STADD path restarts after
+every alarm, so it depends on the threshold and is drawn per call; the walk
+to ``nu`` is the first half of the walk to ``2 * nu``, and one post-change
+stream per replication serves both change points.
 
 Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them is an error.
 
 The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
 :mod:`quickdetect.detect`, block by block as the observations are drawn.
+The one-shot and STADD estimators run ``_ROWS`` replications at a time as
+the rows of one array: each row still draws from its own generator, so the
+draws, and every stopping time, are those of a replication run alone, and
+the stopping times are averaged in replication order.
 """
 
 from __future__ import annotations
@@ -57,6 +66,9 @@ _STREAM_ARL = 11
 _STREAM_SADD = 12
 _STREAM_STADD_PRE = 13
 _STREAM_STADD_POST = 14
+#: replications the one-shot and STADD estimators simulate together, as the
+#: rows of one array; bounds their memory at any replication count
+_ROWS = 1024
 
 
 class CalibrationError(RuntimeError):
@@ -122,7 +134,9 @@ class DetectorConfig:
     standardizes by the pre-change moments and applies the linear-quadratic
     score.
     ``increment_fn`` (observations -> log increments) overrides the mode;
-    it exists for degenerate and diagnostic detectors.
+    it exists for degenerate and diagnostic detectors.  It must act
+    elementwise: the estimators pass it ``(rows, block)`` arrays, one row
+    per replication, and its output must keep that shape.
     """
 
     kind: str
@@ -260,15 +274,72 @@ def _evaluate(
         total += t
         if give_up is not None and give_up(total / n):
             return None
+    return _estimate(metric, times, cap_hits, threshold)
+
+
+def _estimate(
+    metric: str, times: np.ndarray, cap_hits: int, threshold: float
+) -> PerformanceEstimate:
     value, se = mean_se(times)
     return PerformanceEstimate(
         metric=metric,
         value=value,
         std_error=se,
-        replications=n,
+        replications=times.size,
         threshold=threshold,
         cap_hits=cap_hits,
     )
+
+
+def _chunks(spec: CalibrationSpec) -> Iterator[range]:
+    """Replication indices in runs of at most ``_ROWS``, in order."""
+    for lo in range(0, spec.replications, _ROWS):
+        yield range(lo, min(lo + _ROWS, spec.replications))
+
+
+def _draw(
+    config: DetectorConfig, rngs: list[np.random.Generator], n: int, regime: str
+) -> np.ndarray:
+    """The next ``n`` log increments of each generator's stream, as rows."""
+    return config.log_increments(np.stack([config.sample(rng, n, regime) for rng in rngs]))
+
+
+def _first_crossings(
+    config: DetectorConfig,
+    threshold: float,
+    cap: int,
+    rngs: list[np.random.Generator],
+    regime: str,
+    states: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps to the first alarm from each start state, capped at ``cap``.
+
+    ``states`` has shape ``(starts, rows)``, and every start state of row
+    ``i`` reads the draws of ``rngs[i]``.  A row draws its stream once, in
+    ``_BLOCK``-step blocks as a single fresh run does, for as long as any of
+    its start states has not alarmed.  Returns the steps (``cap`` where
+    capped) and the mask of capped runs, both shaped like ``states``.
+    """
+    rows = states.shape[1]
+    state = states.astype(float).ravel()  # start s of row i is entry s * rows + i
+    times = np.full(state.size, cap, dtype=np.int64)
+    capped = np.ones(state.size, dtype=bool)
+    live = np.arange(state.size)
+    consumed = 0
+    while live.size and consumed < cap:
+        block = min(_BLOCK, cap - consumed)
+        row = live % rows
+        drawn = np.unique(row)
+        z = _draw(config, [rngs[i] for i in drawn], block, regime)
+        path = _path(config.kind, state[live], z[np.searchsorted(drawn, row)])
+        hit = path >= threshold
+        found = hit.any(axis=1)
+        times[live[found]] = consumed + 1 + hit.argmax(axis=1)[found]
+        capped[live[found]] = False
+        state[live] = path[:, -1]
+        live = live[~found]
+        consumed += block
+    return times.reshape(states.shape), capped.reshape(states.shape)
 
 
 def _fresh_start_estimate(
@@ -279,9 +350,17 @@ def _fresh_start_estimate(
     regime: str,
     stream: int,
 ) -> PerformanceEstimate:
-    # one threshold: each run is dropped as soon as it has answered
+    # one threshold: only first crossings, no ladder records
     check_threshold(threshold)
-    est = _evaluate(_runs(config, spec, regime, stream), spec, metric, threshold)
+    times = np.empty(spec.replications)
+    capped = np.empty(spec.replications, dtype=bool)
+    for rows in _chunks(spec):
+        rngs = [substream(spec.seed, stream, r) for r in rows]
+        t, c = _first_crossings(
+            config, threshold, spec.run_cap, rngs, regime, np.zeros((1, len(rows)))
+        )
+        times[rows.start : rows.stop], capped[rows.start : rows.stop] = t[0], c[0]
+    est = _estimate(metric, times, int(capped.sum()), threshold)
     if est.cap_hits > 0.01 * spec.replications:
         raise CalibrationError(
             f"{est.cap_hits}/{spec.replications} runs hit the {spec.run_cap}-step "
@@ -308,61 +387,31 @@ def estimate_sadd(
     return _fresh_start_estimate(config, threshold, spec, "sadd", "post", _STREAM_SADD)
 
 
-def _stadd_delay(
-    config: DetectorConfig,
-    threshold: float,
-    rng_pre: np.random.Generator,
-    rng_post: np.random.Generator,
-    nu: int,
-    cap: int,
-) -> int | None:
-    """Delay of the first alarm after a change injected at step ``nu``."""
-    state = 0.0
-    consumed = 0
-    while consumed < nu:
-        block = min(_BLOCK, nu - consumed)
-        z = config.log_increments(config.sample(rng_pre, block, "pre"))
+def _stadd_delays(
+    config: DetectorConfig, threshold: float, spec: CalibrationSpec, rows: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delays after a change at ``nu`` and at ``2 * nu``, for a run of rows.
+
+    Each row's pre-change walk, with restarts, goes once to ``2 * nu`` in
+    ``_BLOCK``-aligned blocks, the blocks a walk to either change point
+    uses; the block holding ``nu`` is also evaluated up to ``nu`` for the
+    state there.  Both states then read the row's one post-change stream.
+    Returns delays and capped masks of shape ``(2, len(rows))``.
+    """
+    nu = spec.nu_stationary
+    pre = [substream(spec.seed, _STREAM_STADD_PRE, r) for r in rows]
+    post = [substream(spec.seed, _STREAM_STADD_POST, r) for r in rows]
+    state = np.zeros(len(rows))
+    at_nu = state
+    for lo in range(0, 2 * nu, _BLOCK):
+        z = _draw(config, pre, min(_BLOCK, 2 * nu - lo), "pre")
+        if lo < nu < lo + z.shape[1]:
+            at_nu, _ = _advance_with_resets(config.kind, state, z[:, : nu - lo], threshold)
         state, _ = _advance_with_resets(config.kind, state, z, threshold)
-        consumed += block
-    consumed = 0
-    while consumed < cap:
-        block = min(_BLOCK, cap - consumed)
-        z = config.log_increments(config.sample(rng_post, block, "post"))
-        path = _path(config.kind, state, z)
-        hits = np.nonzero(path >= threshold)[0]
-        if hits.size:
-            return consumed + int(hits[0]) + 1
-        state = float(path[-1])
-        consumed += block
-    return None
-
-
-def _stadd_at(
-    config: DetectorConfig, threshold: float, spec: CalibrationSpec, nu: int
-) -> PerformanceEstimate:
-    cap = spec.run_cap
-    delays = np.empty(spec.replications)
-    cap_hits = 0
-    for r in range(spec.replications):
-        rng_pre = substream(spec.seed, _STREAM_STADD_PRE, r)
-        rng_post = substream(spec.seed, _STREAM_STADD_POST, r)
-        d = _stadd_delay(config, threshold, rng_pre, rng_post, nu, cap)
-        if d is None:
-            cap_hits += 1
-            d = cap
-        delays[r] = d
-    if cap_hits > 0.01 * spec.replications:
-        raise CalibrationError(
-            f"{cap_hits}/{spec.replications} post-change runs hit the cap"
-        )
-    value, se = mean_se(delays)
-    return PerformanceEstimate(
-        metric="stadd",
-        value=value,
-        std_error=se,
-        replications=spec.replications,
-        threshold=threshold,
-        cap_hits=cap_hits,
+        if lo + z.shape[1] == nu:
+            at_nu = state
+    return _first_crossings(
+        config, threshold, spec.run_cap, post, "post", np.stack([at_nu, state])
     )
 
 
@@ -373,11 +422,25 @@ def estimate_stadd(
 
     The change index must be deep in the stationary regime: the estimate at
     ``2 * nu_stationary`` must agree within two combined standard errors,
-    otherwise the call fails.
+    ``2 * hypot(se_nu, se_2nu)``, otherwise the call fails.  Both estimates
+    read the same streams, so each replication's walk to ``nu`` is the
+    first half of its walk to ``2 * nu`` and its post-change draws serve
+    both; replications are simulated together in runs of ``_ROWS`` rows.
     """
     check_threshold(threshold)
-    est = _stadd_at(config, threshold, spec, spec.nu_stationary)
-    check = _stadd_at(config, threshold, spec, 2 * spec.nu_stationary)
+    delays = np.empty((2, spec.replications))
+    capped = np.empty((2, spec.replications), dtype=bool)
+    for rows in _chunks(spec):
+        d, c = _stadd_delays(config, threshold, spec, rows)
+        delays[:, rows.start : rows.stop], capped[:, rows.start : rows.stop] = d, c
+    est, check = (
+        _estimate("stadd", d, int(c.sum()), threshold) for d, c in zip(delays, capped)
+    )
+    for e in (est, check):
+        if e.cap_hits > 0.01 * spec.replications:
+            raise CalibrationError(
+                f"{e.cap_hits}/{spec.replications} post-change runs hit the cap"
+            )
     spread = 2.0 * math.hypot(est.std_error, check.std_error)
     if abs(est.value - check.value) >= max(spread, 1e-12):
         raise CalibrationError(

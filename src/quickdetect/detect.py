@@ -12,8 +12,11 @@ Both detectors consume the same per-observation log increments ``z_n``
 
 Each recursion is written once, as a kernel that evaluates a whole block of
 increments from a starting value (:func:`_cusum_path`, :func:`_sr_path`),
-plus one restart loop (:func:`_advance_with_resets`).  The runners here and
-the Monte Carlo estimators in :mod:`quickdetect.calib` share them.
+plus one restart loop (:func:`_advance_with_resets`).  They take one row or
+many: a ``(rows, n)`` block with one start value per row, evaluated along
+the last axis, and a 1-D block is the same code on one row.  The runners
+here and the Monte Carlo estimators in :mod:`quickdetect.calib`, which run
+replications as rows, share them.
 
 Alarms use ``>=`` at the threshold.  A stream that ends without a crossing
 is a valid "no alarm" outcome, not an error.  In a multi-cyclic run the
@@ -48,64 +51,128 @@ def check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be positive and finite")
 
 
-def _cusum_path(w0: float, z: np.ndarray) -> np.ndarray:
-    """Per-step CUSUM values over a block, starting from ``w0``."""
-    cs = np.cumsum(z)
-    return np.maximum(w0 + cs, cs - np.minimum.accumulate(cs))
+def _col(state) -> np.ndarray:
+    """Start values as a column, one per row of a ``(rows, n)`` block."""
+    return np.asarray(state, dtype=float)[..., None]
 
 
-def _sr_path(r0: float, z: np.ndarray) -> np.ndarray:
-    """Per-step Shiryaev-Roberts values over a block, starting from ``r0``.
+def _cusum_path(w0, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """Per-step CUSUM values over a block of each row, starting from ``w0``.
 
-    Uses plain linear arithmetic when every intermediate exponent is small
-    (this keeps integer-valued degenerate cases exact) and an equivalent
-    log-space evaluation otherwise.  Values beyond float range saturate at
-    the largest finite float, which still reaches any finite threshold.
+    ``w0`` has shape ``(rows,)`` and ``z`` ``(rows, n)``; a float with a 1-D
+    block is one row.  Columns marked in ``skip`` (a prefix of each row) are
+    read as zero increments, so a row with ``w0 >= 0`` starts at its first
+    unmarked column exactly as a fresh call on the rest of the row would:
+    ``0.0 + x == x`` keeps the running sums' bits.
     """
-    cs = np.cumsum(z)
-    prev = cs - z  # z_{k-1}; prev[0] == 0 exactly
+    if skip is not None:
+        z = np.where(skip, 0.0, z)
+    cs = z.cumsum(axis=-1)
+    return np.maximum(_col(w0) + cs, cs - np.minimum.accumulate(cs, axis=-1))
+
+
+def _sr_path(r0, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """Per-step Shiryaev-Roberts values over a block of each row, from ``r0``.
+
+    Shapes and ``skip`` are as for :func:`_cusum_path`; a skipped column
+    adds no mass to the sum (``exp(-prev)`` becomes ``0.0``, its log
+    ``-inf``, and ``logaddexp(-inf, x) == x``).  A row uses plain linear
+    arithmetic when every intermediate exponent is small (this keeps
+    integer-valued degenerate cases exact) and an equivalent log-space
+    evaluation otherwise; the choice is made per row, by the same test a
+    single-row call makes.  Values beyond float range saturate at the
+    largest finite float, which still reaches any finite threshold.
+    """
+    if skip is not None:
+        z = np.where(skip, 0.0, z)
+    cs = z.cumsum(axis=-1)
+    prev = cs - z  # z_{k-1}; prev[..., 0] == 0 exactly
+    r0 = np.asarray(r0, dtype=float)
+    linear = (
+        (cs.max(axis=-1) <= _LINEAR_GUARD)
+        & (prev.min(axis=-1) >= -_LINEAR_GUARD)
+        & (r0 <= 1e150)
+    )
+    if linear.all():
+        return _sr_linear(r0, cs, prev, skip)
+    if not linear.any():
+        return _sr_log(r0, cs, prev, skip)
+    out = np.empty_like(cs)
+    for rows, evaluate in ((linear, _sr_linear), (~linear, _sr_log)):
+        out[rows] = evaluate(r0[rows], cs[rows], prev[rows], None if skip is None else skip[rows])
+    return out
+
+
+def _sr_linear(r0, cs, prev, skip) -> np.ndarray:
+    # the guard bounds every factor by exp(300) and r0 by 1e150: no overflow
+    terms = np.exp(-prev)
+    if skip is not None:
+        terms[skip] = 0.0
+    return np.exp(cs) * (_col(r0) + terms.cumsum(axis=-1))
+
+
+def _sr_log(r0, cs, prev, skip) -> np.ndarray:
+    neg = -prev
+    if skip is not None:
+        neg[skip] = -np.inf
+    # math.log, row by row: these rows are rare, and np.log may round differently
+    log_r0 = np.array([math.log(r) if r > 0.0 else -math.inf for r in r0.flat])
+    acc = np.logaddexp.accumulate(neg, axis=-1)
     with np.errstate(over="ignore"):
-        if (
-            r0 <= 1e150
-            and float(np.max(cs)) <= _LINEAR_GUARD
-            and float(np.min(prev)) >= -_LINEAR_GUARD
-        ):
-            return np.exp(cs) * (r0 + np.cumsum(np.exp(-prev)))
-        log_r0 = math.log(r0) if r0 > 0.0 else -math.inf
-        acc = np.logaddexp.accumulate(-prev)
-        return np.minimum(np.exp(cs + np.logaddexp(log_r0, acc)), _FLOAT_MAX)
+        total = cs + np.logaddexp(_col(log_r0.reshape(r0.shape)), acc)
+        return np.minimum(np.exp(total), _FLOAT_MAX)
 
 
-def _path(kind: str, state: float, z: np.ndarray) -> np.ndarray:
-    return _cusum_path(state, z) if kind == "cusum" else _sr_path(state, z)
+def _path(kind: str, state, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    return (_cusum_path if kind == "cusum" else _sr_path)(state, z, skip)
 
 
 def _advance_with_resets(
     kind: str,
-    state: float,
+    state,
     z: np.ndarray,
     threshold: float,
     out: np.ndarray | None = None,
-) -> tuple[float, list[int]]:
-    """Consume a whole block, restarting at every alarm.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consume a whole block of each row, restarting a row at every alarm.
 
-    Returns the end state and the 1-based offsets of the alarms within the
-    block; ``out``, when given, receives the per-step statistics.
+    ``state`` has shape ``(rows,)`` and ``z`` ``(rows, n)``; a float with a
+    1-D block is one row.  Each pass evaluates every row that has not yet
+    reached the block's end, from the earliest restart column on; a row
+    that restarted later skips the columns before its restart (see
+    :func:`_cusum_path`).  Returns the end states and a boolean mask of the
+    steps that alarmed, shaped like ``state`` and ``z``; ``out``, when
+    given, receives the per-step statistics and is shaped like ``z``.
     """
-    alarms: list[int] = []
-    pos = 0
-    while pos < z.size:
-        path = _path(kind, state, z[pos:])
-        hits = np.nonzero(path >= threshold)[0]
-        end = z.size if hits.size == 0 else pos + int(hits[0]) + 1
+    shape = z.shape
+    z = z.reshape(-1, shape[-1])
+    rows, n = z.shape
+    end = np.array(state, dtype=float).reshape(rows)  # a restarted row's is 0.0
+    alarmed = np.zeros(z.shape, dtype=bool)
+    if out is not None:
+        out = out.reshape(z.shape)
+    live = np.arange(rows)  # rows still inside the block, in order
+    lo, skip = 0, None  # the pass starts at column lo
+    while True:
+        picked = slice(None) if live.size == rows else live
+        path = _path(kind, end[picked], z[picked, lo:], skip)
         if out is not None:
-            out[pos:end] = path[: end - pos]
-        if hits.size == 0:
-            return float(path[-1]), alarms
-        alarms.append(end)
-        state = 0.0
-        pos = end
-    return state, alarms
+            out[picked, lo:] = path if skip is None else np.where(skip, out[picked, lo:], path)
+        end[picked] = path[:, -1]
+        hit = path >= threshold  # skipped columns hold 0.0, below any threshold
+        if not hit.any():
+            break
+        found = hit.any(axis=1)
+        live, stop = live[found], lo + 1 + hit.argmax(axis=1)[found]
+        alarmed[live, stop - 1] = True
+        end[live] = 0.0
+        going = stop < n
+        live, stop = live[going], stop[going]
+        if not live.size:
+            break
+        lo = int(stop.min())
+        skip = np.arange(lo, n) < stop[:, None] if stop.max() > lo else None
+    return end.reshape(np.shape(state)), alarmed.reshape(shape)
 
 
 def to_ratios(log_increments) -> np.ndarray:
@@ -214,10 +281,10 @@ def _run(
     state = 0.0
     for start in range(0, z.size, _BLOCK):
         stop = start + _BLOCK
-        state, hits = _advance_with_resets(
+        state, alarmed = _advance_with_resets(
             kind, state, z[start:stop], threshold, statistics[start:stop]
         )
-        alarms.extend(start + hit for hit in hits)
+        alarms.extend((start + 1 + alarmed.nonzero()[0]).tolist())
         if first_only and alarms:
             return statistics[: alarms[0]], alarms[:1]
     return statistics, alarms

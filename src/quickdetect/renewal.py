@@ -223,18 +223,19 @@ def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
     The ``varkappa`` correction is Spitzer's series for ``beta0``, and its
     mirror image is the series for ``beta_inf``.
     """
-    from scipy import stats  # imported here: the only use, and a slow import
+    from scipy.special import ndtr  # the normal CDF, without importing scipy.stats
 
     _, i_g = kl_numbers(model)
 
     def zeta_term(k: np.ndarray) -> np.ndarray:
         # P_pre(Z_k > 0) = P_post(Z_k <= 0) = Phi(-sqrt(k I / 2))
-        return 2.0 / k * stats.norm.cdf(-np.sqrt(k * i_g / 2.0))
+        return 2.0 / k * ndtr(-np.sqrt(k * i_g / 2.0))
 
     def kappa_term(k: np.ndarray) -> np.ndarray:
         # E_post[min(0, Z_k)] for Z_k ~ N(k I, 2 k I)
         arg = np.sqrt(k * i_g / 2.0)
-        return i_g * stats.norm.cdf(-arg) - np.sqrt(2.0 * i_g / k) * stats.norm.pdf(arg)
+        pdf = np.exp(-arg**2 / 2.0) / np.sqrt(2 * np.pi)  # scipy's own normal density
+        return i_g * ndtr(-arg) - np.sqrt(2.0 * i_g / k) * pdf
 
     exponent = _converging_sum(zeta_term, policy.truncation, "zeta")
     zeta = math.exp(-exponent) / i_g

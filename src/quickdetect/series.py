@@ -329,7 +329,7 @@ def diagnostics(
     n = x.size
     if bins < 1:
         raise ValueError("bins must be positive")
-    from scipy import stats  # imported here: the only use, and a slow import
+    from scipy.special import ndtri  # the normal quantile, without importing scipy.stats
 
     moments = estimate_moments(series)
     if moments.sd == 0.0:
@@ -338,7 +338,7 @@ def diagnostics(
     positions = (np.arange(1, n + 1) - 0.5) / n
     qq = QQPoints(
         empirical=_freeze(standardized),
-        theoretical=_freeze(stats.norm.ppf(positions)),
+        theoretical=_freeze(ndtri(positions)),
     )
     lag_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in lags:

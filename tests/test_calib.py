@@ -19,7 +19,7 @@ from quickdetect import (
 )
 from quickdetect import calib
 from quickdetect._rand import substream
-from quickdetect.detect import _BLOCK, _cusum_path, _path, _sr_path
+from quickdetect.detect import _BLOCK, _advance_with_resets, _cusum_path, _path, _sr_path
 
 HST = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
 HST_SCORE = design_coefficients(0.2266 / 0.2306, 0.0228 / 0.2266)
@@ -394,14 +394,16 @@ class TestLadderStore:
     @pytest.mark.parametrize("kind,threshold", [("cusum", 4.0), ("sr", 60.0)])
     def test_one_shot_estimates_match_fresh_runs(self, kind, threshold):
         config = detector(kind, "exact")
-        spec = CalibrationSpec(gamma=50.0, replications=200, seed=4)
-        for estimate, regime, stream in (
-            (estimate_arl, "pre", calib._STREAM_ARL),
-            (estimate_sadd, "post", calib._STREAM_SADD),
-        ):
-            est = estimate(config, threshold, spec)
-            expected = oracle_mean(config, threshold, spec, regime, stream)
-            assert (est.value, est.std_error, est.cap_hits) == expected
+        # one row chunk, and more than one with a partial last chunk
+        for replications in (200, calib._ROWS + 37):
+            spec = CalibrationSpec(gamma=50.0, replications=replications, seed=4)
+            for estimate, regime, stream in (
+                (estimate_arl, "pre", calib._STREAM_ARL),
+                (estimate_sadd, "post", calib._STREAM_SADD),
+            ):
+                est = estimate(config, threshold, spec)
+                expected = oracle_mean(config, threshold, spec, regime, stream)
+                assert (est.value, est.std_error, est.cap_hits) == expected
 
     def test_record_answers_without_drawing(self, unit_shift_model):
         config = DetectorConfig(kind="cusum", model=unit_shift_model)
@@ -511,3 +513,96 @@ class TestLadderStore:
             # the theory bracket log(gamma) is far above gamma here: the
             # first evaluation gives up early
             assert outcomes[0] is None
+
+
+def stadd_delay_loop(config, threshold, rng_pre, rng_post, nu, cap):
+    """Oracle: one replication's delay after a change at ``nu``, on its own."""
+    state = 0.0
+    consumed = 0
+    while consumed < nu:
+        block = min(_BLOCK, nu - consumed)
+        z = config.log_increments(config.sample(rng_pre, block, "pre"))
+        state, _ = _advance_with_resets(config.kind, state, z, threshold)
+        consumed += block
+    consumed = 0
+    while consumed < cap:
+        block = min(_BLOCK, cap - consumed)
+        z = config.log_increments(config.sample(rng_post, block, "post"))
+        path = _path(config.kind, state, z)
+        hits = np.nonzero(path >= threshold)[0]
+        if hits.size:
+            return consumed + int(hits[0]) + 1
+        state = float(path[-1])
+        consumed += block
+    return None
+
+
+def stadd_loop(config, threshold, spec, nu):
+    """Oracle: every replication's delay at ``nu`` from fresh generators (None: capped)."""
+    return [
+        stadd_delay_loop(
+            config,
+            threshold,
+            substream(spec.seed, calib._STREAM_STADD_PRE, r),
+            substream(spec.seed, calib._STREAM_STADD_POST, r),
+            nu,
+            spec.run_cap,
+        )
+        for r in range(spec.replications)
+    ]
+
+
+class TestBatchedStadd:
+    """Row-batched STADD equals the per-replication loop, run once per change point."""
+
+    @pytest.mark.parametrize(
+        "kind, mode, threshold, nu",
+        [
+            ("cusum", "exact", 2.8, 300),  # nu inside a block
+            ("sr", "exact", 50.0, 256),  # nu on a block boundary
+            ("cusum", "score", 0.3, 100),  # nu and 2 nu in the first block
+            ("sr", "score", 20.0, 300),
+        ],
+    )
+    def test_equals_two_independent_loop_runs(self, kind, mode, threshold, nu, monkeypatch):
+        config = detector(kind, mode)
+        spec = CalibrationSpec(
+            gamma=20.0, replications=calib._ROWS + 37, seed=5, nu_stationary=nu
+        )
+        expected = [stadd_loop(config, threshold, spec, n) for n in (nu, 2 * nu)]
+        assert all(d is not None for delays in expected for d in delays)
+
+        keys, means = [], []
+        real_substream, real_mean_se = calib.substream, calib.mean_se
+
+        def counting_substream(*key):
+            keys.append(key)
+            return real_substream(*key)
+
+        def recording_mean_se(values):
+            means.append(np.array(values))
+            return real_mean_se(values)
+
+        monkeypatch.setattr(calib, "substream", counting_substream)
+        monkeypatch.setattr(calib, "mean_se", recording_mean_se)
+        est = estimate_stadd(config, threshold, spec)
+        assert len(keys) == 2 * spec.replications
+        assert len(means) == 2
+        for got, delays in zip(means, expected):
+            np.testing.assert_array_equal(got, np.array(delays, dtype=float))
+        assert (est.value, est.std_error, est.cap_hits) == real_mean_se(means[0]) + (0,)
+
+    def test_capped_runs_match_the_loop(self):
+        # post-change drift 0.5 per step against h = 150: about 300 steps,
+        # so many runs reach the cap of 300
+        config = detector("cusum", "exact")
+        spec = CalibrationSpec(gamma=3.0, replications=60, seed=2, nu_stationary=40)
+        expected = [stadd_loop(config, 150.0, spec, n) for n in (40, 80)]
+        delays, capped = calib._stadd_delays(config, 150.0, spec, range(60))
+        for got, hit_cap, want in zip(delays, capped, expected):
+            assert list(hit_cap) == [d is None for d in want]
+            assert list(got) == [spec.run_cap if d is None else d for d in want]
+        cap_hits = sum(d is None for d in expected[0])
+        assert 0 < cap_hits < 60
+        with pytest.raises(CalibrationError, match=f"^{cap_hits}/60 post-change runs hit the cap$"):
+            estimate_stadd(config, 150.0, spec)

@@ -704,6 +704,36 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr or "scipy.stats was imported"
 
+    def test_commands_leave_scipy_stats_unloaded(self, price_csv, tmp_path):
+        # the exact renewal series and the Q-Q plot take the normal CDF,
+        # density and quantile from scipy.special, so no command needs
+        # scipy.stats
+        src = Path(__file__).resolve().parents[1] / "src"
+        commands = [
+            ["constants", "--q", "1", "--delta", "1", "--replications", "50",
+             "--horizon", "200"],
+            ["simulate", "--q", "1", "--delta", "1", "--mode", "exact",
+             "--kind", "cusum", "--gamma", "10", "--replications", "200",
+             "--nu", "100", "--horizon", "200", "--seed", "1"],
+            ["diagnose", "--input", str(price_csv)],
+        ]
+        code = (
+            "import json, sys; from quickdetect.cli import main; "
+            "codes = [main(args + ['--out', sys.argv[1]]) for args in json.loads(sys.argv[2])]; "
+            "print(codes); "
+            "sys.exit(codes != [0, 0, 0] or 'scipy.stats' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "o"), json.dumps(commands)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        for command in ("constants", "simulate", "diagnose"):
+            assert any((tmp_path / "o").glob(f"{command}-*.report.json")), command
+
     def test_module_invocation(self, price_csv, tmp_path):
         out = tmp_path / "o"
         result = subprocess.run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quickdetect import AlarmRecord, multi_cyclic_run, run_detector, to_ratios
+from quickdetect.detect import _advance_with_resets, _cusum_path, _path, _sr_path
 
 #: far above any statistic the test streams reach, so nothing alarms
 NO_ALARM = 1e300
@@ -239,6 +240,98 @@ class TestMultiCyclic:
         assert trace.statistics[2] == 1.0  # a fresh start after the alarm
         single = run_detector([0.0, 800.0], kind="sr", threshold=1e6)
         assert np.isfinite(single.first_alarm.statistic_at_stop)
+
+
+def restart_loop(kind, state, z, threshold):
+    """Oracle: one row's restart loop, a fresh 1-D kernel call after each alarm."""
+    out = np.empty(z.size)
+    alarms = []
+    pos = 0
+    while pos < z.size:
+        path = _path(kind, state, z[pos:])
+        hits = np.nonzero(path >= threshold)[0]
+        end = z.size if hits.size == 0 else pos + int(hits[0]) + 1
+        out[pos:end] = path[: end - pos]
+        if hits.size == 0:
+            return float(path[-1]), alarms, out
+        alarms.append(end)
+        state = 0.0
+        pos = end
+    return state, alarms, out
+
+
+def mixed_rows(rng, rows, n):
+    """Increment rows around zero, every third with a drift of 3 per step.
+
+    The steep rows exceed the SR linear-arithmetic guard within the block,
+    so an SR block over all rows mixes the linear and the log branch.
+    """
+    z = rng.normal(0.0, 1.0, size=(rows, n))
+    z[::3] += 3.0
+    return z
+
+
+class TestBlockKernelsByRow:
+    """Each row of a 2-D kernel call equals the 1-D call on that row, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [_cusum_path, _sr_path])
+    def test_path_rows(self, rng, kernel):
+        z = mixed_rows(rng, 9, 256)
+        state = rng.uniform(0.0, 5.0, 9)
+        state[1] = 1e200  # an SR start above the linear guard
+        path = kernel(state, z)
+        for i in range(9):
+            np.testing.assert_array_equal(path[i], kernel(state[i], z[i]))
+
+    @pytest.mark.parametrize("kernel", [_cusum_path, _sr_path])
+    def test_skipped_prefix_reads_as_a_fresh_start(self, rng, kernel):
+        z = mixed_rows(rng, 9, 256)
+        starts = np.array([0, 1, 5, 17, 100, 128, 200, 254, 255])
+        skip = np.arange(256) < starts[:, None]
+        path = kernel(np.zeros(9), z, skip)
+        for i, start in enumerate(starts):
+            np.testing.assert_array_equal(path[i, :start], 0.0)
+            np.testing.assert_array_equal(path[i, start:], kernel(0.0, z[i, start:]))
+
+    @pytest.mark.parametrize(
+        "kind, threshold, drift", [("cusum", 3.0, 0.3), ("sr", 20.0, 0.0)]
+    )
+    def test_restart_loop_rows(self, rng, kind, threshold, drift):
+        n = 256
+        z = rng.normal(drift, 1.0, size=(40, n))
+        z[::3] += 2.0  # steep rows: many alarms, SR rows in the log branch
+        z[0, 0] = z[1, -1] = 50.0  # alarms at the first and the last column
+        z[1, -2] = -50.0
+        z[2, :] = -1.0  # no alarm at all
+        state = rng.uniform(0.0, 1.0, 40)
+        out = np.full(z.shape, np.nan)
+        end, alarmed = _advance_with_resets(kind, state, z, threshold, out)
+        expected = [restart_loop(kind, state[i], z[i], threshold) for i in range(40)]
+        assert alarmed[0, 0] and alarmed[1, -1] and not alarmed[2].any()
+        assert max(len(alarms) for _, alarms, _ in expected) > 5
+        for i, (e_end, e_alarms, e_out) in enumerate(expected):
+            assert end[i] == e_end, i
+            assert list(np.flatnonzero(alarmed[i]) + 1) == e_alarms, i
+            np.testing.assert_array_equal(out[i], e_out)
+            one_end, one_alarmed = _advance_with_resets(kind, state[i], z[i], threshold)
+            assert one_end == e_end
+            np.testing.assert_array_equal(one_alarmed, alarmed[i])
+        assert end[1] == 0.0  # a last-column alarm leaves a fresh start
+
+    def test_degenerate_sr_rows_stay_integer(self):
+        # ratio identically one: R_n = n exactly, from any integer start,
+        # through restarts at different columns in different rows
+        z = np.zeros((4, 20))
+        state = np.array([0.0, 1.0, 2.0, 5.0])
+        out = np.empty_like(z)
+        end, alarmed = _advance_with_resets("sr", state, z, 7.0, out)
+        for i, r0 in enumerate(state):
+            expected = (r0 + np.arange(20.0)) % 7.0 + 1.0
+            np.testing.assert_array_equal(out[i], expected)
+            assert list(np.flatnonzero(alarmed[i]) + 1) == [
+                t for t in range(1, 21) if expected[t - 1] == 7.0
+            ]
+            assert end[i] == (0.0 if expected[-1] == 7.0 else expected[-1])
 
 
 class TestAlarmRecord:
