@@ -30,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from datetime import date
 from functools import cached_property
 from pathlib import Path
 
@@ -134,7 +135,11 @@ class ReportEntry:
 
 @dataclass(frozen=True)
 class Report:
-    """Results of one run: named sections of entries plus CSV-bound tables."""
+    """Results of one run: named sections of entries plus CSV-bound tables.
+
+    Table cells are Python ``int``, ``float`` or ``str``; :func:`emit` hands
+    the rows straight to :mod:`csv`, which writes a float as its ``repr``.
+    """
 
     command: str
     config: RunConfig
@@ -205,10 +210,7 @@ def emit(report: Report, destination: str | Path) -> list[Path]:
         with table_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [repr(v) if isinstance(v, float) else v for v in row]
-                )
+            writer.writerows(rows)
         paths.append(table_path)
     return paths
 
@@ -412,10 +414,6 @@ def _detector_config(
     )
 
 
-def _fmt_date(d) -> str:
-    return d.isoformat()
-
-
 def _cmd_returns(config: RunConfig) -> Report:
     prices, returns = _load_returns(config)
     moments = series.estimate_moments(returns)
@@ -423,14 +421,12 @@ def _cmd_returns(config: RunConfig) -> Report:
     entries = (
         ReportEntry("rows", len(prices), "prices"),
         ReportEntry("differences", len(returns), "observations"),
-        ReportEntry("first-date", _fmt_date(prices.timestamps[0])),
-        ReportEntry("last-date", _fmt_date(prices.timestamps[-1])),
+        ReportEntry("first-date", prices.timestamps[0].isoformat()),
+        ReportEntry("last-date", prices.timestamps[-1].isoformat()),
         ReportEntry("mean", moments.mean, "price units"),
         ReportEntry("sd", moments.sd, "price units"),
     )
-    table_rows = tuple(
-        (_fmt_date(d), float(v)) for d, v in zip(dates, returns.values)
-    )
+    table_rows = tuple(zip(map(date.isoformat, dates), returns.values.tolist()))
     return Report(
         command="returns",
         config=config,
@@ -464,13 +460,14 @@ def _cmd_diagnose(config: RunConfig) -> Report:
         sections.append(("moments", _moment_entries("full", series.estimate_moments(returns))))
     correl = series.acf(returns, config.max_lag)
     bundle = series.diagnostics(returns, bins=config.bins, lags=config.lags)
-    outside = int(np.sum(np.abs(correl.values[1:]) > correl.band))
+    band = float(correl.band)
+    outside = int(np.sum(np.abs(correl.values[1:]) > band))
     sections.append(
         (
             "autocorrelation",
             (
                 ReportEntry("max-lag", config.max_lag, "lags"),
-                ReportEntry("white-noise-band", correl.band),
+                ReportEntry("white-noise-band", band),
                 ReportEntry("lags-outside-band", outside, "lags"),
             ),
         )
@@ -480,29 +477,24 @@ def _cmd_diagnose(config: RunConfig) -> Report:
             "acf",
             ("lag", "autocorrelation", "band"),
             tuple(
-                (int(k), float(v), float(correl.band))
-                for k, v in zip(correl.lags, correl.values)
+                (k, v, band) for k, v in zip(correl.lags.tolist(), correl.values.tolist())
             ),
         ),
         (
             "histogram",
             ("left_edge", "right_edge", "count"),
             tuple(
-                (float(lo), float(hi), int(c))
-                for lo, hi, c in zip(
-                    bundle.histogram.edges[:-1],
-                    bundle.histogram.edges[1:],
-                    bundle.histogram.counts,
+                zip(
+                    bundle.histogram.edges[:-1].tolist(),
+                    bundle.histogram.edges[1:].tolist(),
+                    bundle.histogram.counts.tolist(),
                 )
             ),
         ),
         (
             "qq",
             ("theoretical", "empirical"),
-            tuple(
-                (float(t), float(e))
-                for t, e in zip(bundle.qq.theoretical, bundle.qq.empirical)
-            ),
+            tuple(zip(bundle.qq.theoretical.tolist(), bundle.qq.empirical.tolist())),
         ),
     ]
     for lag, (x, y) in bundle.lag_pairs.items():
@@ -510,7 +502,7 @@ def _cmd_diagnose(config: RunConfig) -> Report:
             (
                 f"lag{lag}",
                 ("x", "y"),
-                tuple((float(a), float(b)) for a, b in zip(x, y)),
+                tuple(zip(x.tolist(), y.tolist())),
             )
         )
     return Report(
@@ -535,13 +527,13 @@ def _cmd_segment(config: RunConfig) -> Report:
     dates = returns.dates
     entries = [
         ReportEntry("best-split", estimate, "index"),
-        ReportEntry("best-split-date", _fmt_date(dates[estimate - 1])),
+        ReportEntry("best-split-date", dates[estimate - 1].isoformat()),
         ReportEntry("max-abs-statistic", trace.abs_max_value),
         ReportEntry("change-points", len(result.change_points), "splits"),
     ]
     for i, cp in enumerate(result.change_points, start=1):
         entries.append(ReportEntry(f"change-point-{i}", cp, "index"))
-        entries.append(ReportEntry(f"change-point-{i}-date", _fmt_date(dates[cp - 1])))
+        entries.append(ReportEntry(f"change-point-{i}-date", dates[cp - 1].isoformat()))
     seg_entries = []
     for i, m in enumerate(result.segments, start=1):
         seg_entries.extend(_moment_entries(f"segment-{i}", m))
@@ -550,9 +542,7 @@ def _cmd_segment(config: RunConfig) -> Report:
         + (f" (split at {d.split_at})" if d.split_at is not None else "")
         for d in result.decisions
     )
-    table_rows = tuple(
-        (int(n), float(v)) for n, v in zip(trace.split_indices, trace.values)
-    )
+    table_rows = tuple(zip(trace.split_indices.tolist(), trace.values.tolist()))
     return Report(
         command="segment",
         config=config,
@@ -670,7 +660,7 @@ def _detect_increments(
 def _cmd_detect(config: RunConfig) -> Report:
     _, returns = _load_returns(config)
     increments, notes = _detect_increments(config, returns)
-    dates = returns.dates
+    iso_dates = list(map(date.isoformat, returns.dates))
     thresholds = {"cusum": config.threshold_h, "sr": config.threshold_a}
     sections = []
     tables = []
@@ -690,28 +680,17 @@ def _cmd_detect(config: RunConfig) -> Report:
         for i, alarm in enumerate(trace.alarms, start=1):
             entries.append(ReportEntry(f"alarm-{i}-step", alarm.global_time, "index"))
             entries.append(
-                ReportEntry(f"alarm-{i}-date", _fmt_date(dates[alarm.global_time - 1]))
+                ReportEntry(f"alarm-{i}-date", iso_dates[alarm.global_time - 1])
             )
             entries.append(
                 ReportEntry(f"alarm-{i}-statistic", alarm.statistic_at_stop)
             )
         sections.append((kind, tuple(entries)))
-        alarm_steps = {a.global_time for a in trace.alarms}
-        tables.append(
-            (
-                f"{kind}-trace",
-                ("step", "date", "statistic", "alarm"),
-                tuple(
-                    (
-                        step,
-                        _fmt_date(dates[step - 1]),
-                        float(v),
-                        int(step in alarm_steps),
-                    )
-                    for step, v in enumerate(trace.statistics, start=1)
-                ),
-            )
-        )
+        size = trace.statistics.size
+        flags = np.zeros(size, dtype=int)
+        flags[[a.global_time - 1 for a in trace.alarms]] = 1
+        rows = zip(range(1, size + 1), iso_dates, trace.statistics.tolist(), flags.tolist())
+        tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), tuple(rows)))
     if not ran_any:
         raise UsageError(
             "no detector to run: give --threshold-h (cusum) and/or --threshold-a (sr)"

@@ -222,7 +222,7 @@ class DetectionTrace:
     change_point: int | None = None
 
     def __post_init__(self) -> None:
-        stats = np.asarray(self.statistics, dtype=float)
+        stats = np.array(self.statistics, dtype=float)  # a private, frozen copy
         stats.setflags(write=False)
         object.__setattr__(self, "statistics", stats)
         object.__setattr__(self, "alarms", tuple(self.alarms))

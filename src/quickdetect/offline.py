@@ -15,7 +15,7 @@ Recursive segmentation splits a segment whenever ``max |Y|`` clears a
 significance threshold and both children are at least ``min_segment`` long.
 When no explicit threshold is given, each segment gets a Monte Carlo null
 threshold: the 95th percentile of ``max |Y|`` over synthetic i.i.d. Gaussian
-series with that segment's fitted moments.
+series with that segment's fitted moments; its normal draws are most of the cost.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MomentEstimate, estimate_moments, _values_of
+from .series import MomentEstimate, estimate_moments, _freeze, _values_of
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class BDTrace:
     abs_max_value: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _freeze(self.values)
         object.__setattr__(self, "values", values)
         if not 1 <= self.abs_max_index <= values.size:
             raise ValueError("abs_max_index out of range")
@@ -76,14 +75,25 @@ class SegmentationResult:
             raise ValueError("change points must be strictly increasing")
 
 
-def _trace_values(x: np.ndarray) -> np.ndarray:
-    n_obs = x.size
+def _split_sizes(n_obs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left sizes ``n``, right sizes ``N-n`` and weights ``sqrt(n(N-n))/N``, n = 1..N-1."""
     n = np.arange(1, n_obs)
-    left_sums = np.cumsum(x)[:-1]
+    return n.astype(float), (n_obs - n).astype(float), np.sqrt(n * (n_obs - n)) / n_obs
+
+
+def _trace_into(x: np.ndarray, sizes, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``Y(1..N-1)`` of ``x`` into ``out``, with ``sums`` (length N) as scratch."""
+    left_n, right_n, weight = sizes
+    np.cumsum(x, out=sums)
+    left_sums = sums[:-1]
     total = left_sums[-1] + x[-1]
-    left_mean = left_sums / n
-    right_mean = (total - left_sums) / (n_obs - n)
-    return np.sqrt(n * (n_obs - n)) / n_obs * (left_mean - right_mean)
+    left_mean = np.divide(left_sums, left_n, out=out)
+    right_mean = np.divide(np.subtract(total, left_sums, out=left_sums), right_n, out=left_sums)
+    return np.multiply(weight, np.subtract(left_mean, right_mean, out=out), out=out)
+
+
+def _trace_values(x: np.ndarray) -> np.ndarray:
+    return _trace_into(x, _split_sizes(x.size), np.empty(x.size), np.empty(x.size - 1))
 
 
 def bd_statistic(series, n: int) -> float:
@@ -119,16 +129,20 @@ def null_threshold(
 
     Gaussian null of the given length and sd.  ``Y`` is location free and
     scale equivariant, so standard normal draws are simulated and the
-    order-statistic quantile is scaled by ``sd``.
+    order-statistic quantile is scaled by ``sd``.  The cost is in the
+    ``replications * length`` draws: ``Y`` reuses one set of weights and buffers.
     """
     if length < 2:
         raise ValueError("need at least two observations")
     if replications < 1:
         raise ValueError("replications must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, length, replications]))
+    sizes = _split_sizes(length)
+    draws, sums, values = np.empty(length), np.empty(length), np.empty(length - 1)
     maxima = np.empty(replications)
     for r in range(replications):
-        maxima[r] = np.max(np.abs(_trace_values(rng.standard_normal(length))))
+        _trace_into(rng.standard_normal(out=draws), sizes, sums, values)
+        maxima[r] = np.max(np.abs(values, out=values))
     maxima.sort()
     # conservative ceil((R+1)*level) order statistic
     k = min(replications, int(np.ceil((replications + 1) * level)))

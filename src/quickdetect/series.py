@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +43,6 @@ class CsvSchema:
     date_column: str = "Date"
     price_column: str = "Close"
     date_format: str | None = None
-
-    def parse_date(self, text: str) -> dt.date:
-        if self.date_format is None:
-            return dt.date.fromisoformat(text.strip())
-        return dt.datetime.strptime(text.strip(), self.date_format).date()
 
 
 @dataclass(frozen=True)
@@ -185,9 +182,10 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
     """Load a dated price series from a CSV file, given its path or its bytes.
 
     Rows are sorted by date after parsing.  Any row with an unparsable date,
-    a non-numeric price, or a non-positive price is an error naming the row;
-    so are duplicate dates and files with fewer than two valid rows.
-    Identical input bytes always produce the identical series.
+    a non-numeric price, or a non-finite or non-positive price is an error
+    naming its line in the file; so are duplicate dates and files with fewer
+    than two valid rows.  Blank lines are skipped and missing fields read as
+    empty.  Identical input bytes always produce the identical series.
     """
     schema = schema or CsvSchema()
     if not isinstance(source, bytes):
@@ -195,43 +193,52 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
         if not path.is_file():
             raise FileNotFoundError(f"no such file: {path}")
         source = path.read_bytes()
+    fmt = schema.date_format
+    parse_date = (
+        dt.date.fromisoformat if fmt is None else lambda t: dt.datetime.strptime(t, fmt).date()
+    )
     rows: list[tuple[dt.date, float]] = []
     bad: list[str] = []
     with io.TextIOWrapper(io.BytesIO(source), newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        columns = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
         for col in (schema.date_column, schema.price_column):
-            if col not in header:
+            if col not in columns:
                 raise CsvFormatError(f"missing column {col!r} in header {header}")
-        for number, row in enumerate(reader, start=2):  # 1 is the header row
-            raw_date = row.get(schema.date_column) or ""
-            raw_price = row.get(schema.price_column) or ""
+        date_at, price_at = columns[schema.date_column], columns[schema.price_column]
+        width = max(date_at, price_at) + 1
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row = row + [""] * (width - len(row))
+            raw_date, raw_price = row[date_at], row[price_at]
             try:
-                date = schema.parse_date(raw_date)
-            except (ValueError, TypeError):
-                bad.append(f"row {number}: unparsable date {raw_date!r}")
+                date = parse_date(raw_date.strip())
+            except ValueError:
+                bad.append(f"row {reader.line_num}: unparsable date {raw_date!r}")
                 continue
             try:
                 price = float(raw_price)
-            except (ValueError, TypeError):
-                bad.append(f"row {number}: non-numeric price {raw_price!r}")
+            except ValueError:
+                bad.append(f"row {reader.line_num}: non-numeric price {raw_price!r}")
                 continue
-            if not np.isfinite(price) or price <= 0.0:
-                bad.append(f"row {number}: non-positive price {raw_price!r}")
+            if not 0.0 < price < math.inf:
+                sign = "non-positive" if math.isfinite(price) else "non-finite"
+                bad.append(f"row {reader.line_num}: {sign} price {raw_price!r}")
                 continue
             rows.append((date, price))
     if bad:
         raise CsvFormatError("; ".join(bad))
-    rows.sort(key=lambda item: item[0])
+    rows.sort(key=itemgetter(0))
     for (d0, _), (d1, _) in zip(rows, rows[1:]):
         if d0 == d1:
             raise CsvFormatError(f"duplicate date {d1.isoformat()}")
     if len(rows) < 2:
         raise CsvFormatError(f"need at least 2 valid rows, found {len(rows)}")
-    return PriceSeries(
-        timestamps=tuple(d for d, _ in rows),
-        values=np.array([p for _, p in rows]),
-    )
+    timestamps, prices = zip(*rows)
+    return PriceSeries(timestamps=timestamps, values=np.array(prices))
 
 
 def to_returns(series: PriceSeries) -> ReturnSeries:

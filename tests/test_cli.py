@@ -12,6 +12,7 @@ entry-point metadata to match and the command to be on ``PATH``.
 import csv
 import hashlib
 import importlib.metadata
+import io
 import json
 import math
 import os
@@ -596,6 +597,98 @@ class TestDetectCommand:
         entries = entry_map(report, "sr")
         assert entries["alarm-1-step"]["value"] == 2
         assert math.isfinite(entries["alarm-1-statistic"]["value"])
+
+
+def cell_by_cell_csv(header, rows) -> bytes:
+    """A table as ``csv.writer`` writes it one row at a time, ``repr`` on every float."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buffer.getvalue().encode()
+
+
+class TestTableBytes:
+    """Every CSV table equals a row-by-row rendering of the library's values."""
+
+    MODEL = TestDetectCommand.MODEL
+
+    def assert_tables(self, args, out, expected):
+        report = cli.execute(cli.parse_config(args))
+        cli.emit(report, out)
+        assert {name: len(rows) for name, _, rows in report.tables} == {
+            name: len(rows) for name, (_, rows) in expected.items()
+        }
+        cells = {type(v) for _, _, rows in report.tables for row in rows for v in row}
+        assert cells <= {int, float, str}
+        for name, (header, rows) in expected.items():
+            path = next(Path(out).glob(f"{args[0]}-*.{name}.csv"))
+            assert path.read_bytes() == cell_by_cell_csv(header, rows), name
+
+    def returns_of(self, price_csv):
+        return series.to_returns(series.load_csv(price_csv))
+
+    def test_returns(self, price_csv, tmp_path):
+        returns = self.returns_of(price_csv)
+        rows = [(d.isoformat(), float(v)) for d, v in zip(returns.dates, returns.values)]
+        expected = {"returns": (("date", "difference"), rows)}
+        self.assert_tables(["returns", "--input", str(price_csv)], tmp_path, expected)
+
+    def test_diagnose(self, price_csv, tmp_path):
+        returns = self.returns_of(price_csv)
+        correl = series.acf(returns, 10)
+        bundle = series.diagnostics(returns, bins=12, lags=(1, 3))
+        hist = bundle.histogram
+        expected = {
+            "acf": (
+                ("lag", "autocorrelation", "band"),
+                [
+                    (int(k), float(v), float(correl.band))
+                    for k, v in zip(correl.lags, correl.values)
+                ],
+            ),
+            "histogram": (
+                ("left_edge", "right_edge", "count"),
+                [
+                    (float(lo), float(hi), int(c))
+                    for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)
+                ],
+            ),
+            "qq": (
+                ("theoretical", "empirical"),
+                [(float(t), float(e)) for t, e in zip(bundle.qq.theoretical, bundle.qq.empirical)],
+            ),
+        }
+        for lag, (x, y) in bundle.lag_pairs.items():
+            expected[f"lag{lag}"] = (("x", "y"), [(float(a), float(b)) for a, b in zip(x, y)])
+        args = ["--bins", "12", "--max-lag", "10", "--lags", "1,3"]
+        self.assert_tables(["diagnose", "--input", str(price_csv), *args], tmp_path, expected)
+
+    def test_segment(self, price_csv, tmp_path):
+        _, trace = offline.bd_estimate(self.returns_of(price_csv))
+        rows = [(int(n), float(v)) for n, v in zip(trace.split_indices, trace.values)]
+        expected = {"bd-trace": (("split", "statistic"), rows)}
+        self.assert_tables(["segment", "--input", str(price_csv)], tmp_path, expected)
+
+    @pytest.mark.parametrize("multi_cyclic", [False, True])
+    def test_detect(self, price_csv, tmp_path, multi_cyclic):
+        args = ["detect", "--input", str(price_csv), "--mode", "exact", *self.MODEL,
+                "--threshold-h", "3", "--threshold-a", "30"]
+        returns = self.returns_of(price_csv)
+        increments = models.llr(models.GaussianChangeModel(0.0, 0.5, 0.6, 0.7), returns.values)
+        runner = detect.multi_cyclic_run if multi_cyclic else detect.run_detector
+        expected = {}
+        for kind, threshold in (("cusum", 3.0), ("sr", 30.0)):
+            trace = runner(increments, kind=kind, threshold=threshold)
+            alarm_steps = {a.global_time for a in trace.alarms}
+            assert alarm_steps
+            rows = [
+                (step, returns.dates[step - 1].isoformat(), float(v), int(step in alarm_steps))
+                for step, v in enumerate(trace.statistics, start=1)
+            ]
+            expected[f"{kind}-trace"] = (("step", "date", "statistic", "alarm"), rows)
+        self.assert_tables(args + ["--multi-cyclic"] * multi_cyclic, tmp_path, expected)
 
 
 class TestConstantsCommand:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quickdetect import AlarmRecord, multi_cyclic_run, run_detector, to_ratios
+from quickdetect import AlarmRecord, DetectionTrace, multi_cyclic_run, run_detector, to_ratios
 from quickdetect.detect import _advance_with_resets, _cusum_path, _path, _sr_path
 
 #: far above any statistic the test streams reach, so nothing alarms
@@ -141,6 +141,14 @@ class TestRunDetector:
         assert not trace.alarmed
         assert trace.first_alarm is None
         assert trace.increments_consumed == 3
+
+    def test_trace_freezes_a_copy_of_the_callers_array(self):
+        statistics = np.array([0.2, 0.9, 0.4])
+        trace = DetectionTrace(kind="cusum", threshold=1.0, statistics=statistics, alarms=())
+        statistics[0] = 7.0  # the caller's array stays writeable ...
+        assert trace.statistics.tolist() == [0.2, 0.9, 0.4]  # ... and the trace keeps its own
+        with pytest.raises(ValueError):
+            trace.statistics[0] = 7.0
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):

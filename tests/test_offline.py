@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quickdetect import (
+    BDTrace,
     SegmentationResult,
     bd_estimate,
     bd_segment,
@@ -19,6 +20,27 @@ def direct_statistic(x, n):
     left = sum(x[:n]) / n
     right = sum(x[n:]) / (N - n)
     return np.sqrt(n * (N - n)) / N * (left - right)
+
+
+def loop_null_threshold(length, sd, seed, replications=199, level=0.95):
+    """The null threshold drawn and evaluated one fresh array per replication."""
+
+    def trace_values(x):
+        n_obs = x.size
+        n = np.arange(1, n_obs)
+        left_sums = np.cumsum(x)[:-1]
+        total = left_sums[-1] + x[-1]
+        left_mean = left_sums / n
+        right_mean = (total - left_sums) / (n_obs - n)
+        return np.sqrt(n * (n_obs - n)) / n_obs * (left_mean - right_mean)
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, length, replications]))
+    maxima = np.empty(replications)
+    for r in range(replications):
+        maxima[r] = np.max(np.abs(trace_values(rng.standard_normal(length))))
+    maxima.sort()
+    k = min(replications, int(np.ceil((replications + 1) * level)))
+    return float(sd * maxima[k - 1])
 
 
 class TestStatistic:
@@ -74,6 +96,14 @@ class TestExactProperties:
                 -bd_statistic(x, 45 - n), rel=1e-10, abs=1e-12
             )
 
+    def test_trace_freezes_a_copy_of_the_callers_array(self):
+        values = np.array([0.5, -1.5, 1.0])
+        trace = BDTrace(values=values, abs_max_index=2, abs_max_value=1.5)
+        values[0] = 9.0  # the caller's array stays writeable ...
+        assert trace.values.tolist() == [0.5, -1.5, 1.0]  # ... and the trace keeps its own
+        with pytest.raises(ValueError):
+            trace.values[0] = 9.0
+
     def test_smallest_index_tie_break(self):
         # [a, b, b, a] has |Y(1)| == |Y(3)| by symmetry; the estimate must
         # pick the smaller index
@@ -113,6 +143,15 @@ class TestNullThreshold:
         assert a == b
         assert c == pytest.approx(2.0 * a, rel=1e-12)
         assert null_threshold(300, 1.0, seed=10) != a
+
+    @pytest.mark.parametrize("length", [2, 3, 61, 1_000, 20_000])
+    @pytest.mark.parametrize("seed", [0, 20261017])
+    @pytest.mark.parametrize("replications", [1, 199])
+    def test_bit_equal_to_the_per_replication_loop(self, length, seed, replications):
+        for level in (0.80, 0.95, 0.99):
+            expected = loop_null_threshold(length, 1.7, seed, replications, level)
+            got = null_threshold(length, 1.7, seed, replications, level)
+            assert got.hex() == expected.hex(), (level, got, expected)
 
     def test_level_ordering(self):
         lo = null_threshold(200, 1.0, seed=3, level=0.80)

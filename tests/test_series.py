@@ -1,5 +1,8 @@
 """Series ingestion, moments, and diagnostics."""
 
+import csv
+import datetime as dt
+import io
 from datetime import date
 
 import numpy as np
@@ -18,6 +21,87 @@ from quickdetect import (
     standardize,
     to_returns,
 )
+
+
+def dictreader_load(data: bytes, schema: CsvSchema):
+    """CSV ingestion row by row through ``csv.DictReader``, as load_csv once did.
+
+    Returns ``(timestamps, values)`` or the error message.
+    """
+
+    def parse_date(text):
+        if schema.date_format is None:
+            return dt.date.fromisoformat(text.strip())
+        return dt.datetime.strptime(text.strip(), schema.date_format).date()
+
+    rows, bad = [], []
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        for col in (schema.date_column, schema.price_column):
+            if col not in header:
+                return f"missing column {col!r} in header {header}"
+        for number, row in enumerate(reader, start=2):
+            raw_date = row.get(schema.date_column) or ""
+            raw_price = row.get(schema.price_column) or ""
+            try:
+                day = parse_date(raw_date)
+            except (ValueError, TypeError):
+                bad.append(f"row {number}: unparsable date {raw_date!r}")
+                continue
+            try:
+                price = float(raw_price)
+            except (ValueError, TypeError):
+                bad.append(f"row {number}: non-numeric price {raw_price!r}")
+                continue
+            if not np.isfinite(price) or price <= 0.0:
+                bad.append(f"row {number}: non-positive price {raw_price!r}")
+                continue
+            rows.append((day, price))
+    if bad:
+        return "; ".join(bad)
+    rows.sort(key=lambda item: item[0])
+    for (d0, _), (d1, _) in zip(rows, rows[1:]):
+        if d0 == d1:
+            return f"duplicate date {d1.isoformat()}"
+    if len(rows) < 2:
+        return f"need at least 2 valid rows, found {len(rows)}"
+    return tuple(d for d, _ in rows), [p for _, p in rows]
+
+
+def assert_matches_dictreader(data: bytes, schema: CsvSchema) -> None:
+    expected = dictreader_load(data, schema)
+    try:
+        series = load_csv(data, schema)
+    except CsvFormatError as err:
+        assert str(err) == expected
+    else:
+        assert (series.timestamps, series.values.tolist()) == expected
+
+
+# Inputs with neither blank lines before a bad row, quoted line breaks, nor
+# non-finite prices, where the two loaders must agree message for message.
+MESSY_CSVS = {
+    "quoted": '"Date","Close"\n"2021-01-05","10.5"\n"2021-01-04","1,000"\n"2021-01-06",11\n',
+    "quoted-ok": '"Date","Close"\n"2021-01-05","10.5"\n2021-01-04,"9.25"\n',
+    "padded": "Date,Close\n 2021-01-04 , 10 \n2021-01-05,\t11.5\n2021-01-06 ,1e1\n",
+    "extra-columns": "Open,Date,Close\n1,2021-01-04,10,5,x\n2,2021-01-05,11\n3,2021-01-06,12,,\n",
+    "missing-columns": "Date,Close\n2021-01-04,10\n2021-01-05\n\n2021-01-06,12\n",
+    "short-rows": "Close,Date\n10,2021-01-04\n11\n12,2021-01-06\n",
+    "unsorted": "Date,Close\n2021-01-07,4\n2021-01-04,1\n2021-01-06,3\n2021-01-05,2\n",
+    "blank-lines-valid": "Date,Close\n\n2021-01-05,2\n\n\n2021-01-04,1\n",
+    "repeated-column": "Date,Close,Close\n2021-01-04,1,10\n2021-01-05,2,11\n",
+    "repeated-column-short": "Date,Close,Close\n2021-01-04,1,10\n2021-01-05,2\n",
+    "all-bad": "Date,Close\nx,1\n2021-01-05,y\n2021-01-06,0\n2021-01-07,-2\n2021-13-01,3\n",
+    "duplicates": "Date,Close\n2021-01-05,1\n2021-01-04,2\n2021-01-05,3\n",
+    "too-few": "Date,Close\n2021-01-04,10\n",
+    "header-only": "Date,Close\n",
+    "empty": "",
+    "blank-header": "\nDate,Close\n2021-01-04,10\n",
+    "missing-header-column": "Date,Open\n2021-01-04,10\n",
+    "underscored-number": "Date,Close\n2021-01-04,1_000\n2021-01-05,2\n",
+    "crlf": "Date,Close\r\n2021-01-05,2\r\n2021-01-04,bad\r\n",
+}
 
 
 class TestLoadCsv:
@@ -62,6 +146,42 @@ class TestLoadCsv:
         assert "row 3" in message and "unparsable date" in message
         assert "row 4" in message and "non-numeric price" in message
         assert "row 5" in message and "non-positive price" in message
+
+    @pytest.mark.parametrize("name", sorted(MESSY_CSVS))
+    def test_matches_the_dictreader_loop(self, name):
+        assert_matches_dictreader(MESSY_CSVS[name].encode(), CsvSchema())
+
+    @pytest.mark.parametrize(
+        "text, date_format",
+        [
+            ("day,px\n03/02/2020,10\n 01/02/2020 ,11\n02/02/2020,12\n", "%d/%m/%Y"),
+            ("day,px\n03/02/2020,10\n2020-02-01,11\n02/02/2020,zero\n", "%d/%m/%Y"),
+            ("px,day\n10,20200103\n11,20200102\n", "%Y%m%d"),
+        ],
+    )
+    def test_date_format_matches_the_dictreader_loop(self, text, date_format):
+        schema = CsvSchema(date_column="day", price_column="px", date_format=date_format)
+        assert_matches_dictreader(text.encode(), schema)
+
+    def test_bad_row_named_by_its_line_in_the_file(self):
+        data = b"Date,Close\n2021-01-01,1\n\n2021-01-02,x\n"
+        with pytest.raises(CsvFormatError, match=r"^row 4: non-numeric price 'x'$"):
+            load_csv(data)
+
+    def test_non_finite_and_non_positive_prices_told_apart(self):
+        data = (
+            b"Date,Close\n2021-01-01,nan\n2021-01-02,inf\n2021-01-03,-inf\n"
+            b"2021-01-04,0\n2021-01-05,-2.5\n2021-01-06,1\n"
+        )
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(data)
+        assert str(err.value).split("; ") == [
+            "row 2: non-finite price 'nan'",
+            "row 3: non-finite price 'inf'",
+            "row 4: non-finite price '-inf'",
+            "row 5: non-positive price '0'",
+            "row 6: non-positive price '-2.5'",
+        ]
 
     def test_duplicate_date_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
