@@ -31,8 +31,8 @@ Shiryaev-Roberts rest on a handful of constants of that walk:
 
 With equal pre/post variances the walk is exactly Gaussian,
 ``Z_k ~ N(-k*I, 2*k*I)`` pre-change and ``N(k*I, 2*k*I)`` post-change: the
-series reduce to normal CDF evaluations, and the pre-change walk is the
-mirror image of the post-change one, so ``beta_inf = -beta0`` exactly.
+series reduce to normal tails (libm's ``erfc``), and the pre-change walk is
+the mirror image of the post-change one, so ``beta_inf = -beta0`` exactly.
 With unequal variances the log-likelihood ratio is quadratic in the
 observation and the walk is not Gaussian.  ``zeta`` and ``varkappa`` are
 then series estimated by Monte Carlo, and ``beta0`` and ``beta_inf`` are
@@ -74,6 +74,8 @@ TRUNCATION_HARD_CAP = 10**6
 #: a walk this far on the escaping side adds no visible mass to
 #: sum(exp(s * Z_k)); paths are cut here
 ESCAPE_MARGIN = 50.0
+#: ``math.erfc`` underflows to exactly 0.0 at and above this argument
+_ERFC_UNDERFLOW = 27.3
 _BLOCK = 512
 
 
@@ -217,25 +219,37 @@ def _converging_sum(term_fn, cap: int, what: str) -> float:
     )
 
 
+def _normal_tail(a: np.ndarray) -> np.ndarray:
+    """``P(N(0, 1) > a)`` elementwise, as libm's ``erfc(a / sqrt(2)) / 2``.
+
+    ``math.erfc`` is called only where its argument is below
+    ``_ERFC_UNDERFLOW``; beyond it erfc is exactly 0.0, so every element
+    equals a call on the whole array.
+    """
+    x = a / math.sqrt(2.0)
+    live = x < _ERFC_UNDERFLOW
+    tail = np.zeros(x.shape)
+    tail[live] = list(map(math.erfc, x[live].tolist()))
+    return 0.5 * tail
+
+
 def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal CDFs.
+    """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal tails.
 
     The ``varkappa`` correction is Spitzer's series for ``beta0``, and its
     mirror image is the series for ``beta_inf``.
     """
-    from scipy.special import ndtr  # the normal CDF, without importing scipy.stats
-
     _, i_g = kl_numbers(model)
 
     def zeta_term(k: np.ndarray) -> np.ndarray:
-        # P_pre(Z_k > 0) = P_post(Z_k <= 0) = Phi(-sqrt(k I / 2))
-        return 2.0 / k * ndtr(-np.sqrt(k * i_g / 2.0))
+        # P_pre(Z_k > 0) = P_post(Z_k <= 0) = P(N > sqrt(k I / 2))
+        return 2.0 / k * _normal_tail(np.sqrt(k * i_g / 2.0))
 
     def kappa_term(k: np.ndarray) -> np.ndarray:
         # E_post[min(0, Z_k)] for Z_k ~ N(k I, 2 k I)
         arg = np.sqrt(k * i_g / 2.0)
-        pdf = np.exp(-arg**2 / 2.0) / np.sqrt(2 * np.pi)  # scipy's own normal density
-        return i_g * ndtr(-arg) - np.sqrt(2.0 * i_g / k) * pdf
+        pdf = np.exp(-arg**2 / 2.0) / np.sqrt(2 * np.pi)
+        return i_g * _normal_tail(arg) - np.sqrt(2.0 * i_g / k) * pdf
 
     exponent = _converging_sum(zeta_term, policy.truncation, "zeta")
     zeta = math.exp(-exponent) / i_g

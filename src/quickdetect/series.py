@@ -16,7 +16,8 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,13 @@ import numpy as np
 
 class CsvFormatError(ValueError):
     """Input CSV violates the expected schema (bad rows are named by number)."""
+
+
+def _first_unordered(timestamps: tuple) -> dt.date | None:
+    """The first timestamp not after its predecessor, or None if they increase."""
+    if all(map(lt, timestamps, islice(timestamps, 1, None))):
+        return None
+    return next(cur for prev, cur in zip(timestamps, timestamps[1:]) if not prev < cur)
 
 
 def _freeze(values) -> np.ndarray:
@@ -71,9 +79,9 @@ class PriceSeries:
             raise ValueError("price values must be finite")
         if np.any(self.values <= 0.0):
             raise ValueError("price values must be positive")
-        for prev, cur in zip(self.timestamps, self.timestamps[1:]):
-            if cur <= prev:
-                raise ValueError(f"timestamps not strictly increasing at {cur}")
+        unordered = _first_unordered(self.timestamps)
+        if unordered is not None:
+            raise ValueError(f"timestamps not strictly increasing at {unordered}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -231,13 +239,13 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
             rows.append((date, price))
     if bad:
         raise CsvFormatError("; ".join(bad))
-    rows.sort(key=itemgetter(0))
-    for (d0, _), (d1, _) in zip(rows, rows[1:]):
-        if d0 == d1:
-            raise CsvFormatError(f"duplicate date {d1.isoformat()}")
     if len(rows) < 2:
         raise CsvFormatError(f"need at least 2 valid rows, found {len(rows)}")
+    rows.sort(key=itemgetter(0))
     timestamps, prices = zip(*rows)
+    repeated = _first_unordered(timestamps)  # sorted, so only a repeat is out of order
+    if repeated is not None:
+        raise CsvFormatError(f"duplicate date {repeated.isoformat()}")
     return PriceSeries(timestamps=timestamps, values=np.array(prices))
 
 
@@ -329,14 +337,15 @@ def diagnostics(
     """Histogram, normal Q-Q points, and lag-k scatter pairs.
 
     Q-Q points standardize by the full-sample moments and use plotting
-    positions ``(i - 0.5)/n``.  Each lag pair is ``(x[:-k], x[k:])``; a lag
-    at or beyond the series length is an error.
+    positions ``(i - 0.5)/n``; the normal quantiles come from
+    :meth:`statistics.NormalDist.inv_cdf` (Wichura's AS241).  Each lag pair
+    is ``(x[:-k], x[k:])``; a lag at or beyond the series length is an error.
     """
     x = _values_of(series)
     n = x.size
     if bins < 1:
         raise ValueError("bins must be positive")
-    from scipy.special import ndtri  # the normal quantile, without importing scipy.stats
+    from statistics import NormalDist  # only diagnose needs it, so not at import time
 
     moments = estimate_moments(series)
     if moments.sd == 0.0:
@@ -345,7 +354,7 @@ def diagnostics(
     positions = (np.arange(1, n + 1) - 0.5) / n
     qq = QQPoints(
         empirical=_freeze(standardized),
-        theoretical=_freeze(ndtri(positions)),
+        theoretical=_freeze(list(map(NormalDist().inv_cdf, positions.tolist()))),
     )
     lag_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in lags:

@@ -20,6 +20,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -798,23 +799,46 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr or "scipy.stats was imported"
 
     def test_commands_leave_scipy_stats_unloaded(self, price_csv, tmp_path):
-        # the exact renewal series and the Q-Q plot take the normal CDF,
-        # density and quantile from scipy.special, so no command needs
-        # scipy.stats
+        # the exact renewal series take the normal tail from math.erfc and the
+        # Q-Q plot its quantiles from statistics.NormalDist, so every command
+        # runs, and writes its report, with any import of scipy failing
         src = Path(__file__).resolve().parents[1] / "src"
+        model = ["--mu-pre", "0", "--sigma-pre", "0.5", "--mu-post", "0.6", "--sigma-post", "0.7"]
         commands = [
-            ["constants", "--q", "1", "--delta", "1", "--replications", "50",
-             "--horizon", "200"],
+            ["returns", "--input", str(price_csv)],
+            ["diagnose", "--input", str(price_csv)],
+            ["segment", "--input", str(price_csv), "--seed", "11"],
+            ["detect", "--input", str(price_csv), "--mode", "exact", *model,
+             "--threshold-h", "3", "--threshold-a", "30", "--multi-cyclic"],
+            ["calibrate", "--q", "1", "--delta", "1", "--mode", "exact",
+             "--kind", "cusum", "--gamma", "10", "--replications", "200", "--seed", "5"],
             ["simulate", "--q", "1", "--delta", "1", "--mode", "exact",
              "--kind", "cusum", "--gamma", "10", "--replications", "200",
              "--nu", "100", "--horizon", "200", "--seed", "1"],
-            ["diagnose", "--input", str(price_csv)],
+            ["constants", "--q", "1", "--delta", "1", "--replications", "50",
+             "--horizon", "200"],
+            ["constants", "--mu-pre", "0", "--sigma-pre", "1",
+             "--mu-post", "0.3", "--sigma-post", "1.3",
+             "--replications", "300", "--horizon", "1000", "--truncation", "20000"],
         ]
-        code = (
-            "import json, sys; from quickdetect.cli import main; "
-            "codes = [main(args + ['--out', sys.argv[1]]) for args in json.loads(sys.argv[2])]; "
-            "print(codes); "
-            "sys.exit(codes != [0, 0, 0] or 'scipy.stats' in sys.modules)"
+        code = textwrap.dedent(
+            """
+            import json, sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        raise ImportError(f"{name} is blocked")
+                    return None
+
+            sys.meta_path.insert(0, NoScipy())
+            from quickdetect.cli import main
+
+            codes = [main(args + ["--out", sys.argv[1]]) for args in json.loads(sys.argv[2])]
+            print(codes)
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            sys.exit(codes != [0] * len(codes) or loaded or "scipy.stats" in sys.modules)
+            """
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])
@@ -824,8 +848,10 @@ class TestEntryPoint:
             env=env, capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stdout + result.stderr
-        for command in ("constants", "simulate", "diagnose"):
-            assert any((tmp_path / "o").glob(f"{command}-*.report.json")), command
+        for command, count in (("returns", 1), ("diagnose", 1), ("segment", 1), ("detect", 1),
+                               ("calibrate", 1), ("simulate", 1), ("constants", 2)):
+            reports = list((tmp_path / "o").glob(f"{command}-*.report.json"))
+            assert len(reports) == count, command
 
     def test_module_invocation(self, price_csv, tmp_path):
         out = tmp_path / "o"

@@ -19,9 +19,12 @@ from quickdetect import (
 )
 from quickdetect._rand import substream
 from quickdetect.renewal import (
+    _ERFC_UNDERFLOW,
     _STREAM_POST_WALK,
     _STREAM_PRE_WALK,
+    TERM_TOL,
     _exp_sums,
+    _normal_tail,
     _overshoots_exact,
     _overshoots_mc,
     limiting_overshoots,
@@ -126,6 +129,49 @@ class TestOvershoots:
         assert partials[0] > partials[1] > partials[2] > zeta_direct - 1e-12
         zeta, *_ = limiting_overshoots(unit_shift_model)
         assert float(zeta) == pytest.approx(zeta_direct, abs=1e-6)
+
+    @pytest.mark.parametrize("info", [1e-4, 5.06e-3, 0.045, 0.5, 2.0])
+    def test_exact_route_matches_ndtr_series(self, info):
+        # zeta and the Spitzer series for beta0 summed with scipy's ndtr, over
+        # the terms the exact route sums: whole 65 536-term blocks up to the
+        # first block whose last term is below TERM_TOL
+        from scipy.special import ndtr
+
+        model = GaussianChangeModel(0.0, 1.0, math.sqrt(2.0 * info), 1.0)
+        _, i = kl_numbers(model)
+
+        def block_sum(term):
+            terms = []
+            while not terms or abs(terms[-1][-1]) >= TERM_TOL:
+                k = np.arange(1, 65_537, dtype=float) + 65_536 * len(terms)
+                terms.append(term(k))
+            return math.fsum(np.concatenate(terms))
+
+        def kappa_term(k):
+            arg = np.sqrt(k * i / 2.0)
+            pdf = np.exp(-arg**2 / 2.0) / math.sqrt(2 * math.pi)
+            return i * ndtr(-arg) - np.sqrt(2.0 * i / k) * pdf
+
+        zeta_ndtr = math.exp(-block_sum(lambda k: 2.0 / k * ndtr(-np.sqrt(k * i / 2.0)))) / i
+        beta0_ndtr = block_sum(kappa_term)
+        zeta, varkappa, beta0, beta_inf = limiting_overshoots(
+            model, EstimationPolicy(truncation=10**6)
+        )
+        assert float(zeta) == pytest.approx(zeta_ndtr, rel=1e-14, abs=0.0)
+        assert float(beta0) == pytest.approx(beta0_ndtr, rel=1e-14, abs=0.0)
+        assert float(beta_inf) == -float(beta0)
+        # varkappa = (1 + I/2) + beta0 cancels at small I (0.0083 from 1.00005
+        # and -0.99179 at I = 1e-4), so bound it by the size of its two parts
+        first = 1.0 + i / 2.0
+        assert abs(float(varkappa) - (first + beta0_ndtr)) <= 1e-14 * (first - beta0_ndtr)
+
+    def test_normal_tail_skips_only_exact_zeros(self):
+        # erfc is called below _ERFC_UNDERFLOW alone; every element must equal
+        # a call on the whole array, so the series sums are unchanged
+        assert math.erfc(_ERFC_UNDERFLOW) == 0.0
+        a = np.concatenate([np.linspace(0.0, 60.0, 200_001), [38.6, 38.61, 1e3]])
+        whole = 0.5 * np.array([math.erfc(x) for x in (a / math.sqrt(2.0)).tolist()])
+        assert _normal_tail(a).tobytes() == whole.tobytes()
 
     def test_direct_overshoot_simulation(self, unit_shift_model):
         # the renewal-theoretic meaning: chi = Z_tau - a at the first

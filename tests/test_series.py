@@ -189,6 +189,14 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="duplicate date 2021-01-04"):
             load_csv(path)
 
+    def test_first_duplicate_after_sorting_named(self):
+        data = (
+            b"Date,Close\n2021-01-07,1\n2021-01-06,2\n2021-01-05,3\n"
+            b"2021-01-07,4\n2021-01-06,5\n"
+        )
+        with pytest.raises(CsvFormatError, match="^duplicate date 2021-01-06$"):
+            load_csv(data)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("Date,Close\n2021-01-04,10\n")
@@ -217,6 +225,19 @@ class TestPriceSeries:
             PriceSeries((days[1], days[0]), [1.0, 2.0])
         with pytest.raises(ValueError, match="timestamps"):
             PriceSeries(days, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "days, named",
+        [
+            ((4, 5, 7, 6, 8), "2021-01-06"),  # unsorted
+            ((4, 5, 5, 6, 6), "2021-01-05"),  # repeated
+            ((5, 4, 4, 6, 7), "2021-01-04"),  # both, from the second day on
+        ],
+    )
+    def test_first_date_out_of_order_named(self, days, named):
+        timestamps = tuple(date(2021, 1, d) for d in days)
+        with pytest.raises(ValueError, match=f"^timestamps not strictly increasing at {named}$"):
+            PriceSeries(timestamps, np.arange(1.0, len(days) + 1.0))
 
     def test_values_frozen(self):
         series = PriceSeries((date(2021, 1, 4), date(2021, 1, 5)), [1.0, 2.0])
@@ -363,6 +384,18 @@ class TestDiagnostics:
             np.abs(bundle.qq.empirical[middle] - bundle.qq.theoretical[middle])
         )
         assert gap < 0.1
+
+    @pytest.mark.parametrize("n", [10, 1811, 60_000])
+    def test_qq_quantiles_match_ndtri(self, n):
+        from scipy.special import ndtri
+
+        x = np.random.default_rng(n).normal(size=n)
+        theoretical = diagnostics(ReturnSeries(values=x), lags=(1,)).qq.theoretical
+        positions = (np.arange(1, n + 1) - 0.5) / n
+        assert_allclose(theoretical, ndtri(positions), rtol=1e-14, atol=0.0)
+        if n % 2:  # the middle plotting position is exactly 1/2
+            assert positions[n // 2] == 0.5
+            assert theoretical[n // 2] == 0.0
 
     def test_lag_pairs(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
