@@ -24,37 +24,36 @@ Stopping times are then pathwise nondecreasing in the threshold, which makes
 the bisection in :func:`solve_threshold` exact apart from Monte Carlo noise
 shared across iterations.
 
-A fresh-start path (ARL, SADD) does not depend on the threshold at all: the
-stopping time at ``h`` is the first step at which the path's running maximum
-reaches ``h``.  :func:`solve_threshold` asks one path many thresholds, so it
-keeps each replication's path as a ladder record, the steps and heights of
-its strict new maxima, and a stopping time is a lookup in that record; the
-path is drawn once for the whole search, and extended only when a threshold
-above its running maximum is asked for.  The one-shot estimators
-(:func:`estimate_arl`, :func:`estimate_sadd`) ask one threshold, so they
-only look for each path's first crossing.  The STADD path restarts after
-every alarm, so it depends on the threshold and is drawn per call; the walk
-to ``nu`` is the first half of the walk to ``2 * nu``, and one post-change
-stream per replication serves both change points.
+A fresh-start path (ARL, SADD, and STADD after the change) does not
+depend on the threshold at all: the stopping time at ``h`` is the first step
+at which the path's running maximum reaches ``h``.  One store of runs serves
+every estimator.  It keeps each run's ladder record, the steps and heights
+of its strict new maxima, and a stopping time is a lookup in that record;
+a path is drawn only as far as the thresholds asked need.
+:func:`solve_threshold` asks one store many thresholds, so it draws each
+path once for the whole search.  The one-shot estimators
+(:func:`estimate_arl`, :func:`estimate_sadd`) ask one threshold of a store
+per run of ``_ROWS`` replications.  The STADD pre-change walk restarts
+after every alarm, so it depends on the threshold and is drawn per call;
+the walk to ``nu`` is the first half of the walk to ``2 * nu``, and one
+post-change stream per replication serves both change points.
 
 Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them is an error.
 
 The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
-:mod:`quickdetect.detect`, block by block as the observations are drawn.
-The one-shot and STADD estimators run ``_ROWS`` replications at a time as
-the rows of one array: each row still draws from its own generator, so the
-draws, and every stopping time, are those of a replication run alone, and
-the stopping times are averaged in replication order.
+:mod:`quickdetect.detect`, block by block as the observations are drawn,
+at most ``_ROWS`` replications at a time as the rows of one array: each
+row still draws from its own generator, so the draws, and every stopping
+time, are those of a replication run alone, and the stopping times are
+averaged in replication order.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -66,9 +65,9 @@ _STREAM_ARL = 11
 _STREAM_SADD = 12
 _STREAM_STADD_PRE = 13
 _STREAM_STADD_POST = 14
-#: replications the one-shot and STADD estimators simulate together, as the
-#: rows of one array; bounds their memory at any replication count
-_ROWS = 1024
+#: replications simulated together, as the rows of one array; bounds the
+#: memory of every estimator at any replication count
+_ROWS = 64
 
 
 class CalibrationError(RuntimeError):
@@ -176,125 +175,119 @@ class DetectorConfig:
         raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
 
 
-class _Run:
-    """One replication's fresh-start path, drawn only as far as queries need.
+class _Runs:
+    """Fresh-start runs that share the draws of their rows, drawn only as far as queries need.
 
-    Under common random numbers the path does not depend on the threshold,
-    so one path answers every threshold: the stopping time at ``h`` is the
-    first step whose value reaches ``h``, which is always a strict new
-    maximum.  The run keeps the end state, the steps drawn, the running
-    maximum ``top`` and the ladder record (``epochs``, 1-based steps, and
-    ``heights`` of the strict new maxima, so ``heights`` increases).  A
-    query above ``top`` extends the path, in ``_BLOCK``-step blocks through
-    the same draws and kernel calls as a single run at that threshold, until
-    ``top`` reaches it or the path reaches the cap.
+    Run ``s * rows + i`` starts from ``states[s, i]`` and reads the draws of
+    ``rngs[i]``; ``states`` is ``(starts, rows)``, or ``(rows,)`` for one
+    start.  Under common random numbers a run's path does not depend on the
+    threshold, so one path answers every threshold: the stopping time at
+    ``h`` is the first step whose value reaches ``h``, which is always a
+    strict new maximum.  The store keeps each run's state and running
+    maximum ``top``, each row's count of steps drawn, and one flat ladder
+    record of (run, step, height) for every strict new maximum up to the cap.
     """
 
-    __slots__ = (
-        "config", "regime", "cap", "rng", "state", "steps", "top", "epochs", "heights"
-    )
-
     def __init__(
-        self, config: DetectorConfig, regime: str, cap: int, rng: np.random.Generator
+        self,
+        config: DetectorConfig,
+        regime: str,
+        cap: int,
+        rngs: list[np.random.Generator],
+        states: np.ndarray,
     ) -> None:
         self.config = config
         self.regime = regime
         self.cap = cap
-        self.rng = rng
-        self.state = 0.0
-        self.steps = 0
-        self.top = -math.inf
-        self.epochs = array("q")
-        self.heights = array("d")
+        self.rngs = rngs
+        self.shape = np.shape(states)
+        self.state = np.array(states, dtype=float).ravel()
+        self.top = np.full(self.state.size, -np.inf)
+        self.row = np.arange(self.state.size) % len(rngs)
+        self.drawn = np.zeros(len(rngs), dtype=np.int64)
+        self.record = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def stop_time(self, threshold: float) -> int | None:
-        """Steps to the first alarm at ``threshold``, or None at the cap."""
-        if self.top < threshold:
-            self._extend(threshold)
-        j = bisect_left(self.heights, threshold)
-        return self.epochs[j] if j < len(self.heights) else None
+    def stop_times(
+        self, threshold: float, give_up: Callable[[float], bool] | None = None
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Steps to each run's first alarm at ``threshold``, and the mask of capped runs.
 
-    def _extend(self, threshold: float) -> None:
-        config = self.config
-        top = self.top
-        paths: list[np.ndarray] = []  # from the first block with a new maximum on
-        while top < threshold and self.steps < self.cap:
-            block = min(_BLOCK, self.cap - self.steps)
-            z = config.log_increments(config.sample(self.rng, block, self.regime))
-            path = _path(config.kind, self.state, z)
-            peak = np.fmax.reduce(path)  # fmax skips NaN, which never alarms
-            if paths or peak > top:
-                paths.append(path)
-            if peak > top:
-                top = float(peak)
-            self.state = float(path[-1])
-            self.steps += block
-        if paths:
-            # one record update per extension, not per block, keeps it cheap
-            values = np.concatenate(([self.top], *paths))
-            ahead = np.fmax.accumulate(values)
-            new = np.nonzero(values[1:] > ahead[:-1])[0]
-            self.heights.frombytes(values[1:][new].tobytes())
-            new += self.steps - values.size + 2  # values[1:] ends at step self.steps
-            self.epochs.frombytes(new.astype(np.int64, copy=False).tobytes())
-            self.top = top
-
-
-def _runs(
-    config: DetectorConfig, spec: CalibrationSpec, regime: str, stream: int
-) -> Iterator[_Run]:
-    """Fresh runs of replications ``0 .. replications - 1`` of one stream."""
-    for r in range(spec.replications):
-        yield _Run(config, regime, spec.run_cap, substream(spec.seed, stream, r))
-
-
-def _evaluate(
-    runs: Iterable[_Run],
-    spec: CalibrationSpec,
-    metric: str,
-    threshold: float,
-    give_up: Callable[[float], bool] | None = None,
-) -> PerformanceEstimate | None:
-    """Mean stopping time over ``runs``, summed in replication order.
-
-    Capped runs count at the cap.  With ``give_up``, the sum stops and None
-    is returned as soon as ``give_up(partial sum / replications)`` holds;
-    the full mean can only be larger than that partial mean.
-    """
-    n = spec.replications
-    times = np.empty(n)
-    total = 0
-    cap_hits = 0
-    for r, run in enumerate(runs):
-        t = run.stop_time(threshold)
-        if t is None:
-            cap_hits += 1
-            t = run.cap
-        times[r] = t
-        total += t
-        if give_up is not None and give_up(total / n):
+        Both are shaped like ``states``; a capped run counts ``cap`` steps.  Each
+        round draws a block of every row with a run short of ``threshold`` and
+        of the cap, ``_ROWS`` rows per array.  With ``give_up``, None is returned
+        once ``give_up`` holds for a lower bound on the mean: after each round a
+        run still going counts its drawn steps plus one (at most ``cap``) and
+        any other run one; at the end, the exact mean.
+        """
+        n = self.state.size
+        while True:
+            steps = self.drawn[self.row]
+            going = self.top < threshold
+            if give_up is not None and give_up(
+                (int(np.minimum(steps[going], self.cap - 1).sum()) + n) / n
+            ):
+                return None
+            rows = np.unique(self.row[going & (steps < self.cap)])
+            if not rows.size:
+                break
+            for lo in range(0, rows.size, _ROWS):
+                self._advance(rows[lo : lo + _ROWS])
+        if self.pending:  # one concatenation per query
+            self.record = tuple(map(np.concatenate, zip(self.record, *self.pending)))
+            self.pending.clear()
+        run, step, height = self.record
+        hit = height >= threshold
+        alarmed, first = np.unique(run[hit], return_index=True)
+        times = np.full(n, self.cap, dtype=np.int64)
+        times[alarmed] = step[hit][first]
+        capped = np.ones(n, dtype=bool)
+        capped[alarmed] = False
+        if give_up is not None and give_up(int(times.sum()) / n):
             return None
-    return _estimate(metric, times, cap_hits, threshold)
+        return times.reshape(self.shape), capped.reshape(self.shape)
+
+    def _advance(self, rows: np.ndarray) -> None:
+        """Draw one full block for each of ``rows`` and advance every run of theirs.
+
+        The generator's first normals are the same whatever the block size,
+        so a block that overruns the cap moves no stopping time; its steps
+        past the cap enter neither the record nor ``top``.
+        """
+        z = _draw(self.config, [self.rngs[i] for i in rows], _BLOCK, self.regime)
+        starts = self.state.size // self.drawn.size
+        runs = (np.arange(starts)[:, None] * self.drawn.size + rows).ravel()
+        path = _path(self.config.kind, self.state[runs], np.tile(z, (starts, 1)))
+        self.state[runs] = path[:, -1]
+        steps = self.drawn[self.row[runs]]
+        left = self.cap - steps
+        if left.min() < _BLOCK:
+            path[np.arange(_BLOCK) >= left[:, None]] = np.nan  # fmax skips NaN
+        top = self.top[runs]
+        ahead = np.fmax(top[:, None], np.fmax.accumulate(path, axis=1))
+        new = np.empty(path.shape, dtype=bool)
+        new[:, 0] = path[:, 0] > top
+        np.greater(path[:, 1:], ahead[:, :-1], out=new[:, 1:])
+        r, c = np.nonzero(new)
+        self.pending.append((runs[r], steps[r] + c + 1, path[r, c]))
+        self.top[runs] = ahead[:, -1]
+        self.drawn[rows] += _BLOCK
 
 
 def _estimate(
-    metric: str, times: np.ndarray, cap_hits: int, threshold: float
+    metric: str, threshold: float, times: np.ndarray, capped: np.ndarray
 ) -> PerformanceEstimate:
     value, se = mean_se(times)
-    return PerformanceEstimate(
-        metric=metric,
-        value=value,
-        std_error=se,
-        replications=times.size,
-        threshold=threshold,
-        cap_hits=cap_hits,
-    )
+    return PerformanceEstimate(metric, value, se, times.size, threshold, int(capped.sum()))
 
 
-def _chunks(spec: CalibrationSpec) -> Iterator[range]:
-    """Replication indices in runs of at most ``_ROWS``, in order."""
-    for lo in range(0, spec.replications, _ROWS):
-        yield range(lo, min(lo + _ROWS, spec.replications))
+def _by_chunks(
+    spec: CalibrationSpec, simulate: Callable[[range], tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``simulate`` on runs of at most ``_ROWS`` replications, joined in order."""
+    n = spec.replications
+    times, capped = zip(*(simulate(range(lo, min(lo + _ROWS, n))) for lo in range(0, n, _ROWS)))
+    return np.concatenate(times, axis=-1), np.concatenate(capped, axis=-1)
 
 
 def _draw(
@@ -302,44 +295,6 @@ def _draw(
 ) -> np.ndarray:
     """The next ``n`` log increments of each generator's stream, as rows."""
     return config.log_increments(np.stack([config.sample(rng, n, regime) for rng in rngs]))
-
-
-def _first_crossings(
-    config: DetectorConfig,
-    threshold: float,
-    cap: int,
-    rngs: list[np.random.Generator],
-    regime: str,
-    states: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steps to the first alarm from each start state, capped at ``cap``.
-
-    ``states`` has shape ``(starts, rows)``, and every start state of row
-    ``i`` reads the draws of ``rngs[i]``.  A row draws its stream once, in
-    ``_BLOCK``-step blocks as a single fresh run does, for as long as any of
-    its start states has not alarmed.  Returns the steps (``cap`` where
-    capped) and the mask of capped runs, both shaped like ``states``.
-    """
-    rows = states.shape[1]
-    state = states.astype(float).ravel()  # start s of row i is entry s * rows + i
-    times = np.full(state.size, cap, dtype=np.int64)
-    capped = np.ones(state.size, dtype=bool)
-    live = np.arange(state.size)
-    consumed = 0
-    while live.size and consumed < cap:
-        block = min(_BLOCK, cap - consumed)
-        row = live % rows
-        drawn = np.unique(row)
-        z = _draw(config, [rngs[i] for i in drawn], block, regime)
-        path = _path(config.kind, state[live], z[np.searchsorted(drawn, row)])
-        hit = path >= threshold
-        found = hit.any(axis=1)
-        times[live[found]] = consumed + 1 + hit.argmax(axis=1)[found]
-        capped[live[found]] = False
-        state[live] = path[:, -1]
-        live = live[~found]
-        consumed += block
-    return times.reshape(states.shape), capped.reshape(states.shape)
 
 
 def _fresh_start_estimate(
@@ -350,17 +305,13 @@ def _fresh_start_estimate(
     regime: str,
     stream: int,
 ) -> PerformanceEstimate:
-    # one threshold: only first crossings, no ladder records
     check_threshold(threshold)
-    times = np.empty(spec.replications)
-    capped = np.empty(spec.replications, dtype=bool)
-    for rows in _chunks(spec):
+
+    def simulate(rows: range) -> tuple[np.ndarray, np.ndarray]:
         rngs = [substream(spec.seed, stream, r) for r in rows]
-        t, c = _first_crossings(
-            config, threshold, spec.run_cap, rngs, regime, np.zeros((1, len(rows)))
-        )
-        times[rows.start : rows.stop], capped[rows.start : rows.stop] = t[0], c[0]
-    est = _estimate(metric, times, int(capped.sum()), threshold)
+        return _Runs(config, regime, spec.run_cap, rngs, np.zeros(len(rows))).stop_times(threshold)
+
+    est = _estimate(metric, threshold, *_by_chunks(spec, simulate))
     if est.cap_hits > 0.01 * spec.replications:
         raise CalibrationError(
             f"{est.cap_hits}/{spec.replications} runs hit the {spec.run_cap}-step "
@@ -410,9 +361,8 @@ def _stadd_delays(
         state, _ = _advance_with_resets(config.kind, state, z, threshold)
         if lo + z.shape[1] == nu:
             at_nu = state
-    return _first_crossings(
-        config, threshold, spec.run_cap, post, "post", np.stack([at_nu, state])
-    )
+    runs = _Runs(config, "post", spec.run_cap, post, np.stack([at_nu, state]))
+    return runs.stop_times(threshold)
 
 
 def estimate_stadd(
@@ -425,17 +375,12 @@ def estimate_stadd(
     ``2 * hypot(se_nu, se_2nu)``, otherwise the call fails.  Both estimates
     read the same streams, so each replication's walk to ``nu`` is the
     first half of its walk to ``2 * nu`` and its post-change draws serve
-    both; replications are simulated together in runs of ``_ROWS`` rows.
+    both: the two post-change runs of a replication are one row of a store
+    of runs.  Replications are simulated together in runs of ``_ROWS`` rows.
     """
     check_threshold(threshold)
-    delays = np.empty((2, spec.replications))
-    capped = np.empty((2, spec.replications), dtype=bool)
-    for rows in _chunks(spec):
-        d, c = _stadd_delays(config, threshold, spec, rows)
-        delays[:, rows.start : rows.stop], capped[:, rows.start : rows.stop] = d, c
-    est, check = (
-        _estimate("stadd", d, int(c.sum()), threshold) for d, c in zip(delays, capped)
-    )
+    delays, capped = _by_chunks(spec, lambda rows: _stadd_delays(config, threshold, spec, rows))
+    est, check = (_estimate("stadd", threshold, d, c) for d, c in zip(delays, capped))
     for e in (est, check):
         if e.cap_hits > 0.01 * spec.replications:
             raise CalibrationError(
@@ -463,17 +408,20 @@ def solve_threshold(
     runs on the log threshold under common random numbers until the ARL
     lands within ``relative_tolerance`` of gamma.  Deterministic given the spec.
 
-    Every evaluation reads the same store of ladder records, one path per
-    replication, so the search draws each path once, as far as its highest
-    threshold needs.  An evaluation sums the stopping times in replication
-    order and stops as soon as the partial sum puts the mean above
-    ``gamma`` plus the tolerance: the full mean could only be larger, so
-    the search takes the branch a full evaluation would.  Only complete
-    estimates enter the monotonicity check and can be accepted.
+    Every evaluation reads the same store of runs, one per replication, so
+    the search draws each path once, as far as its highest threshold needs.
+    An evaluation draws a block of every row still short of the threshold
+    per round, ``_ROWS`` rows per array, so all rows advance in lockstep.
+    After each round it bounds the total steps from below and stops as
+    soon as that bound puts the mean above ``gamma`` plus the tolerance:
+    the full mean could only be larger, so the search takes the branch a
+    full evaluation would.  Only complete estimates enter the monotonicity
+    check and can be accepted.
     """
     gamma = spec.gamma
     tol = spec.relative_tolerance * gamma
-    runs = list(_runs(config, spec, "pre", _STREAM_ARL))  # one path each, for the whole search
+    rngs = [substream(spec.seed, _STREAM_ARL, r) for r in range(spec.replications)]
+    runs = _Runs(config, "pre", spec.run_cap, rngs, np.zeros(spec.replications))
     evaluations: dict[float, PerformanceEstimate] = {}
 
     def arl_at(threshold: float) -> PerformanceEstimate | None:
@@ -483,8 +431,9 @@ def solve_threshold(
         # None means the partial sum already put the mean above gamma + tol.
         est = evaluations.get(threshold)
         if est is None:
-            est = _evaluate(runs, spec, "arl", threshold, lambda mean: mean - gamma > tol)
-            if est is not None:
+            answer = runs.stop_times(threshold, lambda mean: mean - gamma > tol)
+            if answer is not None:
+                est = _estimate("arl", threshold, *answer)
                 evaluations[threshold] = est
                 _check_monotone(evaluations)
         return est

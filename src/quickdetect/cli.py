@@ -325,6 +325,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value may fill a field of this annotation (a bool is no number)."""
+    base, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if base == "tuple[int, ...]":  # lags, as a list or as "1,2,3"
+        return isinstance(value, str) or (
+            isinstance(value, list) and all(_fits(k, "int") for k in value)
+        )
+    if isinstance(value, bool):
+        return base == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[base])
+
+
+def _check_file_types(loaded: dict, path: Path) -> None:
+    """Reject config-file values whose JSON type does not fit their field."""
+    annotations = {f.name: f.type for f in fields(RunConfig)} | {"schema": "str"}
+    for key, value in loaded.items():
+        if key in annotations and not _fits(value, annotations[key]):
+            raise ValueError(
+                f"config file {path}: {key!r} takes {annotations[key]}, got {json.dumps(value)}"
+            )
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags, merge an optional config file (flags win), validate."""
     parser = build_parser()
@@ -343,6 +367,7 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ValueError(f"config file {path} is not valid JSON: {err}") from err
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
+        _check_file_types(loaded, path)
         merged.update(loaded)
     merged.update(given)
     if "schema" in merged:

@@ -365,37 +365,63 @@ LADDERS = {
 }
 
 
+def fresh_runs(config, spec, regime="pre", stream=calib._STREAM_ARL):
+    """One store over every replication of ``stream``, all starting at zero."""
+    rngs = [substream(spec.seed, stream, r) for r in range(spec.replications)]
+    return calib._Runs(config, regime, spec.run_cap, rngs, np.zeros(spec.replications))
+
+
+def as_optional(times, capped):
+    """Stop times as the oracle gives them: None where capped."""
+    return [None if c else int(t) for t, c in zip(times, capped)]
+
+
+class FixedStream:
+    """Stands in for a generator: zeros, with a single 1.0 at step ``alarm``."""
+
+    def __init__(self, alarm):
+        self.alarm = alarm
+        self.steps = 0
+
+    def normal(self, loc, scale, size):
+        steps = np.arange(self.steps + 1, self.steps + size + 1)
+        self.steps += size
+        return (steps == self.alarm).astype(float)
+
+
 class TestLadderStore:
-    """One path per replication answers every threshold as a fresh run does."""
+    """One path per run answers every threshold as a fresh run does."""
 
     @pytest.mark.parametrize("kind,mode", sorted(LADDERS))
     def test_stop_times_match_fresh_runs_in_any_order(self, kind, mode):
         config = detector(kind, mode)
-        spec = CalibrationSpec(gamma=5.0, replications=40, seed=3)
         thresholds = [float(t) for t in LADDERS[kind, mode]]
-        expected = {
-            t: [
-                first_crossing(
-                    config, t, substream(3, calib._STREAM_ARL, r), spec.run_cap, "pre"
-                )
-                for r in range(spec.replications)
-            ]
-            for t in thresholds
-        }
-        answers = [t for times in expected.values() for t in times]
-        assert None in answers  # some runs reach the cap ...
-        assert any(t is not None for t in answers)  # ... and some alarm
         shuffled = list(np.random.default_rng(5).permutation(thresholds))
-        for order in (thresholds, thresholds[::-1], shuffled):
-            runs = list(calib._runs(config, spec, "pre", calib._STREAM_ARL))
-            for t in order:
-                assert [run.stop_time(t) for run in runs] == expected[t], (order, t)
+        # one array of rows, and several with a partial last one
+        for replications in (40, calib._ROWS + 37):
+            spec = CalibrationSpec(gamma=5.0, replications=replications, seed=3)
+            expected = {
+                t: [
+                    first_crossing(
+                        config, t, substream(3, calib._STREAM_ARL, r), spec.run_cap, "pre"
+                    )
+                    for r in range(spec.replications)
+                ]
+                for t in thresholds
+            }
+            answers = [t for times in expected.values() for t in times]
+            assert None in answers  # some runs reach the cap ...
+            assert any(t is not None for t in answers)  # ... and some alarm
+            for order in (thresholds, thresholds[::-1], shuffled):
+                runs = fresh_runs(config, spec)
+                for t in order:
+                    assert as_optional(*runs.stop_times(t)) == expected[t], (order, t)
 
     @pytest.mark.parametrize("kind,threshold", [("cusum", 4.0), ("sr", 60.0)])
     def test_one_shot_estimates_match_fresh_runs(self, kind, threshold):
         config = detector(kind, "exact")
         # one row chunk, and more than one with a partial last chunk
-        for replications in (200, calib._ROWS + 37):
+        for replications in (40, 200, calib._ROWS + 37):
             spec = CalibrationSpec(gamma=50.0, replications=replications, seed=4)
             for estimate, regime, stream in (
                 (estimate_arl, "pre", calib._STREAM_ARL),
@@ -407,43 +433,38 @@ class TestLadderStore:
 
     def test_record_answers_without_drawing(self, unit_shift_model):
         config = DetectorConfig(kind="cusum", model=unit_shift_model)
-        spec = CalibrationSpec(gamma=50.0, replications=30, seed=2)
-        runs = list(calib._runs(config, spec, "pre", calib._STREAM_ARL))
-        high = [run.stop_time(4.0) for run in runs]
-        drawn = [run.steps for run in runs]
-        low = [run.stop_time(1.0) for run in runs]
-        assert [run.steps for run in runs] == drawn
-        assert all(a <= b for a, b in zip(low, high))
+        spec = CalibrationSpec(gamma=50.0, replications=calib._ROWS + 37, seed=2)
+        runs = fresh_runs(config, spec)
+        high, _ = runs.stop_times(4.0)
+        drawn = runs.drawn.copy()
+        low, _ = runs.stop_times(1.0)
+        np.testing.assert_array_equal(runs.drawn, drawn)
+        assert np.all(low <= high)
 
     @pytest.mark.parametrize(
-        "times,gives_up,answered",
+        "times,gives_up,blocks",
         [
-            ([12, 12, 12, 12], False, 4),  # mean exactly gamma + tol
-            ([45, 1, 1, 1], False, 4),  # partial means 11.25, 11.5, 11.75, 12
-            ([12, 12, 12, 13], True, 4),  # 12.25 only once all are in
-            ([49, 1, 1, 1], True, 1),  # 49 / 4 > 12 after the first run
+            ([997, 1, 1, 1], False, 4),  # mean exactly gamma + tol
+            ([900, 50, 49, 1], False, 4),
+            ([997, 1, 1, 2], True, 4),  # 250.25 only once all are in
+            ([1000, 1000, 1000, 1000], True, 1),  # every run past step 256
         ],
     )
-    def test_give_up_boundary(self, times, gives_up, answered):
-        class Fixed:
-            cap = 100
-
-            def __init__(self, t):
-                self.t = t
-
-            def stop_time(self, threshold):
-                asked.append(threshold)
-                return self.t
-
-        asked = []
-        spec = CalibrationSpec(gamma=10.0, replications=4, relative_tolerance=0.2)
-        est = calib._evaluate(
-            [Fixed(t) for t in times], spec, "arl", 1.0, lambda m: m - 10.0 > 2.0
+    def test_give_up_boundary(self, times, gives_up, blocks):
+        # a run alarms at the one step whose increment is 1.0; the bound
+        # after a round counts a run still going at its drawn steps plus one
+        config = DetectorConfig(
+            kind="cusum", model=GaussianChangeModel(0.0, 1.0, 1.0, 1.0), increment_fn=lambda x: x
         )
-        assert (est is None) == gives_up
-        assert len(asked) == answered
-        if est is not None:
-            assert est.value == np.mean(times)
+        gamma, tol = 200.0, 50.0
+        runs = calib._Runs(
+            config, "pre", 20_000, [FixedStream(t) for t in times], np.zeros(len(times))
+        )
+        answer = runs.stop_times(1.0, lambda m: m - gamma > tol)
+        assert (answer is None) == gives_up
+        assert runs.drawn.max() == blocks * _BLOCK
+        if answer is not None:
+            assert list(answer[0]) == times and not answer[1].any()
 
     @pytest.mark.parametrize("kind", ["cusum", "sr"])
     def test_give_up_exactly_when_the_full_mean_is_above(self, kind):
@@ -452,19 +473,20 @@ class TestLadderStore:
         config = detector(kind, "score")
         spec = CalibrationSpec(gamma=25.0, replications=200, seed=7)
         gamma, tol = spec.gamma, spec.relative_tolerance * spec.gamma
-        runs = list(calib._runs(config, spec, "pre", calib._STREAM_ARL))
+        runs = fresh_runs(config, spec)
         # around the solutions, h = 0.32 and A = 22
         lo, hi = {"cusum": (0.16, 0.65), "sr": (11.0, 44.0)}[kind]
         thresholds = np.geomspace(lo, hi, 25)
         outcomes = set()
         for t in map(float, thresholds):
             value, se, cap_hits = oracle_mean(config, t, spec)
-            est = calib._evaluate(runs, spec, "arl", t, lambda m: m - gamma > tol)
+            answer = runs.stop_times(t, lambda m: m - gamma > tol)
             if value - gamma > tol:
-                assert est is None, t
+                assert answer is None, t
             else:
-                assert (est.value, est.std_error, est.cap_hits) == (value, se, cap_hits)
-            outcomes.add("above" if est is None else "full")
+                times, capped = answer
+                assert calib.mean_se(times) + (capped.sum(),) == (value, se, cap_hits)
+            outcomes.add("above" if answer is None else "full")
         assert outcomes == {"above", "full"}
 
     @pytest.mark.parametrize("kind", ["cusum", "sr"])
@@ -484,28 +506,28 @@ class TestLadderStore:
             return real_substream(*key)
 
         outcomes = []
-        real_evaluate = calib._evaluate
+        real_stop_times = calib._Runs.stop_times
 
-        def recording_evaluate(runs, spec, metric, threshold, give_up=None):
+        def recording_stop_times(runs, threshold, give_up=None):
             # the rule of the "above gamma + tol" branch, float for float
             tol = spec.relative_tolerance * spec.gamma
             means = [spec.gamma + tol]
             for _ in range(3):
                 means = [np.nextafter(means[0], 0.0), *means, np.nextafter(means[-1], np.inf)]
             assert [give_up(m) for m in means] == [m - spec.gamma > tol for m in means]
-            outcomes.append(real_evaluate(runs, spec, metric, threshold, give_up))
+            outcomes.append(real_stop_times(runs, threshold, give_up))
             # each evaluation gives up exactly where the full mean is above
             # gamma + tol, and otherwise equals the full evaluation
             value, se, cap_hits = oracle_mean(config, threshold, spec)
-            if value - spec.gamma > spec.relative_tolerance * spec.gamma:
+            if value - spec.gamma > tol:
                 assert outcomes[-1] is None, threshold
             else:
-                est = outcomes[-1]
-                assert (est.value, est.std_error, est.cap_hits) == (value, se, cap_hits)
+                times, capped = outcomes[-1]
+                assert calib.mean_se(times) + (capped.sum(),) == (value, se, cap_hits)
             return outcomes[-1]
 
         monkeypatch.setattr(calib, "substream", counting_substream)
-        monkeypatch.setattr(calib, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(calib._Runs, "stop_times", recording_stop_times)
         threshold, est = solve_threshold(config, spec)
         assert (threshold, est.value, est.std_error, est.cap_hits) == expected
         assert len(generators) == spec.replications
@@ -513,6 +535,29 @@ class TestLadderStore:
             # the theory bracket log(gamma) is far above gamma here: the
             # first evaluation gives up early
             assert outcomes[0] is None
+
+    def test_give_up_advances_every_row_in_lockstep(self, monkeypatch):
+        # h = log gamma puts the HST score CUSUM's ARL far above gamma; the
+        # first evaluation gives up once the rows together have drawn past
+        # gamma + tol, so no array of rows runs on alone to its alarms
+        config = detector("cusum", "score")
+        spec = CalibrationSpec(gamma=1000.0, replications=3 * calib._ROWS + 5, seed=1)
+        tol = spec.relative_tolerance * spec.gamma
+        first = []
+        real_stop_times = calib._Runs.stop_times
+
+        def recording_stop_times(runs, threshold, give_up=None):
+            answer = real_stop_times(runs, threshold, give_up)
+            if not first:
+                first.append((threshold, answer, runs.drawn.copy()))
+            return answer
+
+        monkeypatch.setattr(calib._Runs, "stop_times", recording_stop_times)
+        solve_threshold(config, spec)
+        threshold, answer, drawn = first[0]
+        assert threshold == math.log(spec.gamma)
+        assert answer is None
+        assert drawn.max() <= (math.ceil((spec.gamma + tol) / _BLOCK) + 1) * _BLOCK
 
 
 def stadd_delay_loop(config, threshold, rng_pre, rng_post, nu, cap):

@@ -158,6 +158,37 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="JSON object"):
             cli.parse_config(["returns", "--config", str(path)])
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seed", "1"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("multi_cyclic", "no"),
+            ("multi_cyclic", 0),
+            ("gamma", "100"),
+            ("gamma", False),
+            ("bins", None),
+            ("lags", [1, "2"]),
+            ("input", 5),
+            ("schema", {"date": "Day"}),
+        ],
+    )
+    def test_wrong_value_type_is_usage_error(self, price_csv, tmp_path, capsys, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        code = run_cli(["returns", "--input", str(price_csv), "--config", str(path)], tmp_path)
+        assert code == 2
+        assert f"usage error: config file {path}: {key!r} takes" in capsys.readouterr().err
+
+    def test_value_types_that_fit(self, tmp_path):
+        path = tmp_path / "run.json"
+        values = {"gamma": 100, "mu_pre": None, "multi_cyclic": True, "lags": "2,4", "seed": 3}
+        path.write_text(json.dumps(values))
+        config = cli.parse_config(["simulate", "--config", str(path)])
+        assert (config.gamma, config.mu_pre, config.multi_cyclic) == (100, None, True)
+        assert (config.lags, config.seed) == ((2, 4), 3)
+
 
 class TestRunConfigValidation:
     def test_bad_kind(self):
