@@ -24,7 +24,6 @@ Exit codes: 0 success, 1 runtime failure (bad data, failed estimation),
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -40,6 +39,8 @@ from . import calib, detect, models, offline, renewal, series
 
 _FLOAT = lambda text: float(text)  # noqa: E731 - argparse type alias
 _KIND_CHOICES = detect.KINDS + ("both",)
+#: rows :func:`emit` turns into text at a time
+_EMIT_ROWS = 4096
 
 
 class UsageError(ValueError):
@@ -137,15 +138,23 @@ class ReportEntry:
 class Report:
     """Results of one run: named sections of entries plus CSV-bound tables.
 
-    Table cells are Python ``int``, ``float`` or ``str``; :func:`emit` hands
-    the rows straight to :mod:`csv`, which writes a float as its ``repr``.
+    A table is ``(name, header, columns)``: equal-length columns (lists or
+    ranges) of Python ``int``, ``float`` or ``str`` cells.  :func:`emit`
+    writes the bytes :mod:`csv` would, a float as its ``repr`` and ``\\r\\n``
+    after each row, a block of rows at a time; a ``str`` cell that csv would
+    quote is refused instead.
     """
 
     command: str
     config: RunConfig
     sections: tuple[tuple[str, tuple[ReportEntry, ...]], ...]
-    tables: tuple[tuple[str, tuple[str, ...], tuple[tuple, ...]], ...] = ()
+    tables: tuple[tuple[str, tuple[str, ...], tuple], ...] = ()
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name, header, columns in self.tables:
+            if len(columns) != len(header) or len({len(c) for c in columns}) != 1:
+                raise ValueError(f"table {name!r} needs one equal-length column per header")
 
     @property
     def config_hash(self) -> str:
@@ -187,10 +196,20 @@ class Report:
                 title: [asdict(entry) for entry in entries]
                 for title, entries in self.sections
             },
-            "tables": {name: len(rows) for name, _, rows in self.tables},
+            "tables": {name: len(columns[0]) for name, _, columns in self.tables},
             "notes": list(self.notes),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_rows(name: str, columns) -> str:
+    """One or more rows of equal-length cell columns as ``csv.writer`` writes them."""
+    cells = [list(map(str, column)) for column in columns]
+    for text in cells:
+        joined = "".join(text)
+        if any(mark in joined for mark in ',"\r\n'):
+            raise ValueError(f"table {name!r} has a cell that CSV would quote")
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def emit(report: Report, destination: str | Path) -> list[Path]:
@@ -205,12 +224,13 @@ def emit(report: Report, destination: str | Path) -> list[Path]:
     json_path = destination / f"{stem}.report.json"
     json_path.write_text(report.render_json())
     paths.append(json_path)
-    for name, header, rows in report.tables:
+    for name, header, columns in report.tables:
         table_path = destination / f"{stem}.{name}.csv"
         with table_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+            handle.write(_csv_rows(name, [[cell] for cell in header]))
+            for start in range(0, len(columns[0]), _EMIT_ROWS):
+                block = [column[start : start + _EMIT_ROWS] for column in columns]
+                handle.write(_csv_rows(name, block))
         paths.append(table_path)
     return paths
 
@@ -451,12 +471,12 @@ def _cmd_returns(config: RunConfig) -> Report:
         ReportEntry("mean", moments.mean, "price units"),
         ReportEntry("sd", moments.sd, "price units"),
     )
-    table_rows = tuple(zip(map(date.isoformat, dates), returns.values.tolist()))
+    columns = (list(map(date.isoformat, dates)), returns.values.tolist())
     return Report(
         command="returns",
         config=config,
         sections=(("series", entries),),
-        tables=(("returns", ("date", "difference"), table_rows),),
+        tables=(("returns", ("date", "difference"), columns),),
     )
 
 
@@ -501,35 +521,25 @@ def _cmd_diagnose(config: RunConfig) -> Report:
         (
             "acf",
             ("lag", "autocorrelation", "band"),
-            tuple(
-                (k, v, band) for k, v in zip(correl.lags.tolist(), correl.values.tolist())
-            ),
+            (correl.lags.tolist(), correl.values.tolist(), [band] * correl.lags.size),
         ),
         (
             "histogram",
             ("left_edge", "right_edge", "count"),
-            tuple(
-                zip(
-                    bundle.histogram.edges[:-1].tolist(),
-                    bundle.histogram.edges[1:].tolist(),
-                    bundle.histogram.counts.tolist(),
-                )
+            (
+                bundle.histogram.edges[:-1].tolist(),
+                bundle.histogram.edges[1:].tolist(),
+                bundle.histogram.counts.tolist(),
             ),
         ),
         (
             "qq",
             ("theoretical", "empirical"),
-            tuple(zip(bundle.qq.theoretical.tolist(), bundle.qq.empirical.tolist())),
+            (bundle.qq.theoretical.tolist(), bundle.qq.empirical.tolist()),
         ),
     ]
     for lag, (x, y) in bundle.lag_pairs.items():
-        tables.append(
-            (
-                f"lag{lag}",
-                ("x", "y"),
-                tuple(zip(x.tolist(), y.tolist())),
-            )
-        )
+        tables.append((f"lag{lag}", ("x", "y"), (x.tolist(), y.tolist())))
     return Report(
         command="diagnose",
         config=config,
@@ -567,12 +577,12 @@ def _cmd_segment(config: RunConfig) -> Report:
         + (f" (split at {d.split_at})" if d.split_at is not None else "")
         for d in result.decisions
     )
-    table_rows = tuple(zip(trace.split_indices.tolist(), trace.values.tolist()))
+    columns = (trace.split_indices.tolist(), trace.values.tolist())
     return Report(
         command="segment",
         config=config,
         sections=(("estimate", tuple(entries)), ("segments", tuple(seg_entries))),
-        tables=(("bd-trace", ("split", "statistic"), table_rows),),
+        tables=(("bd-trace", ("split", "statistic"), columns),),
         notes=notes,
     )
 
@@ -714,8 +724,9 @@ def _cmd_detect(config: RunConfig) -> Report:
         size = trace.statistics.size
         flags = np.zeros(size, dtype=int)
         flags[[a.global_time - 1 for a in trace.alarms]] = 1
-        rows = zip(range(1, size + 1), iso_dates, trace.statistics.tolist(), flags.tolist())
-        tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), tuple(rows)))
+        # a single run stops at its first alarm, before the dates run out
+        columns = (range(1, size + 1), iso_dates[:size], trace.statistics.tolist(), flags.tolist())
+        tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), columns))
     if not ran_any:
         raise UsageError(
             "no detector to run: give --threshold-h (cusum) and/or --threshold-a (sr)"

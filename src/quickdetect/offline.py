@@ -16,15 +16,24 @@ significance threshold and both children are at least ``min_segment`` long.
 When no explicit threshold is given, each segment gets a Monte Carlo null
 threshold: the 95th percentile of ``max |Y|`` over synthetic i.i.d. Gaussian
 series with that segment's fitted moments; its normal draws are most of the cost.
+One worker thread draws the next batch of null series while the calling
+thread scans the current one (numpy releases the interpreter lock in both),
+so on two cores the draws hide the scan; the two batch buffers hold at most
+``2 * _NULL_BLOCK`` doubles (8 MiB).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import MomentEstimate, estimate_moments, _freeze, _values_of
+
+#: elements in one batch of null series; each of the two batch buffers holds
+#: ``max(1, _NULL_BLOCK // length)`` replications, at most ``replications``
+_NULL_BLOCK = 2**19
 
 
 @dataclass(frozen=True)
@@ -131,18 +140,44 @@ def null_threshold(
     scale equivariant, so standard normal draws are simulated and the
     order-statistic quantile is scaled by ``sd``.  The cost is in the
     ``replications * length`` draws: ``Y`` reuses one set of weights and buffers.
+
+    Replications are drawn in batches into two buffers of
+    ``min(replications, max(1, _NULL_BLOCK // length))`` rows.  A worker
+    thread fills one buffer while this thread scans the other, and a buffer
+    is refilled only after its scan ends.  The worker is the only caller of
+    the one generator and fills the batches in order, and a row of a batch
+    holds the draws that one ``standard_normal(length)`` call would return,
+    so every maximum, and the threshold, is bit-equal to drawing and
+    scanning one replication at a time.
     """
     if length < 2:
         raise ValueError("need at least two observations")
     if replications < 1:
         raise ValueError("replications must be positive")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    if not (math.isfinite(sd) and sd >= 0.0):
+        raise ValueError(f"sd must be finite and non-negative, got {sd!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, length, replications]))
+    rows = min(replications, max(1, _NULL_BLOCK // length))
+    batches = np.empty((2, rows, length))
     sizes = _split_sizes(length)
-    draws, sums, values = np.empty(length), np.empty(length), np.empty(length - 1)
+    sums, values = np.empty(length), np.empty(length - 1)
     maxima = np.empty(replications)
-    for r in range(replications):
-        _trace_into(rng.standard_normal(out=draws), sizes, sums, values)
-        maxima[r] = np.max(np.abs(values, out=values))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        filling = pool.submit(rng.standard_normal, out=batches[0])
+        for index, start in enumerate(range(0, replications, rows)):
+            batch = filling.result()
+            after = start + rows
+            if after < replications:
+                following = batches[1 - index % 2, : replications - after]
+                filling = pool.submit(rng.standard_normal, out=following)
+            for r, draws in enumerate(batch, start):
+                _trace_into(draws, sizes, sums, values)
+                maxima[r] = np.max(np.abs(values, out=values))
     maxima.sort()
     # conservative ceil((R+1)*level) order statistic
     k = min(replications, int(np.ceil((replications + 1) * level)))
@@ -169,7 +204,7 @@ def bd_segment(
         raise ValueError("need at least two observations to segment")
     if min_segment < 2:
         raise ValueError("min_segment must be at least 2")
-    if significance_threshold is not None and significance_threshold <= 0.0:
+    if significance_threshold is not None and not significance_threshold > 0.0:
         raise ValueError("significance_threshold must be positive")
     change_points: list[int] = []
     decisions: list[SegmentDecision] = []

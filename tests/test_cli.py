@@ -219,7 +219,7 @@ class TestReportRendering:
             ReportEntry("count", 3, "observations"),
             ReportEntry("mean", 0.25, "price units", 0.125),
         )
-        table = ("tbl", ("a", "b"), ((1, 0.1), (2, 0.2)))
+        table = ("tbl", ("a", "b"), ([1, 2], [0.1, 0.2]))
         return Report(
             command="returns",
             config=config,
@@ -275,6 +275,13 @@ class TestReportRendering:
         csv_lines = (paths[-1]).read_text().splitlines()
         assert csv_lines[0] == "a,b"
         assert csv_lines[1] == "1,0.1"  # repr() keeps floats exact
+
+    def test_unequal_columns_refused(self):
+        config = RunConfig(command="returns")
+        with pytest.raises(ValueError, match="'tbl'"):
+            Report("returns", config, (), tables=(("tbl", ("a", "b"), ([1, 2], [0.1])),))
+        with pytest.raises(ValueError, match="'tbl'"):
+            Report("returns", config, (), tables=(("tbl", ("a", "b"), ([1, 2],)),))
 
 
 class TestExitCodes:
@@ -353,6 +360,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--train-end must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_segment_threshold_not_positive(self, price_csv, tmp_path, capsys, threshold):
+        code = run_cli(
+            ["segment", "--input", str(price_csv), "--bd-threshold", threshold], tmp_path / "o"
+        )
+        assert code == 1
+        assert "significance_threshold must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_emitted_paths_printed(self, price_csv, tmp_path, capsys):
@@ -649,10 +665,13 @@ class TestTableBytes:
     def assert_tables(self, args, out, expected):
         report = cli.execute(cli.parse_config(args))
         cli.emit(report, out)
-        assert {name: len(rows) for name, _, rows in report.tables} == {
+        assert {name: len(columns[0]) for name, _, columns in report.tables} == {
             name: len(rows) for name, (_, rows) in expected.items()
         }
-        cells = {type(v) for _, _, rows in report.tables for row in rows for v in row}
+        for _, header, columns in report.tables:
+            assert len(columns) == len(header)
+            assert {len(column) for column in columns} == {len(columns[0])}
+        cells = {type(v) for _, _, columns in report.tables for column in columns for v in column}
         assert cells <= {int, float, str}
         for name, (header, rows) in expected.items():
             path = next(Path(out).glob(f"{args[0]}-*.{name}.csv"))
@@ -721,6 +740,43 @@ class TestTableBytes:
             ]
             expected[f"{kind}-trace"] = (("step", "date", "statistic", "alarm"), rows)
         self.assert_tables(args + ["--multi-cyclic"] * multi_cyclic, tmp_path, expected)
+
+
+class TestEmitBlocks:
+    """``emit`` writes tables a block of rows at a time, each block as ``csv`` would."""
+
+    @staticmethod
+    def emitted(tmp_path, columns):
+        report = Report(
+            "detect",
+            RunConfig(command="detect"),
+            (),
+            tables=(("trace", ("step", "date", "statistic", "alarm"), columns),),
+        )
+        return next(p for p in cli.emit(report, tmp_path) if p.name.endswith(".trace.csv"))
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_block_edges_match_csv(self, tmp_path, rows):
+        assert cli._EMIT_ROWS == 4096
+        rng = np.random.default_rng(rows)
+        statistics = (rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)).tolist()
+        statistics[0] = -0.0
+        statistics[-1] = float("inf")
+        dates = [f"{2000 + k // 366:04d}-01-{k % 28 + 1:02d}" for k in range(rows)]
+        alarms = rng.integers(0, 2, rows).tolist()
+        columns = (range(1, rows + 1), dates, statistics, alarms)
+        path = self.emitted(tmp_path, columns)
+        expected = cell_by_cell_csv(("step", "date", "statistic", "alarm"), zip(*columns))
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_cell_that_csv_quotes_is_refused(self, tmp_path, cell):
+        rows = 5000
+        dates = ["2020-01-02"] * rows
+        dates[4500] = cell
+        columns = (range(1, rows + 1), dates, [0.5] * rows, [0] * rows)
+        with pytest.raises(ValueError, match="'trace'.*quote"):
+            self.emitted(tmp_path, columns)
 
 
 class TestConstantsCommand:

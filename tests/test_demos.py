@@ -1,6 +1,7 @@
-"""The quick demos run end to end as scripts.
+"""The quick demos run end to end as scripts, with every warning an error.
 
-Demos 04 and 05 run Monte Carlo budgets of tens of seconds and are left out.
+Demos 04 and 05 run Monte Carlo budgets of tens of seconds and are left out;
+CI runs them the same way.
 """
 
 import os
@@ -27,7 +28,7 @@ def test_demo_runs(demo, tmp_path):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

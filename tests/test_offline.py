@@ -1,6 +1,8 @@
 """Retrospective change-point statistic, estimation, and segmentation."""
 
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from quickdetect import (
     bd_segment,
     bd_statistic,
     null_threshold,
+    offline,
 )
 
 
@@ -144,14 +147,42 @@ class TestNullThreshold:
         assert c == pytest.approx(2.0 * a, rel=1e-12)
         assert null_threshold(300, 1.0, seed=10) != a
 
+    # replications per batch at length 20 000; the cases around it end the
+    # last batch one row short, exactly full and one row into a fresh batch
+    BATCH = offline._NULL_BLOCK // 20_000
+
     @pytest.mark.parametrize("length", [2, 3, 61, 1_000, 20_000])
     @pytest.mark.parametrize("seed", [0, 20261017])
-    @pytest.mark.parametrize("replications", [1, 199])
+    @pytest.mark.parametrize("replications", [1, 199, BATCH - 1, BATCH, BATCH + 1])
     def test_bit_equal_to_the_per_replication_loop(self, length, seed, replications):
         for level in (0.80, 0.95, 0.99):
             expected = loop_null_threshold(length, 1.7, seed, replications, level)
             got = null_threshold(length, 1.7, seed, replications, level)
             assert got.hex() == expected.hex(), (level, got, expected)
+
+    def test_bit_equal_with_one_replication_per_batch(self):
+        length = offline._NULL_BLOCK + 1_000
+        expected = loop_null_threshold(length, 0.9, 4, 3, 0.5)
+        assert null_threshold(length, 0.9, 4, 3, 0.5).hex() == expected.hex()
+
+    def test_worker_thread_does_not_outlive_the_call(self):
+        before = threading.active_count()
+        for length in (50, 20_000):
+            null_threshold(length, 1.0, seed=1, replications=60)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("level", [0.0, -0.02, 1.0, 2.0, -3.0, float("nan")])
+    def test_level_outside_the_unit_interval_refused(self, level):
+        with pytest.raises(ValueError, match="level"):
+            null_threshold(50, 1.0, seed=0, replications=19, level=level)
+
+    @pytest.mark.parametrize("sd", [-1.0, float("nan"), float("inf")])
+    def test_sd_negative_or_not_finite_refused(self, sd):
+        with pytest.raises(ValueError, match="sd"):
+            null_threshold(50, sd, seed=0, replications=19)
+
+    def test_zero_sd_gives_zero(self):
+        assert null_threshold(50, 0.0, seed=0, replications=19) == 0.0
 
     def test_level_ordering(self):
         lo = null_threshold(200, 1.0, seed=3, level=0.80)
@@ -231,6 +262,13 @@ class TestSegmentation:
         root_decision = result.decisions[0]
         assert (root_decision.start, root_decision.stop) == (0, 400)
         assert root_decision.split_at in result.change_points
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_threshold_not_positive_refused(self, threshold):
+        # nan compares false with every max |Y|, so it would split pure noise
+        x = np.random.default_rng(5).standard_normal(2_000)
+        with pytest.raises(ValueError, match="significance_threshold"):
+            bd_segment(x, significance_threshold=threshold, min_segment=30)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_segment"):
