@@ -10,7 +10,12 @@ Subcommands::
     detect      run detectors over a real series at given thresholds
     simulate    calibrated SR-vs-CUSUM comparison on synthetic data
 
-Flags always override values from an optional ``--config`` JSON file.  Every
+One table, ``_COMMANDS``, names each subcommand's runner, help line and
+flags; the flags are ``RunConfig`` fields, spelled ``--`` plus the field name
+with ``-`` for ``_``.  A flag and a key of an optional ``--config`` JSON file
+share one per-field type, read from the field's annotation, and flags always
+override file values.  A file number in a float field reads as a float, so a
+file and a flag that give one setting give one configuration hash.  Every
 run derives all randomness from the single ``--seed``.  Reports are written
 twice: a human-readable text file and a machine-readable JSON file, plus CSV
 tables for traces and series.  File names contain the command and a hash of
@@ -26,19 +31,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import date
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import calib, detect, models, offline, renewal, series
 
-_FLOAT = lambda text: float(text)  # noqa: E731 - argparse type alias
-_KIND_CHOICES = detect.KINDS + ("both",)
+#: the settings that take one of a few words, as flags and in files
+_CHOICES = {"kind": detect.KINDS + ("both",), "mode": detect.MODES}
+#: the type that reads a flag of each annotation base; lags are written ``1,2,3``
+_BASES = {"int": int, "float": float, "str": str, "bool": bool, "tuple[int, ...]": str}
 #: rows :func:`emit` turns into text at a time
 _EMIT_ROWS = 4096
 
@@ -86,10 +93,9 @@ class RunConfig:
     horizon: int = 4_000
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_CHOICES:
-            raise ValueError(f"kind must be one of {_KIND_CHOICES}, got {self.kind!r}")
-        if self.mode not in detect.MODES:
-            raise ValueError(f"mode must be one of {detect.MODES}, got {self.mode!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.train_end is not None and self.train_end < 2:
@@ -120,10 +126,14 @@ class RunConfig:
         """
         data = asdict(self)
         data.pop("out")
-        data["lags"] = list(self.lags)
         if self.input:
             data["input"] = "sha256:" + self.loaded_input[0]
         return dict(sorted(data.items()))
+
+
+#: each setting a flag or a file key gives, with its annotation; ``schema`` is
+#: text that :func:`_parse_schema` spreads over three fields
+_ANNOTATIONS = {f.name: f.type for f in fields(RunConfig)} | {"schema": "str"}
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,6 @@ class Report:
     quote is refused instead.
     """
 
-    command: str
     config: RunConfig
     sections: tuple[tuple[str, tuple[ReportEntry, ...]], ...]
     tables: tuple[tuple[str, tuple[str, ...], tuple], ...] = ()
@@ -163,7 +172,7 @@ class Report:
 
     def render_text(self) -> str:
         lines = [
-            f"command: {self.command}",
+            f"command: {self.config.command}",
             f"config-hash: {self.config_hash}",
             f"seed: {self.config.seed}",
         ]
@@ -188,12 +197,12 @@ class Report:
 
     def render_json(self) -> str:
         payload = {
-            "command": self.command,
+            "command": self.config.command,
             "config_hash": self.config_hash,
             "seed": self.config.seed,
             "config": self.config.canonical(),
             "sections": {
-                title: [asdict(entry) for entry in entries]
+                title: [vars(entry) for entry in entries]
                 for title, entries in self.sections
             },
             "tables": {name: len(columns[0]) for name, _, columns in self.tables},
@@ -216,7 +225,7 @@ def emit(report: Report, destination: str | Path) -> list[Path]:
     """Write the text/JSON reports and all CSV tables; return the paths."""
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
-    stem = f"{report.command}-{report.config_hash}"
+    stem = f"{report.config.command}-{report.config_hash}"
     paths = []
     text_path = destination / f"{stem}.report.txt"
     text_path.write_text(report.render_text())
@@ -251,122 +260,59 @@ def _parse_schema(text: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per :data:`_COMMANDS` entry, each flag typed by its field."""
     parser = argparse.ArgumentParser(
         prog="quickdetect",
         description="Sequential and offline change-point detection toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--seed", type=int, help="master seed for all randomness")
-        p.add_argument("--out", help="output directory (default: current)")
-
-    def with_input(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="price CSV file")
-        p.add_argument(
-            "--schema",
-            help="column mapping date=COL,close=COL[,format=STRPTIME]",
-        )
-
-    def with_model(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mu-pre", type=_FLOAT, dest="mu_pre")
-        p.add_argument("--sigma-pre", type=_FLOAT, dest="sigma_pre")
-        p.add_argument("--mu-post", type=_FLOAT, dest="mu_post")
-        p.add_argument("--sigma-post", type=_FLOAT, dest="sigma_post")
-        p.add_argument("--q", type=_FLOAT, help="pre-change sd over post-change sd")
-        p.add_argument("--delta", type=_FLOAT, help="standardized mean shift")
-
-    p = sub.add_parser("returns", help="difference series from a price CSV")
-    common(p)
-    with_input(p)
-
-    p = sub.add_parser("diagnose", help="moments and distribution diagnostics")
-    common(p)
-    with_input(p)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--max-lag", type=int, dest="max_lag")
-    p.add_argument("--lags", help="comma-separated lag list for scatter pairs")
-    p.add_argument("--split", type=int, help="report moments left/right of this index")
-
-    p = sub.add_parser("segment", help="offline change-point segmentation")
-    common(p)
-    with_input(p)
-    p.add_argument("--min-segment", type=int, dest="min_segment")
-    p.add_argument("--bd-threshold", type=_FLOAT, dest="bd_threshold")
-    p.add_argument("--null-replications", type=int, dest="null_replications")
-
-    p = sub.add_parser("constants", help="renewal constants of a change model")
-    common(p)
-    with_model(p)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--horizon", type=int)
-
-    p = sub.add_parser("calibrate", help="thresholds for a target ARL")
-    common(p)
-    with_model(p)
-    p.add_argument("--gamma", type=_FLOAT)
-    p.add_argument("--kind", choices=_KIND_CHOICES)
-    p.add_argument("--mode", choices=detect.MODES)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--relative-tolerance", type=_FLOAT, dest="relative_tolerance")
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
-
-    p = sub.add_parser("detect", help="run detectors over a series")
-    common(p)
-    with_input(p)
-    with_model(p)
-    p.add_argument("--kind", choices=_KIND_CHOICES)
-    p.add_argument("--mode", choices=detect.MODES)
-    p.add_argument("--threshold-a", type=_FLOAT, dest="threshold_a")
-    p.add_argument("--threshold-h", type=_FLOAT, dest="threshold_h")
-    p.add_argument("--train-end", type=int, dest="train_end")
-    p.add_argument(
-        "--multi-cyclic",
-        action="store_true",
-        dest="multi_cyclic",
-        default=argparse.SUPPRESS,
-        help="restart after each alarm instead of stopping",
-    )
-
-    p = sub.add_parser("simulate", help="calibrated SR-vs-CUSUM comparison")
-    common(p)
-    with_model(p)
-    p.add_argument("--gamma", type=_FLOAT)
-    p.add_argument("--kind", choices=_KIND_CHOICES)
-    p.add_argument("--mode", choices=detect.MODES)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--nu", type=int, help="change index for the stationary delay")
-    p.add_argument("--relative-tolerance", type=_FLOAT, dest="relative_tolerance")
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--horizon", type=int)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            options = {"help": _HELP.get(flag)}
+            base = _BASES[_ANNOTATIONS.get(flag, "str").partition(" | ")[0]]  # --config: a path
+            if base is bool:
+                options.update(action="store_true", default=argparse.SUPPRESS)
+            elif flag in _CHOICES:
+                options["choices"] = _CHOICES[flag]
+            else:
+                options["type"] = base
+            p.add_argument("--" + flag.replace("_", "-"), **options)
     return parser
 
 
-def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value may fill a field of this annotation (a bool is no number)."""
+def _file_value(value, annotation: str):
+    """A JSON value as a field of this annotation holds it; ``TypeError`` if it does not fit.
+
+    A bool is no number, a float field reads an int as a float (``OverflowError``
+    if it has no float), and lags may also be a list of ints.
+    """
     base, _, optional = annotation.partition(" | ")
-    if value is None:
-        return optional == "None"
-    if base == "tuple[int, ...]":  # lags, as a list or as "1,2,3"
-        return isinstance(value, str) or (
-            isinstance(value, list) and all(_fits(k, "int") for k in value)
-        )
-    if isinstance(value, bool):
-        return base == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[base])
+    if value is None and optional:
+        return None
+    if base == "tuple[int, ...]" and isinstance(value, list):
+        return tuple(_file_value(k, "int") for k in value)
+    kind = _BASES[base]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise TypeError(annotation)
+    return kind(value)
 
 
-def _check_file_types(loaded: dict, path: Path) -> None:
-    """Reject config-file values whose JSON type does not fit their field."""
-    annotations = {f.name: f.type for f in fields(RunConfig)} | {"schema": "str"}
+def _check_file_types(loaded: dict, path: Path) -> dict:
+    """Config-file values as their fields hold them; refuse one that does not fit."""
+    typed = dict(loaded)  # unknown keys are refused once merged with the flags
     for key, value in loaded.items():
-        if key in annotations and not _fits(value, annotations[key]):
+        if key not in _ANNOTATIONS:
+            continue
+        try:
+            typed[key] = _file_value(value, _ANNOTATIONS[key])
+        except (TypeError, OverflowError):
             raise ValueError(
-                f"config file {path}: {key!r} takes {annotations[key]}, got {json.dumps(value)}"
-            )
+                f"config file {path}: {key!r} takes {_ANNOTATIONS[key]}, got {json.dumps(value)}"
+            ) from None
+    return typed
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -387,8 +333,7 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ValueError(f"config file {path} is not valid JSON: {err}") from err
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
-        _check_file_types(loaded, path)
-        merged.update(loaded)
+        merged.update(_check_file_types(loaded, path))
     merged.update(given)
     if "schema" in merged:
         merged.update(_parse_schema(merged.pop("schema")))
@@ -416,7 +361,8 @@ def _require_model(config: RunConfig) -> models.GaussianChangeModel:
     if any(v is not None for v in explicit):
         raise UsageError("give all four of --mu-pre/--sigma-pre/--mu-post/--sigma-post")
     if config.q is not None and config.delta is not None:
-        return models.GaussianChangeModel(0.0, 1.0, config.delta, 1.0 / config.q)
+        design = models.design_coefficients(config.q, config.delta)  # refuses q <= 0
+        return models.GaussianChangeModel(0.0, 1.0, design.delta, 1.0 / design.q)
     raise UsageError("give a model via moment flags or via --q/--delta")
 
 
@@ -473,7 +419,6 @@ def _cmd_returns(config: RunConfig) -> Report:
     )
     columns = (list(map(date.isoformat, dates)), returns.values.tolist())
     return Report(
-        command="returns",
         config=config,
         sections=(("series", entries),),
         tables=(("returns", ("date", "difference"), columns),),
@@ -541,7 +486,6 @@ def _cmd_diagnose(config: RunConfig) -> Report:
     for lag, (x, y) in bundle.lag_pairs.items():
         tables.append((f"lag{lag}", ("x", "y"), (x.tolist(), y.tolist())))
     return Report(
-        command="diagnose",
         config=config,
         sections=tuple(sections),
         tables=tuple(tables),
@@ -579,7 +523,6 @@ def _cmd_segment(config: RunConfig) -> Report:
     )
     columns = (trace.split_indices.tolist(), trace.values.tolist())
     return Report(
-        command="segment",
         config=config,
         sections=(("estimate", tuple(entries)), ("segments", tuple(seg_entries))),
         tables=(("bd-trace", ("split", "statistic"), columns),),
@@ -612,7 +555,6 @@ def _cmd_constants(config: RunConfig) -> Report:
         route = f"estimated by Monte Carlo ({reps} replications)" if reps else "computed exactly"
         routes.setdefault(route, []).append(name)
     return Report(
-        command="constants",
         config=config,
         sections=(("constants", _constants_entries(constants)),),
         notes=tuple(f"{'/'.join(names)} {route}" for route, names in routes.items()),
@@ -651,7 +593,6 @@ def _cmd_calibrate(config: RunConfig) -> Report:
             )
         )
     return Report(
-        command="calibrate",
         config=config,
         sections=tuple(sections),
         notes=(
@@ -732,7 +673,6 @@ def _cmd_detect(config: RunConfig) -> Report:
             "no detector to run: give --threshold-h (cusum) and/or --threshold-a (sr)"
         )
     return Report(
-        command="detect",
         config=config,
         sections=tuple(sections),
         tables=tuple(tables),
@@ -765,7 +705,6 @@ def _cmd_simulate(config: RunConfig) -> Report:
             entries.append(ReportEntry("approx-add-inf", approx["add_inf"], "observations"))
         sections.append((kind, tuple(entries)))
     return Report(
-        command="simulate",
         config=config,
         sections=tuple(sections),
         notes=(
@@ -776,20 +715,66 @@ def _cmd_simulate(config: RunConfig) -> Report:
     )
 
 
+class Command(NamedTuple):
+    """A subcommand: its runner, its help line and its flags (``RunConfig`` fields)."""
+
+    run: Callable[[RunConfig], Report]
+    help: str
+    flags: tuple[str, ...]
+
+
+_COMMON = ("config", "seed", "out")
+_INPUT = ("input", "schema")
+_MODEL = ("mu_pre", "sigma_pre", "mu_post", "sigma_post", "q", "delta")
+#: help lines of the flags that have one
+_HELP = {
+    "config": "JSON file with defaults for any flag",
+    "seed": "master seed for all randomness",
+    "out": "output directory (default: current)",
+    "input": "price CSV file",
+    "schema": "column mapping date=COL,close=COL[,format=STRPTIME]",
+    "q": "pre-change sd over post-change sd",
+    "delta": "standardized mean shift",
+    "lags": "comma-separated lag list for scatter pairs",
+    "split": "report moments left/right of this index",
+    "multi_cyclic": "restart after each alarm instead of stopping",
+    "nu": "change index for the stationary delay",
+}
 _COMMANDS = {
-    "returns": _cmd_returns,
-    "diagnose": _cmd_diagnose,
-    "segment": _cmd_segment,
-    "constants": _cmd_constants,
-    "calibrate": _cmd_calibrate,
-    "detect": _cmd_detect,
-    "simulate": _cmd_simulate,
+    "returns": Command(_cmd_returns, "difference series from a price CSV", _COMMON + _INPUT),
+    "diagnose": Command(
+        _cmd_diagnose, "moments and distribution diagnostics",
+        _COMMON + _INPUT + ("bins", "max_lag", "lags", "split"),
+    ),
+    "segment": Command(
+        _cmd_segment, "offline change-point segmentation",
+        _COMMON + _INPUT + ("min_segment", "bd_threshold", "null_replications"),
+    ),
+    "constants": Command(
+        _cmd_constants, "renewal constants of a change model",
+        _COMMON + _MODEL + ("replications", "truncation", "horizon"),
+    ),
+    "calibrate": Command(
+        _cmd_calibrate, "thresholds for a target ARL",
+        _COMMON + _MODEL
+        + ("gamma", "kind", "mode", "replications", "relative_tolerance", "max_iterations"),
+    ),
+    "detect": Command(
+        _cmd_detect, "run detectors over a series",
+        _COMMON + _INPUT + _MODEL
+        + ("kind", "mode", "threshold_a", "threshold_h", "train_end", "multi_cyclic"),
+    ),
+    "simulate": Command(
+        _cmd_simulate, "calibrated SR-vs-CUSUM comparison",
+        _COMMON + _MODEL + ("gamma", "kind", "mode", "replications", "nu",
+                            "relative_tolerance", "truncation", "horizon"),
+    ),
 }
 
 
 def execute(config: RunConfig) -> Report:
     """Run one configured command and return its report."""
-    return _COMMANDS[config.command](config)
+    return _COMMANDS[config.command].run(config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -211,68 +211,35 @@ def bd_segment(
 
     def recurse(start: int, stop: int) -> None:
         length = stop - start
+        abs_max = threshold = float("nan")
+        split_at = None
         if length < 2 * min_segment:
-            decisions.append(
-                SegmentDecision(
-                    start=start,
-                    stop=stop,
-                    abs_max_value=float("nan"),
-                    threshold=float("nan"),
-                    split_at=None,
-                    reason=f"segment too short to split ({length} < {2 * min_segment})",
-                )
-            )
-            return
-        window = x[start:stop]
-        values = _trace_values(window)
-        best = int(np.argmax(np.abs(values)))
-        abs_max = float(np.abs(values[best]))
-        if significance_threshold is not None:
-            threshold = significance_threshold
+            reason = f"segment too short to split ({length} < {2 * min_segment})"
         else:
-            sd = float(np.std(window, ddof=1))
-            threshold = null_threshold(
-                length, sd, seed=seed, replications=null_replications
-            )
-        split = best + 1
-        if abs_max <= threshold:
-            decisions.append(
-                SegmentDecision(
-                    start=start,
-                    stop=stop,
-                    abs_max_value=abs_max,
-                    threshold=threshold,
-                    split_at=None,
-                    reason="max |Y| within the null threshold",
+            window = x[start:stop]
+            values = _trace_values(window)
+            best = int(np.argmax(np.abs(values)))
+            abs_max = float(np.abs(values[best]))
+            if significance_threshold is not None:
+                threshold = significance_threshold
+            else:
+                sd = float(np.std(window, ddof=1))
+                threshold = null_threshold(length, sd, seed=seed, replications=null_replications)
+            split = best + 1
+            if abs_max <= threshold:
+                reason = "max |Y| within the null threshold"
+            elif split < min_segment or length - split < min_segment:
+                reason = (
+                    f"split at {start + split} would leave a segment shorter than {min_segment}"
                 )
-            )
-            return
-        if split < min_segment or length - split < min_segment:
-            decisions.append(
-                SegmentDecision(
-                    start=start,
-                    stop=stop,
-                    abs_max_value=abs_max,
-                    threshold=threshold,
-                    split_at=None,
-                    reason=f"split at {start + split} would leave a segment "
-                    f"shorter than {min_segment}",
-                )
-            )
-            return
-        decisions.append(
-            SegmentDecision(
-                start=start,
-                stop=stop,
-                abs_max_value=abs_max,
-                threshold=threshold,
-                split_at=start + split,
-                reason="max |Y| exceeds the null threshold",
-            )
-        )
-        change_points.append(start + split)
-        recurse(start, start + split)
-        recurse(start + split, stop)
+            else:
+                split_at = start + split
+                reason = "max |Y| exceeds the null threshold"
+        decisions.append(SegmentDecision(start, stop, abs_max, threshold, split_at, reason))
+        if split_at is not None:
+            change_points.append(split_at)
+            recurse(start, split_at)
+            recurse(split_at, stop)
 
     recurse(0, x.size)
     change_points.sort()

@@ -10,6 +10,7 @@ entry-point metadata to match and the command to be on ``PATH``.
 """
 
 import csv
+import dataclasses
 import hashlib
 import importlib.metadata
 import io
@@ -190,6 +191,99 @@ class TestConfigParsing:
         assert (config.lags, config.seed) == ((2, 4), 3)
 
 
+#: the Python type of each annotation base of a ``RunConfig`` field
+FIELD_TYPES = {"int": int, "float": float, "str": str, "bool": bool, "tuple[int, ...]": tuple}
+#: a flag value of each base (an integer spelling for floats); ``kind`` and
+#: ``mode`` take one of their words
+FLAG_TEXT = {"int": "2", "float": "2", "str": "x", "tuple[int, ...]": "1,2",
+             "kind": "sr", "mode": "exact"}
+
+
+def field_bases():
+    return {f.name: f.type.partition(" | ")[0] for f in dataclasses.fields(RunConfig)}
+
+
+def float_flags():
+    """``(command, field)`` for every float field of every subcommand."""
+    bases = field_bases()
+    return [
+        (name, flag)
+        for name, command in cli._COMMANDS.items()
+        for flag in command.flags
+        if bases.get(flag) == "float"
+    ]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_exits_zero(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: quickdetect {command} ")
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_flags_parse_to_their_field_types(self, command):
+        bases = field_bases()
+        given = [f for f in cli._COMMANDS[command].flags if f in bases]
+        argv = [command]
+        for flag in given:
+            argv.append("--" + flag.replace("_", "-"))
+            if bases[flag] != "bool":
+                argv.append(FLAG_TEXT.get(flag, FLAG_TEXT[bases[flag]]))
+        config = cli.parse_config(argv)
+        for flag in given:
+            assert type(getattr(config, flag)) is FIELD_TYPES[bases[flag]], flag
+
+    @pytest.mark.parametrize("command,field", float_flags())
+    def test_float_field_file_and_flag_hash_alike(self, tmp_path, command, field):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({field: 2}))
+        from_file = cli.parse_config([command, "--config", str(path)])
+        from_flag = cli.parse_config([command, "--" + field.replace("_", "-"), "2"])
+        assert type(getattr(from_file, field)) is float
+        assert Report(from_file, ()).render_json() == Report(from_flag, ()).render_json()
+
+    def test_file_integer_gamma_writes_the_flag_bytes(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"gamma": 100}))
+        args = ["calibrate", "--q", "1", "--delta", "1", "--replications", "200"]
+        outputs = []
+        for i, given in enumerate((["--config", str(path)], ["--gamma", "100"])):
+            assert run_cli([*args, *given], tmp_path / f"out{i}") == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / f"out{i}").iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_file_integer_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"gamma": 1' + "0" * 400 + "}")
+        code = run_cli(["calibrate", "--q", "1", "--delta", "1", "--config", str(path)], tmp_path)
+        assert code == 2
+        assert f"usage error: config file {path}: 'gamma' takes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,field", float_flags())
+    def test_float_flag_error_names_float(self, capsys, command, field):
+        flag = "--" + field.replace("_", "-")
+        assert cli.main([command, flag, "x"]) == 2
+        assert f"argument {flag}: invalid float value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["constants"],
+            ["calibrate", "--gamma", "10"],
+            ["simulate", "--gamma", "10"],
+            ["detect", "--threshold-h", "5", "--mode", "exact"],
+            ["detect", "--threshold-h", "5", "--mode", "score"],
+        ],
+    )
+    def test_q_not_positive_is_runtime_error(self, price_csv, tmp_path, capsys, args):
+        if args[0] == "detect":
+            args = [*args, "--input", str(price_csv)]
+        code = run_cli([*args, "--q", "0", "--delta", "1"], tmp_path / "o")
+        assert code == 1
+        assert "error: q must be a positive finite real" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestRunConfigValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -221,7 +315,6 @@ class TestReportRendering:
         )
         table = ("tbl", ("a", "b"), ([1, 2], [0.1, 0.2]))
         return Report(
-            command="returns",
             config=config,
             sections=(("series", entries),),
             tables=(table,),
@@ -279,9 +372,9 @@ class TestReportRendering:
     def test_unequal_columns_refused(self):
         config = RunConfig(command="returns")
         with pytest.raises(ValueError, match="'tbl'"):
-            Report("returns", config, (), tables=(("tbl", ("a", "b"), ([1, 2], [0.1])),))
+            Report(config, (), tables=(("tbl", ("a", "b"), ([1, 2], [0.1])),))
         with pytest.raises(ValueError, match="'tbl'"):
-            Report("returns", config, (), tables=(("tbl", ("a", "b"), ([1, 2],)),))
+            Report(config, (), tables=(("tbl", ("a", "b"), ([1, 2],)),))
 
 
 class TestExitCodes:
@@ -748,7 +841,6 @@ class TestEmitBlocks:
     @staticmethod
     def emitted(tmp_path, columns):
         report = Report(
-            "detect",
             RunConfig(command="detect"),
             (),
             tables=(("trace", ("step", "date", "statistic", "alarm"), columns),),

@@ -1,6 +1,7 @@
 """Retrospective change-point statistic, estimation, and segmentation."""
 
 
+import math
 import threading
 
 import numpy as np
@@ -262,6 +263,26 @@ class TestSegmentation:
         root_decision = result.decisions[0]
         assert (root_decision.start, root_decision.stop) == (0, 400)
         assert root_decision.split_at in result.change_points
+
+    def test_one_decision_per_segment_parent_first(self):
+        # a split, a split too close to the edge, a segment within the
+        # threshold and one too short to scan, in the order visited
+        x = np.concatenate([np.full(3, -6.0), np.zeros(57), np.full(50, 5.0), np.full(30, -5.0)])
+        result = bd_segment(x, significance_threshold=0.5, min_segment=20)
+        assert result.change_points == (60, 110)
+        assert [(d.start, d.stop, d.split_at, d.reason) for d in result.decisions] == [
+            (0, 140, 110, "max |Y| exceeds the null threshold"),
+            (0, 110, 60, "max |Y| exceeds the null threshold"),
+            (0, 60, None, "split at 3 would leave a segment shorter than 20"),
+            (60, 110, None, "max |Y| within the null threshold"),
+            (110, 140, None, "segment too short to split (30 < 40)"),
+        ]
+        assert [d.threshold for d in result.decisions[:4]] == [0.5] * 4
+        assert [d.abs_max_value for d in result.decisions[:4]] == pytest.approx(
+            [2.9170441490861942, 2.6390268679794366, 1.307669683062202, 0.0], abs=1e-12
+        )
+        assert math.isnan(result.decisions[4].abs_max_value)
+        assert math.isnan(result.decisions[4].threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
     def test_threshold_not_positive_refused(self, threshold):
