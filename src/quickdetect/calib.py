@@ -17,12 +17,14 @@ The operating characteristics estimated here:
     standard errors, ``2 * hypot(se_nu, se_2nu)``, and this is checked on
     every call.
 
-All estimators draw each replication from a stream derived from
+All estimators draw each replication from its own generator keyed by
 ``(seed, estimator, replication index)``, so repeated calls with different
 thresholds reuse the same observation paths (common random numbers).
 Stopping times are then pathwise nondecreasing in the threshold, which makes
 the bisection in :func:`solve_threshold` exact apart from Monte Carlo noise
-shared across iterations.
+shared across iterations.  The generators of a call, or of one run of
+``_ROWS`` replications, are seeded together in one array pass
+(:func:`quickdetect._rand.substream`).
 
 A fresh-start path (ARL, SADD, and STADD after the change) does not
 depend on the threshold at all: the stopping time at ``h`` is the first step
@@ -57,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rand import mean_se, substream
+from ._rand import _ROWS, mean_se, row_chunks, substream
 from .detect import KINDS, MODES, _BLOCK, _advance_with_resets, _path, check_threshold
 from .models import GaussianChangeModel, ScoreParams, linear_quadratic_score, llr
 
@@ -65,9 +67,6 @@ _STREAM_ARL = 11
 _STREAM_SADD = 12
 _STREAM_STADD_PRE = 13
 _STREAM_STADD_POST = 14
-#: replications simulated together, as the rows of one array; bounds the
-#: memory of every estimator at any replication count
-_ROWS = 64
 
 
 class CalibrationError(RuntimeError):
@@ -86,7 +85,9 @@ class CalibrationSpec:
     nu_stationary: int = 1_000
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gamma) and self.gamma > 1.0):
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
         if self.replications < 2:
             raise ValueError("need at least two replications")
@@ -285,8 +286,7 @@ def _by_chunks(
     spec: CalibrationSpec, simulate: Callable[[range], tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``simulate`` on runs of at most ``_ROWS`` replications, joined in order."""
-    n = spec.replications
-    times, capped = zip(*(simulate(range(lo, min(lo + _ROWS, n))) for lo in range(0, n, _ROWS)))
+    times, capped = zip(*map(simulate, row_chunks(spec.replications)))
     return np.concatenate(times, axis=-1), np.concatenate(capped, axis=-1)
 
 
@@ -308,7 +308,7 @@ def _fresh_start_estimate(
     check_threshold(threshold)
 
     def simulate(rows: range) -> tuple[np.ndarray, np.ndarray]:
-        rngs = [substream(spec.seed, stream, r) for r in rows]
+        rngs = substream(spec.seed, stream, rows)
         return _Runs(config, regime, spec.run_cap, rngs, np.zeros(len(rows))).stop_times(threshold)
 
     est = _estimate(metric, threshold, *_by_chunks(spec, simulate))
@@ -350,8 +350,8 @@ def _stadd_delays(
     Returns delays and capped masks of shape ``(2, len(rows))``.
     """
     nu = spec.nu_stationary
-    pre = [substream(spec.seed, _STREAM_STADD_PRE, r) for r in rows]
-    post = [substream(spec.seed, _STREAM_STADD_POST, r) for r in rows]
+    pre = substream(spec.seed, _STREAM_STADD_PRE, rows)
+    post = substream(spec.seed, _STREAM_STADD_POST, rows)
     state = np.zeros(len(rows))
     at_nu = state
     for lo in range(0, 2 * nu, _BLOCK):
@@ -420,7 +420,7 @@ def solve_threshold(
     """
     gamma = spec.gamma
     tol = spec.relative_tolerance * gamma
-    rngs = [substream(spec.seed, _STREAM_ARL, r) for r in range(spec.replications)]
+    rngs = substream(spec.seed, _STREAM_ARL, range(spec.replications))
     runs = _Runs(config, "pre", spec.run_cap, rngs, np.zeros(spec.replications))
     evaluations: dict[float, PerformanceEstimate] = {}
 

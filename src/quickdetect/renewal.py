@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import mean_se, substream
+from ._rand import mean_se, row_chunks, substream
 from .detect import LLR_CLAMP, _cusum_path, check_threshold
 from .models import GaussianChangeModel, llr
 
@@ -280,21 +280,21 @@ def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
     minima = np.empty(reps)
     tails = np.empty(reps)
     tail_hits = 0
-    for r in range(reps):
-        rng = substream(policy.seed, _STREAM_OVERSHOOT, r)
-        x_pre = llr(model, rng.normal(model.mu_pre, model.sigma_pre, length))
-        z_pre = np.cumsum(x_pre)
-        z_post = np.cumsum(llr(model, rng.normal(model.mu_post, model.sigma_post, length)))
-        crossings = (z_pre > 0.0).astype(float) + (z_post <= 0.0).astype(float)
-        s_vals[r] = float(inv_k @ crossings)
-        t_vals[r] = float(inv_k @ np.minimum(0.0, z_post))
-        if z_pre[-1] > 0.0 or z_post[-1] <= 0.0:
-            tail_hits += 1
-        minima[r] = min(0.0, float(np.min(z_post)))
-        if horizon > length:
-            more = llr(model, rng.normal(model.mu_pre, model.sigma_pre, horizon - length))
-            x_pre = np.concatenate((x_pre, more))
-        tails[r] = float(np.mean(_cusum_path(0.0, x_pre[:horizon])[horizon // 2 :]))
+    for rows in row_chunks(reps):
+        for r, rng in zip(rows, substream(policy.seed, _STREAM_OVERSHOOT, rows)):
+            x_pre = llr(model, rng.normal(model.mu_pre, model.sigma_pre, length))
+            z_pre = np.cumsum(x_pre)
+            z_post = np.cumsum(llr(model, rng.normal(model.mu_post, model.sigma_post, length)))
+            crossings = (z_pre > 0.0).astype(float) + (z_post <= 0.0).astype(float)
+            s_vals[r] = float(inv_k @ crossings)
+            t_vals[r] = float(inv_k @ np.minimum(0.0, z_post))
+            if z_pre[-1] > 0.0 or z_post[-1] <= 0.0:
+                tail_hits += 1
+            minima[r] = min(0.0, float(np.min(z_post)))
+            if horizon > length:
+                more = llr(model, rng.normal(model.mu_pre, model.sigma_pre, horizon - length))
+                x_pre = np.concatenate((x_pre, more))
+            tails[r] = float(np.mean(_cusum_path(0.0, x_pre[:horizon])[horizon // 2 :]))
     if tail_hits > 0.005 * reps:
         raise RuntimeError(
             f"overshoot series not converged at {length} terms "
@@ -345,7 +345,10 @@ def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str)
     ``"post"``: ``s = -1`` (the sum is ``U``), capped at the truncation.
     ``"pre"``: ``s = +1`` (the time-reversed Shiryaev-Roberts statistic),
     capped at the horizon.  A walk stops early once ``s * Z`` falls below
-    ``-ESCAPE_MARGIN``; walks that reach the cap first are counted.
+    ``-ESCAPE_MARGIN``; walks that reach the cap first are counted.  The
+    walks of at most ``_rand._ROWS`` replications step together as the rows of one
+    array, block by block, each row drawing from its own generator, so every
+    sum is that of its walk run alone.
     """
     if regime == "post":
         sign, stream, mu, sigma = -1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post
@@ -353,22 +356,21 @@ def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str)
     else:
         sign, stream, mu, sigma = 1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre
         cap = policy.horizon
-    sums = np.empty(policy.replications)
+    sums = np.zeros(policy.replications)
     unsettled = 0
-    for r in range(policy.replications):
-        rng = substream(policy.seed, stream, r)
-        z_end = 0.0
-        total = 0.0
-        steps = 0
-        while steps < cap and sign * z_end >= -ESCAPE_MARGIN:
-            block = min(_BLOCK, cap - steps)
-            z = z_end + np.cumsum(llr(model, rng.normal(mu, sigma, block)))
-            total += float(np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP))))
-            z_end = float(z[-1])
-            steps += block
-        if sign * z_end >= -ESCAPE_MARGIN:
-            unsettled += 1
-        sums[r] = total
+    for rows in row_chunks(policy.replications):
+        rngs = substream(policy.seed, stream, rows)
+        total = sums[rows.start : rows.stop]  # a view: adding to it fills sums
+        z_end = np.zeros(len(rows))
+        for steps in range(0, cap, _BLOCK):
+            live = np.flatnonzero(sign * z_end >= -ESCAPE_MARGIN)
+            if not live.size:
+                break
+            x = np.stack([rngs[i].normal(mu, sigma, min(_BLOCK, cap - steps)) for i in live])
+            z = z_end[live, None] + np.cumsum(llr(model, x), axis=1)
+            total[live] += np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP)), axis=1)
+            z_end[live] = z[:, -1]
+        unsettled += int(np.count_nonzero(sign * z_end >= -ESCAPE_MARGIN))
     return sums, unsettled
 
 

@@ -18,8 +18,13 @@ from quickdetect import (
     solve_threshold,
 )
 from quickdetect import calib
-from quickdetect._rand import substream
 from quickdetect.detect import _BLOCK, _advance_with_resets, _cusum_path, _path, _sr_path
+
+
+def keyed_rng(seed, stream, r):
+    """Oracle generator of one replication, seeded through numpy's own SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence([seed, stream, r]))
+
 
 HST = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
 HST_SCORE = design_coefficients(0.2266 / 0.2306, 0.0228 / 0.2266)
@@ -267,8 +272,11 @@ class TestSpecValidation:
         assert CalibrationSpec(gamma=7.2).run_cap == 720
 
     def test_bad_values(self):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ValueError, match="gamma must exceed 1"):
             CalibrationSpec(gamma=1.0)
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                CalibrationSpec(gamma=gamma)
         with pytest.raises(ValueError, match="relative_tolerance"):
             CalibrationSpec(gamma=10.0, relative_tolerance=0.0)
         with pytest.raises(ValueError, match="nu_stationary"):
@@ -302,7 +310,7 @@ def oracle_mean(config, threshold, spec, regime="pre", stream=calib._STREAM_ARL)
     times = []
     cap_hits = 0
     for r in range(spec.replications):
-        rng = substream(spec.seed, stream, r)
+        rng = keyed_rng(spec.seed, stream, r)
         t = first_crossing(config, threshold, rng, spec.run_cap, regime)
         if t is None:
             cap_hits += 1
@@ -367,7 +375,7 @@ LADDERS = {
 
 def fresh_runs(config, spec, regime="pre", stream=calib._STREAM_ARL):
     """One store over every replication of ``stream``, all starting at zero."""
-    rngs = [substream(spec.seed, stream, r) for r in range(spec.replications)]
+    rngs = [keyed_rng(spec.seed, stream, r) for r in range(spec.replications)]
     return calib._Runs(config, regime, spec.run_cap, rngs, np.zeros(spec.replications))
 
 
@@ -403,7 +411,7 @@ class TestLadderStore:
             expected = {
                 t: [
                     first_crossing(
-                        config, t, substream(3, calib._STREAM_ARL, r), spec.run_cap, "pre"
+                        config, t, keyed_rng(3, calib._STREAM_ARL, r), spec.run_cap, "pre"
                     )
                     for r in range(spec.replications)
                 ]
@@ -501,9 +509,10 @@ class TestLadderStore:
         generators = []
         real_substream = calib.substream
 
-        def counting_substream(*key):
-            generators.append(key)
-            return real_substream(*key)
+        def counting_substream(*args):
+            rngs = real_substream(*args)
+            generators.extend(rngs)
+            return rngs
 
         outcomes = []
         real_stop_times = calib._Runs.stop_times
@@ -588,8 +597,8 @@ def stadd_loop(config, threshold, spec, nu):
         stadd_delay_loop(
             config,
             threshold,
-            substream(spec.seed, calib._STREAM_STADD_PRE, r),
-            substream(spec.seed, calib._STREAM_STADD_POST, r),
+            keyed_rng(spec.seed, calib._STREAM_STADD_PRE, r),
+            keyed_rng(spec.seed, calib._STREAM_STADD_POST, r),
             nu,
             spec.run_cap,
         )
@@ -617,12 +626,13 @@ class TestBatchedStadd:
         expected = [stadd_loop(config, threshold, spec, n) for n in (nu, 2 * nu)]
         assert all(d is not None for delays in expected for d in delays)
 
-        keys, means = [], []
+        generators, means = [], []
         real_substream, real_mean_se = calib.substream, calib.mean_se
 
-        def counting_substream(*key):
-            keys.append(key)
-            return real_substream(*key)
+        def counting_substream(*args):
+            rngs = real_substream(*args)
+            generators.extend(rngs)
+            return rngs
 
         def recording_mean_se(values):
             means.append(np.array(values))
@@ -631,7 +641,7 @@ class TestBatchedStadd:
         monkeypatch.setattr(calib, "substream", counting_substream)
         monkeypatch.setattr(calib, "mean_se", recording_mean_se)
         est = estimate_stadd(config, threshold, spec)
-        assert len(keys) == 2 * spec.replications
+        assert len(generators) == 2 * spec.replications
         assert len(means) == 2
         for got, delays in zip(means, expected):
             np.testing.assert_array_equal(got, np.array(delays, dtype=float))

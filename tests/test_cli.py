@@ -259,6 +259,15 @@ class TestCommandTable:
         assert code == 2
         assert f"usage error: config file {path}: 'gamma' takes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_non_finite_gamma_is_named(self, tmp_path, capsys, source):
+        path = tmp_path / "run.json"
+        path.write_text('{"gamma": 1e400}')  # JSON reads it as inf
+        given = ["--gamma", "inf"] if source == "flag" else ["--config", str(path)]
+        code = run_cli(["calibrate", "--q", "1", "--delta", "1", *given], tmp_path / "out")
+        assert code == 1
+        assert "error: gamma must be finite, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,field", float_flags())
     def test_float_flag_error_names_float(self, capsys, command, field):
         flag = "--" + field.replace("_", "-")
@@ -976,6 +985,28 @@ class TestEntryPoint:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr or "scipy.stats was imported"
+
+    def test_import_loads_no_numpy_submodule(self):
+        # numpy.random and the like load on first use: importing the CLI after
+        # numpy itself costs only the package's own modules
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = textwrap.dedent(
+            """
+            import sys
+            import numpy
+            before = set(sys.modules)
+            import quickdetect.cli
+            new = sorted(m for m in set(sys.modules) - before if m.startswith("numpy."))
+            sys.exit(f"import quickdetect.cli loaded {new}" if new else 0)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_commands_leave_scipy_stats_unloaded(self, price_csv, tmp_path):
         # the exact renewal series take the normal tail from math.erfc and the

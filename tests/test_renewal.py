@@ -17,8 +17,9 @@ from quickdetect import (
     kl_numbers,
     llr,
 )
-from quickdetect._rand import substream
+from quickdetect.detect import LLR_CLAMP
 from quickdetect.renewal import (
+    ESCAPE_MARGIN,
     _ERFC_UNDERFLOW,
     _STREAM_POST_WALK,
     _STREAM_PRE_WALK,
@@ -31,6 +32,24 @@ from quickdetect.renewal import (
     llr_moments,
     path_functionals,
 )
+
+#: change models for the walk sums: equal and unequal variances, and a faint
+#: shift whose walks run for several blocks before they escape
+WALK_MODELS = [
+    GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
+    GaussianChangeModel(0.1, 0.8, 0.6, 1.3),
+    GaussianChangeModel(0.0, 1.0, 2.0, 1.0),
+    GaussianChangeModel(0.0, 1.0, 0.3, 1.0),
+]
+
+
+def walk(model, policy, regime):
+    """``(sign, stream, mu, sigma, cap)`` of ``_exp_sums``' walks in ``regime``."""
+    return {
+        "post": (-1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post, policy.truncation),
+        "pre": (1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre, policy.horizon),
+    }[regime]
+
 
 FAST_POLICY = EstimationPolicy(replications=4_000, horizon=2_000, seed=11)
 #: the paper's HST model: a faint change in mean and scale
@@ -286,16 +305,7 @@ class TestPathFunctionals:
             se = math.hypot(est.std_error, np.std(draws, ddof=1) / math.sqrt(reps))
             assert abs(float(est) - np.mean(draws)) < 3.5 * se
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
-            GaussianChangeModel(0.1, 0.8, 0.6, 1.3),
-            GaussianChangeModel(0.0, 1.0, 2.0, 1.0),
-            # faint: walks run for several blocks before they escape
-            GaussianChangeModel(0.0, 1.0, 0.3, 1.0),
-        ],
-    )
+    @pytest.mark.parametrize("model", WALK_MODELS)
     @pytest.mark.parametrize("regime", ["post", "pre"])
     def test_exp_sums_match_definitions(self, model, regime):
         # each replication recomputed from its own stream, drawn in one
@@ -305,16 +315,37 @@ class TestPathFunctionals:
         # the walk's escape are below exp(-50) and do not show here.
         policy = EstimationPolicy(replications=30, horizon=1_027, truncation=3_000, seed=5)
         sums, unsettled = _exp_sums(model, policy, regime)
-        sign, stream, mu, sigma, cap = {
-            "post": (-1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post, policy.truncation),
-            "pre": (1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre, policy.horizon),
-        }[regime]
+        sign, stream, mu, sigma, cap = walk(model, policy, regime)
         for r in range(policy.replications):
-            rng = substream(policy.seed, stream, r)
+            rng = np.random.default_rng(np.random.SeedSequence([policy.seed, stream, r]))
             z = np.cumsum(llr(model, rng.normal(mu, sigma, cap)))
             assert sums[r] == pytest.approx(np.sum(np.exp(sign * z)), rel=1e-9)
         if regime == "post":
             assert unsettled == 0
+
+    @pytest.mark.parametrize("model", WALK_MODELS)
+    @pytest.mark.parametrize("regime", ["post", "pre"])
+    def test_exp_sums_equal_the_per_replication_loop(self, model, regime):
+        # the walks step together as rows, yet each sum is bit-equal to its
+        # walk run alone in 512-step blocks.  Two chunks of rows; the short
+        # truncation and horizon leave some faint walks unsettled.
+        policy = EstimationPolicy(replications=70, horizon=1_027, truncation=700, seed=5)
+        sums, unsettled = _exp_sums(model, policy, regime)
+        sign, stream, mu, sigma, cap = walk(model, policy, regime)
+        expected, still = [], 0
+        for r in range(policy.replications):
+            rng = np.random.default_rng(np.random.SeedSequence([policy.seed, stream, r]))
+            z_end, total, steps = 0.0, 0.0, 0
+            while steps < cap and sign * z_end >= -ESCAPE_MARGIN:
+                block = min(512, cap - steps)
+                z = z_end + np.cumsum(llr(model, rng.normal(mu, sigma, block)))
+                total += float(np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP))))
+                z_end = float(z[-1])
+                steps += block
+            still += sign * z_end >= -ESCAPE_MARGIN
+            expected.append(total)
+        np.testing.assert_array_equal(sums, expected)
+        assert unsettled == still
 
     def test_horizon_stability(self, variance_model):
         # with unequal variances beta_inf and c_inf are read off walks of
