@@ -24,7 +24,7 @@ from quickdetect import (
     kl_numbers,
 )
 
-policy = EstimationPolicy(replications=8_000, horizon=3_000, seed=5)
+policy = EstimationPolicy(replications=8_000, seed=5)
 
 for label, model in (
     ("unit mean shift N(0,1) -> N(1,1)", GaussianChangeModel(0.0, 1.0, 1.0, 1.0)),

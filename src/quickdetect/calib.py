@@ -13,9 +13,11 @@ The operating characteristics estimated here:
     Stationary multi-cyclic delay: run the detector with restarts through a
     long pre-change stretch of length ``nu``, inject the change, and measure
     the first alarm after it.  ``nu`` must already be in the stationary
-    regime; doubling it must move the estimate by less than two combined
-    standard errors, ``2 * hypot(se_nu, se_2nu)``, and this is checked on
-    every call.
+    regime; doubling it must move the estimate by less than
+    ``2 * hypot(se_nu, se_2nu)``, and this is checked on every call.  The
+    two estimates share their draws and are strongly correlated, so
+    ``hypot(se_nu, se_2nu)`` is about twice the standard error of their
+    difference, and the bound about four of those standard errors.
 
 All estimators draw each replication from its own generator keyed by
 ``(seed, estimator, replication index)``, so repeated calls with different
@@ -67,6 +69,10 @@ _STREAM_ARL = 11
 _STREAM_SADD = 12
 _STREAM_STADD_PRE = 13
 _STREAM_STADD_POST = 14
+#: bisection steps before the search gives up: forty halvings shrink the log
+#: bracket below 1e-10, finer than the steps of the ARL under common random
+#: numbers, so more cannot land closer to gamma
+_BISECTIONS = 40
 
 
 class CalibrationError(RuntimeError):
@@ -81,7 +87,6 @@ class CalibrationSpec:
     replications: int = 10_000
     seed: int = 0
     relative_tolerance: float = 0.02
-    max_iterations: int = 40
     nu_stationary: int = 1_000
 
     def __post_init__(self) -> None:
@@ -95,8 +100,6 @@ class CalibrationSpec:
             raise ValueError("seed must be nonnegative")
         if not 0.0 < self.relative_tolerance < 1.0:
             raise ValueError("relative_tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
         if self.nu_stationary < 1:
             raise ValueError("nu_stationary must be positive")
 
@@ -132,25 +135,21 @@ class DetectorConfig:
     ``model`` always generates the observations.  ``mode`` picks the
     increments: ``exact`` uses the model log-likelihood ratio, ``score``
     standardizes by the pre-change moments and applies the linear-quadratic
-    score.
-    ``increment_fn`` (observations -> log increments) overrides the mode;
-    it exists for degenerate and diagnostic detectors.  It must act
-    elementwise: the estimators pass it ``(rows, block)`` arrays, one row
-    per replication, and its output must keep that shape.
+    score.  The estimators pass :meth:`log_increments` ``(rows, block)``
+    arrays, one row per replication.
     """
 
     kind: str
     model: GaussianChangeModel
     mode: str = "exact"
     score: ScoreParams | None = None
-    increment_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.increment_fn is None and self.mode == "score":
+        if self.mode == "score":
             if self.score is None:
                 raise ValueError("score mode needs score parameters")
             if self.score.is_degenerate:
@@ -158,11 +157,6 @@ class DetectorConfig:
 
     def log_increments(self, x: np.ndarray) -> np.ndarray:
         """Map raw observations to log-scale detector increments."""
-        if self.increment_fn is not None:
-            out = np.asarray(self.increment_fn(np.asarray(x, dtype=float)), dtype=float)
-            if out.shape != np.shape(x):
-                raise ValueError("increment_fn must preserve the shape")
-            return out
         if self.mode == "exact":
             return llr(self.model, x)
         standardized = (np.asarray(x, dtype=float) - self.model.mu_pre) / self.model.sigma_pre
@@ -371,12 +365,14 @@ def estimate_stadd(
     """Stationary (multi-cyclic) mean detection delay at ``nu_stationary``.
 
     The change index must be deep in the stationary regime: the estimate at
-    ``2 * nu_stationary`` must agree within two combined standard errors,
-    ``2 * hypot(se_nu, se_2nu)``, otherwise the call fails.  Both estimates
-    read the same streams, so each replication's walk to ``nu`` is the
-    first half of its walk to ``2 * nu`` and its post-change draws serve
-    both: the two post-change runs of a replication are one row of a store
-    of runs.  Replications are simulated together in runs of ``_ROWS`` rows.
+    ``2 * nu_stationary`` must agree within ``2 * hypot(se_nu, se_2nu)``,
+    otherwise the call fails.  As the two estimates share their draws, that
+    ``hypot`` is about twice the standard error of their difference, not one
+    such error.  Both estimates read the same streams, so each replication's
+    walk to ``nu`` is the first half of its walk to ``2 * nu`` and its
+    post-change draws serve both: the two post-change runs of a replication
+    are one row of a store of runs.  Replications are simulated together in
+    runs of ``_ROWS`` rows.
     """
     check_threshold(threshold)
     delays, capped = _by_chunks(spec, lambda rows: _stadd_delays(config, threshold, spec, rows))
@@ -470,11 +466,14 @@ def solve_threshold(
     while not below(est):
         if within(est):
             return accept(lo, est)
+        if lo / 2.0 < 1e-12:
+            raise CalibrationError(
+                f"gamma={gamma:g} is below every ARL this detector reaches: the ARL "
+                f"at the lowest threshold tried, {lo:.3g}, is still above it"
+            )
         lo /= 2.0
-        if lo < 1e-12:
-            raise CalibrationError("no lower bracket found above 1e-12")
         est = arl_at(lo)
-    for _ in range(spec.max_iterations):
+    for _ in range(_BISECTIONS):
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         est = arl_at(mid)
         if within(est):
@@ -485,7 +484,7 @@ def solve_threshold(
             hi = mid
     raise CalibrationError(
         f"threshold not bracketed to within {spec.relative_tolerance:.1%} of "
-        f"gamma={gamma} after {spec.max_iterations} bisection steps"
+        f"gamma={gamma} after {_BISECTIONS} bisection steps"
     )
 
 

@@ -15,12 +15,15 @@ flags; the flags are ``RunConfig`` fields, spelled ``--`` plus the field name
 with ``-`` for ``_``.  A flag and a key of an optional ``--config`` JSON file
 share one per-field type, read from the field's annotation, and flags always
 override file values.  A file number in a float field reads as a float, so a
-file and a flag that give one setting give one configuration hash.  Every
-run derives all randomness from the single ``--seed``.  Reports are written
-twice: a human-readable text file and a machine-readable JSON file, plus CSV
-tables for traces and series.  File names contain the command and a hash of
-the effective configuration, and report bodies contain no timestamps, so a
-rerun with the same inputs reproduces identical bytes.
+file and a flag that give one setting give one configuration hash.  What the
+program can work out itself takes no setting: the renewal series and walks
+run until they settle, and the threshold search bisects at most a fixed
+number of times.  Every run derives all randomness from the single
+``--seed``.  Reports are written twice: a human-readable text file and a
+machine-readable JSON file, plus CSV tables for traces and series.  File
+names contain the command and a hash of the effective configuration, and
+report bodies contain no timestamps, so a rerun with the same inputs
+reproduces identical bytes.
 
 Exit codes: 0 success, 1 runtime failure (bad data, failed estimation),
 2 usage error.
@@ -87,10 +90,7 @@ class RunConfig:
     gamma: float | None = None
     replications: int = 10_000
     relative_tolerance: float = 0.02
-    max_iterations: int = 40
     nu: int = 1_000
-    truncation: int = 100_000
-    horizon: int = 4_000
 
     def __post_init__(self) -> None:
         for name, choices in _CHOICES.items():
@@ -381,18 +381,12 @@ def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
         replications=config.replications,
         seed=config.seed,
         relative_tolerance=config.relative_tolerance,
-        max_iterations=config.max_iterations,
         nu_stationary=config.nu,
     )
 
 
 def _policy(config: RunConfig) -> renewal.EstimationPolicy:
-    return renewal.EstimationPolicy(
-        truncation=config.truncation,
-        replications=config.replications,
-        horizon=config.horizon,
-        seed=config.seed,
-    )
+    return renewal.EstimationPolicy(replications=config.replications, seed=config.seed)
 
 
 def _detector_config(
@@ -752,12 +746,12 @@ _COMMANDS = {
     ),
     "constants": Command(
         _cmd_constants, "renewal constants of a change model",
-        _COMMON + _MODEL + ("replications", "truncation", "horizon"),
+        _COMMON + _MODEL + ("replications",),
     ),
     "calibrate": Command(
         _cmd_calibrate, "thresholds for a target ARL",
         _COMMON + _MODEL
-        + ("gamma", "kind", "mode", "replications", "relative_tolerance", "max_iterations"),
+        + ("gamma", "kind", "mode", "replications", "relative_tolerance"),
     ),
     "detect": Command(
         _cmd_detect, "run detectors over a series",
@@ -767,7 +761,7 @@ _COMMANDS = {
     "simulate": Command(
         _cmd_simulate, "calibrated SR-vs-CUSUM comparison",
         _COMMON + _MODEL + ("gamma", "kind", "mode", "replications", "nu",
-                            "relative_tolerance", "truncation", "horizon"),
+                            "relative_tolerance"),
     ),
 }
 

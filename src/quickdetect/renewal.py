@@ -26,8 +26,8 @@ Shiryaev-Roberts rest on a handful of constants of that walk:
     independent stationary pre-change Shiryaev-Roberts draw.  Reversed in
     time, ``R_n = sum_{k <= n} exp(Z_n - Z_{k-1})`` has the law of
     ``sum_{j <= n} exp(Z_j)``, so both are sums ``sum_k exp(s * Z_k)`` of
-    one simulated walk: ``s = -1`` post-change, ``s = +1`` pre-change up to
-    ``n = horizon``.  They have no series.
+    one simulated walk: ``s = -1`` post-change, ``s = +1`` pre-change, each
+    run until it escapes.  They have no series.
 
 With equal pre/post variances the walk is exactly Gaussian,
 ``Z_k ~ N(-k*I, 2*k*I)`` pre-change and ``N(k*I, 2*k*I)`` post-change: the
@@ -38,6 +38,10 @@ observation and the walk is not Gaussian.  ``zeta`` and ``varkappa`` are
 then series estimated by Monte Carlo, and ``beta0`` and ``beta_inf`` are
 read off the same walks directly (a Monte Carlo ``beta_inf`` series has
 many times the standard error of the CUSUM tail mean).
+
+No setting bounds the work: series run until a term falls below
+``TERM_TOL`` and walks until they escape, both within ``STEP_CAP``.  A
+change too faint to settle within it fails loudly rather than being cut.
 
 The approximations themselves::
 
@@ -69,11 +73,15 @@ _STREAM_PRE_WALK = 3
 
 #: series terms below this magnitude are considered converged
 TERM_TOL = 1e-12
-#: hard cap on series length regardless of the policy
-TRUNCATION_HARD_CAP = 10**6
+#: bound on series terms and on walk steps; a model whose sums have not
+#: settled by then is too faint, and the estimate fails
+STEP_CAP = 10**6
 #: a walk this far on the escaping side adds no visible mass to
 #: sum(exp(s * Z_k)); paths are cut here
 ESCAPE_MARGIN = 50.0
+#: pre-change steps of the Monte Carlo ``beta_inf`` draw; its second half is
+#: the averaging window
+_TAIL_WINDOW = 4_000
 #: ``math.erfc`` underflows to exactly 0.0 at and above this argument
 _ERFC_UNDERFLOW = 27.3
 _BLOCK = 512
@@ -101,26 +109,14 @@ class Estimate:
 
 @dataclass(frozen=True)
 class EstimationPolicy:
-    """Knobs for estimating the constants.
+    """The Monte Carlo budget; series and walks run until they settle."""
 
-    ``truncation`` caps the number of series terms (the sums stop earlier,
-    at the first term below ``1e-12``); ``horizon`` is the simulated path
-    length for the stationary functionals; ``replications`` and ``seed``
-    drive the Monte Carlo estimates.
-    """
-
-    truncation: int = 100_000
     replications: int = 10_000
-    horizon: int = 4_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.truncation < 1:
-            raise ValueError("truncation must be positive")
         if self.replications < 2:
             raise ValueError("need at least two replications")
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -200,22 +196,20 @@ def llr_moments(model: GaussianChangeModel, regime: str) -> tuple[float, float]:
     raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
 
 
-def _converging_sum(term_fn, cap: int, what: str) -> float:
+def _converging_sum(term_fn, what: str) -> float:
     """Sum ``term_fn(k)`` over k >= 1 until terms drop below TERM_TOL."""
-    cap = min(cap, TRUNCATION_HARD_CAP)
     total = 0.0
     start = 1
     block = 65536
-    while start <= cap:
-        k = np.arange(start, min(cap, start + block - 1) + 1, dtype=float)
+    while start <= STEP_CAP:
+        k = np.arange(start, min(STEP_CAP, start + block - 1) + 1, dtype=float)
         terms = term_fn(k)
         total += float(np.sum(terms))
         if abs(float(terms[-1])) < TERM_TOL:
             return total
         start += block
     raise RuntimeError(
-        f"{what} series did not converge within {cap} terms; "
-        "the change may be too faint for the truncation cap"
+        f"{what} series did not converge within {STEP_CAP} terms: the change is too faint"
     )
 
 
@@ -233,7 +227,7 @@ def _normal_tail(a: np.ndarray) -> np.ndarray:
     return 0.5 * tail
 
 
-def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
+def _overshoots_exact(model: GaussianChangeModel):
     """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal tails.
 
     The ``varkappa`` correction is Spitzer's series for ``beta0``, and its
@@ -251,12 +245,12 @@ def _overshoots_exact(model: GaussianChangeModel, policy: EstimationPolicy):
         pdf = np.exp(-arg**2 / 2.0) / np.sqrt(2 * np.pi)
         return i_g * _normal_tail(arg) - np.sqrt(2.0 * i_g / k) * pdf
 
-    exponent = _converging_sum(zeta_term, policy.truncation, "zeta")
+    exponent = _converging_sum(zeta_term, "zeta")
     zeta = math.exp(-exponent) / i_g
     if zeta > 1.0 + 1e-9:
         raise RuntimeError(f"zeta computed as {zeta}, outside (0, 1]")
     first = 1.0 + i_g / 2.0  # E[Z_1^2]/(2 E[Z_1]) for N(I, 2I)
-    beta0 = _converging_sum(kappa_term, policy.truncation, "varkappa")
+    beta0 = _converging_sum(kappa_term, "varkappa")
     return Estimate(min(zeta, 1.0)), Estimate(first + beta0), Estimate(beta0), Estimate(-beta0)
 
 
@@ -266,14 +260,13 @@ def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
     Each replication draws a pre- and a post-change walk of ``length``
     steps from one stream.  The post-change walk's ``min(0, min_k Z_k)`` is
     its ``beta0`` draw.  The pre-change walk, continued from the same
-    stream when ``horizon`` is longer, gives the ``beta_inf`` draw: the
-    mean CUSUM statistic over steps ``n > horizon // 2``.
+    stream to ``_TAIL_WINDOW`` steps when shorter, gives the ``beta_inf``
+    draw: the mean CUSUM statistic over steps ``n > _TAIL_WINDOW // 2``.
     """
     i_f, i_g = kl_numbers(model)
     drift = min(i_f, i_g)
-    length = int(min(policy.truncation, TRUNCATION_HARD_CAP, 60.0 / drift + 64))
+    length = int(min(STEP_CAP, 60.0 / drift + 64))
     reps = policy.replications
-    horizon = policy.horizon
     inv_k = 1.0 / np.arange(1, length + 1)
     s_vals = np.empty(reps)
     t_vals = np.empty(reps)
@@ -291,14 +284,14 @@ def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
             if z_pre[-1] > 0.0 or z_post[-1] <= 0.0:
                 tail_hits += 1
             minima[r] = min(0.0, float(np.min(z_post)))
-            if horizon > length:
-                more = llr(model, rng.normal(model.mu_pre, model.sigma_pre, horizon - length))
+            if _TAIL_WINDOW > length:
+                more = llr(model, rng.normal(model.mu_pre, model.sigma_pre, _TAIL_WINDOW - length))
                 x_pre = np.concatenate((x_pre, more))
-            tails[r] = float(np.mean(_cusum_path(0.0, x_pre[:horizon])[horizon // 2 :]))
+            tails[r] = float(np.mean(_cusum_path(0.0, x_pre[:_TAIL_WINDOW])[_TAIL_WINDOW // 2 :]))
     if tail_hits > 0.005 * reps:
         raise RuntimeError(
             f"overshoot series not converged at {length} terms "
-            f"({tail_hits}/{reps} paths still crossing); increase truncation"
+            f"({tail_hits}/{reps} paths still crossing): the change is too faint"
         )
     s_mean, s_se = mean_se(s_vals)
     zeta = math.exp(-s_mean) / i_g
@@ -335,38 +328,36 @@ def limiting_overshoots(
     """
     policy = policy or EstimationPolicy()
     if model.sigma_pre == model.sigma_post:
-        return _overshoots_exact(model, policy)
+        return _overshoots_exact(model)
     return _overshoots_mc(model, policy)
 
 
 def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str):
     """Per-replication ``sum_k exp(s * Z_k)`` and the count of unescaped walks.
 
-    ``"post"``: ``s = -1`` (the sum is ``U``), capped at the truncation.
-    ``"pre"``: ``s = +1`` (the time-reversed Shiryaev-Roberts statistic),
-    capped at the horizon.  A walk stops early once ``s * Z`` falls below
-    ``-ESCAPE_MARGIN``; walks that reach the cap first are counted.  The
-    walks of at most ``_rand._ROWS`` replications step together as the rows of one
-    array, block by block, each row drawing from its own generator, so every
-    sum is that of its walk run alone.
+    ``"post"``: ``s = -1`` (the sum is ``U``).  ``"pre"``: ``s = +1`` (the
+    time-reversed Shiryaev-Roberts statistic).  A walk stops once ``s * Z``
+    falls below ``-ESCAPE_MARGIN`` at the end of a block; walks still short
+    of that after ``STEP_CAP`` steps are counted.  The walks of at most
+    ``_rand._ROWS`` replications step together as the rows of one array,
+    block by block, each row drawing from its own generator, so every sum is
+    that of its walk run alone.
     """
     if regime == "post":
         sign, stream, mu, sigma = -1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post
-        cap = min(policy.truncation, TRUNCATION_HARD_CAP)
     else:
         sign, stream, mu, sigma = 1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre
-        cap = policy.horizon
     sums = np.zeros(policy.replications)
     unsettled = 0
     for rows in row_chunks(policy.replications):
         rngs = substream(policy.seed, stream, rows)
         total = sums[rows.start : rows.stop]  # a view: adding to it fills sums
         z_end = np.zeros(len(rows))
-        for steps in range(0, cap, _BLOCK):
+        for steps in range(0, STEP_CAP, _BLOCK):
             live = np.flatnonzero(sign * z_end >= -ESCAPE_MARGIN)
             if not live.size:
                 break
-            x = np.stack([rngs[i].normal(mu, sigma, min(_BLOCK, cap - steps)) for i in live])
+            x = np.stack([rngs[i].normal(mu, sigma, min(_BLOCK, STEP_CAP - steps)) for i in live])
             z = z_end[live, None] + np.cumsum(llr(model, x), axis=1)
             total[live] += np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP)), axis=1)
             z_end[live] = z[:, -1]
@@ -380,20 +371,21 @@ def path_functionals(
     """Monte Carlo estimates ``(c0, c_inf)``.
 
     Each replication pairs ``U`` with the Shiryaev-Roberts draw
-    ``sum_{j <= horizon} exp(Z_j)`` of an independent pre-change walk, so
-    ``c_inf >= c0`` holds pathwise.  More than 1% of post-change walks that
-    never escape is an error; the pre-change sum is cut at the horizon.
+    ``sum_j exp(Z_j)`` of an independent pre-change walk, so
+    ``c_inf >= c0`` holds pathwise.  Both walks run until they escape; more
+    than 1% of either that never do is an error.
     """
     policy = policy or EstimationPolicy()
     reps = policy.replications
-    u_sums, unsettled = _exp_sums(model, policy, "post")
-    if unsettled > max(1, 0.01 * reps):
-        raise RuntimeError(
-            f"{unsettled}/{reps} post-change walks never escaped within "
-            f"{min(policy.truncation, TRUNCATION_HARD_CAP)} steps; increase "
-            "the truncation or check the model"
-        )
-    r_sums, _ = _exp_sums(model, policy, "pre")
+    sums = {}
+    for regime in ("post", "pre"):
+        sums[regime], unsettled = _exp_sums(model, policy, regime)
+        if unsettled > max(1, 0.01 * reps):
+            raise RuntimeError(
+                f"{unsettled}/{reps} {regime}-change walks never escaped within "
+                f"{STEP_CAP} steps: the change is too faint"
+            )
+    u_sums, r_sums = sums["post"], sums["pre"]
     return (
         Estimate(*mean_se(np.log1p(u_sums)), reps),
         Estimate(*mean_se(np.log1p(u_sums + r_sums)), reps),

@@ -45,9 +45,7 @@ def exact_sr():
 
 @pytest.fixture(scope="module")
 def unit_constants():
-    policy = renewal.EstimationPolicy(
-        truncation=100_000, replications=20_000, horizon=4_000, seed=29
-    )
+    policy = renewal.EstimationPolicy(replications=20_000, seed=29)
     return renewal.estimate_constants(UNIT, policy)
 
 

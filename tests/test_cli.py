@@ -400,6 +400,27 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["returns", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "command,key", [("constants", "truncation"), ("simulate", "horizon"),
+                        ("calibrate", "max_iterations")],
+    )
+    def test_settings_worked_out_by_the_program_are_refused(
+        self, tmp_path, capsys, command, key
+    ):
+        # the renewal walks run until they settle and the bisection bound is
+        # fixed: neither a flag nor a config-file key sets them
+        args = [command, "--q", "1", "--delta", "1", "--replications", "50"]
+        if command != "constants":
+            args += ["--gamma", "10"]
+        flag = "--" + key.replace("_", "-")
+        assert run_cli([*args, flag, "100"], tmp_path / "o") == 2
+        assert f"unrecognized arguments: {flag} 100" in capsys.readouterr().err
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: 100}))
+        assert run_cli([*args, "--config", str(path)], tmp_path / "o") == 2
+        assert f"usage error: unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_schema_is_usage_error(self, capsys):
         assert cli.main(["returns", "--schema", "price=Close"]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -885,7 +906,7 @@ class TestConstantsCommand:
         out = tmp_path / "o"
         code = run_cli(
             ["constants", "--q", "1", "--delta", "1",
-             "--replications", "300", "--horizon", "600"],
+             "--replications", "300"],
             out,
         )
         assert code == 0
@@ -909,7 +930,7 @@ class TestConstantsCommand:
         code = run_cli(
             ["constants", "--mu-pre", "0", "--sigma-pre", "1",
              "--mu-post", "0.3", "--sigma-post", "1.3",
-             "--replications", "300", "--horizon", "1000", "--truncation", "20000"],
+             "--replications", "300"],
             out,
         )
         assert code == 0
@@ -941,6 +962,21 @@ class TestCalibrateCommand:
         assert entries["cap-hits"]["value"] <= 6  # accepted solution: at most 1%
         assert any("gamma=15" in note for note in report["notes"])
 
+    def test_gamma_below_every_reachable_arl_names_its_cause(self, tmp_path, capsys):
+        # as h -> 0 this CUSUM alarms at the first increment above 0, i.e. at
+        # x > 1.5, so no threshold has an ARL below 1/P(x > 1.5), about 15
+        out = tmp_path / "o"
+        code = run_cli(
+            ["calibrate", "--q", "1", "--delta", "3", "--gamma", "1.5", "--mode", "exact",
+             "--kind", "cusum", "--replications", "200"],
+            out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: gamma=1.5 is below every ARL this detector reaches" in err
+        assert "lowest threshold tried, 1.48e-12" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_cusum_report_is_complete_and_consistent(self, tmp_path):
@@ -948,8 +984,7 @@ class TestSimulateCommand:
         code = run_cli(
             ["simulate", "--q", "1", "--delta", "1", "--mode", "exact",
              "--kind", "cusum", "--gamma", "20", "--replications", "500",
-             "--nu", "250", "--horizon", "800", "--truncation", "20000",
-             "--seed", "3"],
+             "--nu", "250", "--seed", "3"],
             out,
         )
         assert code == 0
@@ -1024,12 +1059,10 @@ class TestEntryPoint:
              "--kind", "cusum", "--gamma", "10", "--replications", "200", "--seed", "5"],
             ["simulate", "--q", "1", "--delta", "1", "--mode", "exact",
              "--kind", "cusum", "--gamma", "10", "--replications", "200",
-             "--nu", "100", "--horizon", "200", "--seed", "1"],
-            ["constants", "--q", "1", "--delta", "1", "--replications", "50",
-             "--horizon", "200"],
+             "--nu", "100", "--seed", "1"],
+            ["constants", "--q", "1", "--delta", "1", "--replications", "50"],
             ["constants", "--mu-pre", "0", "--sigma-pre", "1",
-             "--mu-post", "0.3", "--sigma-post", "1.3",
-             "--replications", "300", "--horizon", "1000", "--truncation", "20000"],
+             "--mu-post", "0.3", "--sigma-post", "1.3", "--replications", "300"],
         ]
         code = textwrap.dedent(
             """

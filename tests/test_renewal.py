@@ -17,6 +17,7 @@ from quickdetect import (
     kl_numbers,
     llr,
 )
+from quickdetect import renewal
 from quickdetect.detect import LLR_CLAMP
 from quickdetect.renewal import (
     ESCAPE_MARGIN,
@@ -33,27 +34,29 @@ from quickdetect.renewal import (
     path_functionals,
 )
 
-#: change models for the walk sums: equal and unequal variances, and a faint
-#: shift whose walks run for several blocks before they escape
+#: the paper's HST model: a faint change in mean and scale
+HST = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
+#: change models for the walk sums: equal and unequal variances, a faint
+#: shift whose walks run for several blocks before they escape, and HST,
+#: whose walks run for 10-16 k steps
 WALK_MODELS = [
     GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
     GaussianChangeModel(0.1, 0.8, 0.6, 1.3),
     GaussianChangeModel(0.0, 1.0, 2.0, 1.0),
     GaussianChangeModel(0.0, 1.0, 0.3, 1.0),
+    HST,
 ]
 
 
-def walk(model, policy, regime):
-    """``(sign, stream, mu, sigma, cap)`` of ``_exp_sums``' walks in ``regime``."""
+def walk(model, regime):
+    """``(sign, stream, mu, sigma)`` of ``_exp_sums``' walks in ``regime``."""
     return {
-        "post": (-1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post, policy.truncation),
-        "pre": (1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre, policy.horizon),
+        "post": (-1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post),
+        "pre": (1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre),
     }[regime]
 
 
-FAST_POLICY = EstimationPolicy(replications=4_000, horizon=2_000, seed=11)
-#: the paper's HST model: a faint change in mean and scale
-HST = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
+FAST_POLICY = EstimationPolicy(replications=4_000, seed=11)
 
 
 class TestKlNumbers:
@@ -173,9 +176,7 @@ class TestOvershoots:
 
         zeta_ndtr = math.exp(-block_sum(lambda k: 2.0 / k * ndtr(-np.sqrt(k * i / 2.0)))) / i
         beta0_ndtr = block_sum(kappa_term)
-        zeta, varkappa, beta0, beta_inf = limiting_overshoots(
-            model, EstimationPolicy(truncation=10**6)
-        )
+        zeta, varkappa, beta0, beta_inf = limiting_overshoots(model)
         assert float(zeta) == pytest.approx(zeta_ndtr, rel=1e-14, abs=0.0)
         assert float(beta0) == pytest.approx(beta0_ndtr, rel=1e-14, abs=0.0)
         assert float(beta_inf) == -float(beta0)
@@ -240,7 +241,7 @@ class TestOvershoots:
     def test_mc_route_agrees_with_exact_route(self, unit_shift_model):
         # the Monte Carlo estimator is valid for any model; on an
         # equal-variance model it must reproduce the closed-form answer
-        exact = _overshoots_exact(unit_shift_model, FAST_POLICY)
+        exact = _overshoots_exact(unit_shift_model)
         mc = _overshoots_mc(unit_shift_model, FAST_POLICY)
         for name, e, m in zip(("zeta", "varkappa", "beta0", "beta_inf"), exact, mc):
             assert m.replications == FAST_POLICY.replications, name
@@ -307,66 +308,67 @@ class TestPathFunctionals:
 
     @pytest.mark.parametrize("model", WALK_MODELS)
     @pytest.mark.parametrize("regime", ["post", "pre"])
-    def test_exp_sums_match_definitions(self, model, regime):
+    def test_exp_sums_match_definitions(self, model, regime, monkeypatch):
         # each replication recomputed from its own stream, drawn in one
-        # piece: sum_{k <= cap} exp(s Z_k), with s = -1 and the cap at the
-        # truncation post-change, s = +1 and the cap at the horizon
-        # pre-change.  The horizon ends 3 steps into a block.  Terms past
-        # the walk's escape are below exp(-50) and do not show here.
-        policy = EstimationPolicy(replications=30, horizon=1_027, truncation=3_000, seed=5)
+        # piece: sum_{k <= cap} exp(s Z_k), with s = -1 post-change and
+        # s = +1 pre-change, under a cap 3 steps into a block.  Terms past
+        # the walk's escape are below exp(-50) and do not show here.  A walk
+        # is unsettled if s Z stays above -50 at every block end.
+        cap = 1_027
+        monkeypatch.setattr(renewal, "STEP_CAP", cap)
+        policy = EstimationPolicy(replications=30, seed=5)
         sums, unsettled = _exp_sums(model, policy, regime)
-        sign, stream, mu, sigma, cap = walk(model, policy, regime)
+        sign, stream, mu, sigma = walk(model, regime)
+        block_ends = [511, 1023, cap - 1]
+        still = 0
         for r in range(policy.replications):
             rng = np.random.default_rng(np.random.SeedSequence([policy.seed, stream, r]))
             z = np.cumsum(llr(model, rng.normal(mu, sigma, cap)))
             assert sums[r] == pytest.approx(np.sum(np.exp(sign * z)), rel=1e-9)
-        if regime == "post":
-            assert unsettled == 0
+            still += bool(np.all(sign * z[block_ends] >= -ESCAPE_MARGIN))
+        assert unsettled == still
 
     @pytest.mark.parametrize("model", WALK_MODELS)
     @pytest.mark.parametrize("regime", ["post", "pre"])
-    def test_exp_sums_equal_the_per_replication_loop(self, model, regime):
+    def test_exp_sums_equal_the_per_replication_loop(self, model, regime, monkeypatch):
         # the walks step together as rows, yet each sum is bit-equal to its
-        # walk run alone in 512-step blocks.  Two chunks of rows; the short
-        # truncation and horizon leave some faint walks unsettled.
-        policy = EstimationPolicy(replications=70, horizon=1_027, truncation=700, seed=5)
-        sums, unsettled = _exp_sums(model, policy, regime)
-        sign, stream, mu, sigma, cap = walk(model, policy, regime)
-        expected, still = [], 0
-        for r in range(policy.replications):
-            rng = np.random.default_rng(np.random.SeedSequence([policy.seed, stream, r]))
-            z_end, total, steps = 0.0, 0.0, 0
-            while steps < cap and sign * z_end >= -ESCAPE_MARGIN:
-                block = min(512, cap - steps)
-                z = z_end + np.cumsum(llr(model, rng.normal(mu, sigma, block)))
-                total += float(np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP))))
-                z_end = float(z[-1])
-                steps += block
-            still += sign * z_end >= -ESCAPE_MARGIN
-            expected.append(total)
-        np.testing.assert_array_equal(sums, expected)
-        assert unsettled == still
+        # walk run alone in 512-step blocks.  Two chunks of rows; a cap of
+        # 700 leaves some faint walks unsettled, and under the real cap every
+        # walk runs to its escape, HST's for 10-16 k steps.
+        policy = EstimationPolicy(replications=70, seed=5)
+        sign, stream, mu, sigma = walk(model, regime)
+        for cap in (700, renewal.STEP_CAP):
+            monkeypatch.setattr(renewal, "STEP_CAP", cap)
+            sums, unsettled = _exp_sums(model, policy, regime)
+            expected, still = [], 0
+            for r in range(policy.replications):
+                rng = np.random.default_rng(np.random.SeedSequence([policy.seed, stream, r]))
+                z_end, total, steps = 0.0, 0.0, 0
+                while steps < cap and sign * z_end >= -ESCAPE_MARGIN:
+                    block = min(512, cap - steps)
+                    z = z_end + np.cumsum(llr(model, rng.normal(mu, sigma, block)))
+                    total += float(np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP))))
+                    z_end = float(z[-1])
+                    steps += block
+                still += sign * z_end >= -ESCAPE_MARGIN
+                expected.append(total)
+            np.testing.assert_array_equal(sums, expected)
+            assert unsettled == still
+        assert unsettled == 0  # under the real cap
 
-    def test_horizon_stability(self, variance_model):
-        # with unequal variances beta_inf and c_inf are read off walks of
-        # `horizon` steps; zeta, varkappa, beta0 and c0 do not use it
-        constants = {}
-        for horizon in (1_000, 2_000):
-            policy = EstimationPolicy(replications=4_000, horizon=horizon, seed=11)
-            constants[horizon] = estimate_constants(variance_model, policy)
-        short, long = constants[1_000], constants[2_000]
-        for name in ("zeta", "varkappa", "beta0", "c0"):
-            assert getattr(short, name) == getattr(long, name), name
-        for name in ("beta_inf", "c_inf"):
-            a, b = getattr(short, name), getattr(long, name)
-            combined = math.hypot(a.std_error, b.std_error)
-            assert abs(float(a) - float(b)) < 2.0 * combined + 0.02, name
-
-    def test_faint_change_rejected(self):
-        faint = GaussianChangeModel(0.0, 1.0, 0.02, 1.0)
-        policy = EstimationPolicy(replications=64, horizon=64, truncation=64, seed=0)
-        with pytest.raises(RuntimeError, match="never escaped"):
-            path_functionals(faint, policy)
+    def test_faint_change_rejected(self, monkeypatch):
+        monkeypatch.setattr(renewal, "STEP_CAP", 64)
+        policy = EstimationPolicy(replications=64, seed=0)
+        for model, regime in (
+            # a faint shift: the post-change walks, checked first, never escape
+            (GaussianChangeModel(0.0, 1.0, 0.02, 1.0), "post"),
+            # I_g = 2.9 and I_f = 0.65: 64 steps settle the post-change walks
+            # (about -186 on average) but leave the pre-change ones near -42
+            (GaussianChangeModel(0.0, 1.0, 0.0, 3.0), "pre"),
+        ):
+            with pytest.raises(RuntimeError, match=f"{regime}-change walks never escaped "
+                               "within 64 steps: the change is too faint"):
+                path_functionals(model, policy)
 
 
 class TestEstimateConstants:
@@ -379,7 +381,7 @@ class TestEstimateConstants:
             assert float(getattr(first, name)) == float(getattr(second, name))
 
     def test_seed_changes_mc_fields(self, variance_model):
-        other = EstimationPolicy(replications=4_000, horizon=2_000, seed=12)
+        other = EstimationPolicy(replications=4_000, seed=12)
         first = estimate_constants(variance_model, FAST_POLICY)
         second = estimate_constants(variance_model, other)
         assert float(first.zeta) != float(second.zeta)
@@ -399,8 +401,8 @@ class TestEstimateConstants:
             Estimate(float("inf"))
         with pytest.raises(ValueError, match="standard error"):
             Estimate(1.0, -0.1)
-        with pytest.raises(ValueError, match="horizon"):
-            EstimationPolicy(horizon=1)
+        with pytest.raises(ValueError, match="two replications"):
+            EstimationPolicy(replications=1)
         with pytest.raises(ValueError, match="seed"):
             EstimationPolicy(seed=-1)
 
