@@ -677,36 +677,51 @@ def _cmd_detect(config: RunConfig) -> Report:
 def _cmd_simulate(config: RunConfig) -> Report:
     model = _require_model(config)
     spec = _calibration_spec(config)
-    constants = renewal.estimate_constants(model, _policy(config))
+    detectors = [_detector_config(config, kind, model) for kind in _kinds(config)]
+    constants = arl_constants = renewal.estimate_constants(model, _policy(config))
+    notes = [
+        "worst-case delay estimated with the change in force from the first step",
+        f"stationary delay estimated at nu={spec.nu_stationary} (doubling checked within "
+        "2*hypot(se_nu, se_2nu), about four standard errors of the difference)",
+    ]
+    # a --q/--delta score is the LLR of N(0, 1) -> N(delta, 1/q^2), which need
+    # not be the model; the detectors above have refused q <= 0 and q=1, delta=0
+    design = None
+    if config.mode == "score" and config.q is not None and config.delta is not None:
+        design = models.GaussianChangeModel(0.0, 1.0, config.delta, 1.0 / config.q)
+    own_design = design is None or design == model.standardized
+    if not own_design:
+        arl_constants = renewal.estimate_constants(design, _policy(config))
+        notes += [
+            "approx-arl from the renewal constants of the score design's model "
+            f"N(0, 1) -> N({config.delta!r}, 1/{config.q!r}^2)",
+            "no approx delay lines: the score design differs from the model, and the "
+            "model's LLR constants do not describe the score after the change",
+        ]
     sections = [("constants", _constants_entries(constants))]
-    for kind in _kinds(config):
-        detector = _detector_config(config, kind, model)
+    for detector in detectors:
+        kind = detector.kind
         threshold, arl = calib.solve_threshold(detector, spec)
         sadd = calib.estimate_sadd(detector, threshold, spec)
         stadd = calib.estimate_stadd(detector, threshold, spec)
-        approx = renewal.delay_approx(kind, threshold, constants)
         entries = [
             ReportEntry("threshold", threshold),
             ReportEntry("monte-carlo-arl", arl.value, "observations", arl.std_error),
-            ReportEntry("approx-arl", renewal.arl_approx(kind, threshold, constants), "observations"),
+            ReportEntry("approx-arl", renewal.arl_approx(kind, threshold, arl_constants), "observations"),
             ReportEntry("monte-carlo-sadd", sadd.value, "observations", sadd.std_error),
-            ReportEntry("approx-sadd", approx["sadd"], "observations"),
-            ReportEntry("monte-carlo-stadd", stadd.value, "observations", stadd.std_error),
         ]
+        approx = renewal.delay_approx(kind, threshold, constants) if own_design else {}
+        if "sadd" in approx:
+            entries.append(ReportEntry("approx-sadd", approx["sadd"], "observations"))
+        entries.append(
+            ReportEntry("monte-carlo-stadd", stadd.value, "observations", stadd.std_error)
+        )
         if "stadd" in approx:
             entries.append(ReportEntry("approx-stadd", approx["stadd"], "observations"))
         if "add_inf" in approx:
             entries.append(ReportEntry("approx-add-inf", approx["add_inf"], "observations"))
         sections.append((kind, tuple(entries)))
-    return Report(
-        config=config,
-        sections=tuple(sections),
-        notes=(
-            "worst-case delay estimated with the change in force from the first step",
-            f"stationary delay estimated at nu={spec.nu_stationary} "
-            "(doubling checked within two combined standard errors)",
-        ),
-    )
+    return Report(config=config, sections=tuple(sections), notes=tuple(notes))
 
 
 class Command(NamedTuple):

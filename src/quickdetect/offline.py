@@ -16,10 +16,12 @@ significance threshold and both children are at least ``min_segment`` long.
 When no explicit threshold is given, each segment gets a Monte Carlo null
 threshold: the 95th percentile of ``max |Y|`` over synthetic i.i.d. Gaussian
 series with that segment's fitted moments; its normal draws are most of the cost.
-One worker thread draws the next batch of null series while the calling
-thread scans the current one (numpy releases the interpreter lock in both),
-so on two cores the draws hide the scan; the two batch buffers hold at most
-``2 * _NULL_BLOCK`` doubles (8 MiB).
+Each replication draws from its own generator, keyed by
+``(seed, _STREAM_NULL, length, r)``, so a threshold depends on nothing but
+its arguments.  The calling thread and one worker thread each draw and
+scan half of every chunk of replications (numpy releases the interpreter
+lock in both), so two cores share the work; each thread holds three
+series-sized buffers.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rand import row_chunks, substream
 from .series import MomentEstimate, estimate_moments, _freeze, _values_of
 
-#: elements in one batch of null series; each of the two batch buffers holds
-#: ``max(1, _NULL_BLOCK // length)`` replications, at most ``replications``
-_NULL_BLOCK = 2**19
+#: the null's stream id in its replication keys ``(seed, _STREAM_NULL, length, r)``
+_STREAM_NULL = 21
 
 
 @dataclass(frozen=True)
@@ -141,14 +143,14 @@ def null_threshold(
     order-statistic quantile is scaled by ``sd``.  The cost is in the
     ``replications * length`` draws: ``Y`` reuses one set of weights and buffers.
 
-    Replications are drawn in batches into two buffers of
-    ``min(replications, max(1, _NULL_BLOCK // length))`` rows.  A worker
-    thread fills one buffer while this thread scans the other, and a buffer
-    is refilled only after its scan ends.  The worker is the only caller of
-    the one generator and fills the batches in order, and a row of a batch
-    holds the draws that one ``standard_normal(length)`` call would return,
-    so every maximum, and the threshold, is bit-equal to drawing and
-    scanning one replication at a time.
+    Replication ``r`` draws its series from the generator of key
+    ``(seed, _STREAM_NULL, length, r)``, so its maximum depends on that key
+    alone.  Generators are seeded one ``_rand._ROWS`` chunk at a time on this
+    thread.  One worker thread draws and scans the first half of each chunk
+    while this thread does the second half, each into its own buffers; a
+    whole chunk apiece would leave ``199 = 3 * 64 + 7`` replications split
+    128 to 71.  The threshold is the same for any thread count or
+    scheduling.
     """
     if length < 2:
         raise ValueError("need at least two observations")
@@ -160,24 +162,27 @@ def null_threshold(
         raise ValueError(f"sd must be finite and non-negative, got {sd!r}")
     from concurrent.futures import ThreadPoolExecutor
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, length, replications]))
-    rows = min(replications, max(1, _NULL_BLOCK // length))
-    batches = np.empty((2, rows, length))
     sizes = _split_sizes(length)
-    sums, values = np.empty(length), np.empty(length - 1)
     maxima = np.empty(replications)
 
+    def scan(rngs, buffers, out) -> None:
+        draws, sums, values = buffers
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=draws)
+            _trace_into(draws, sizes, sums, values)
+            out[i] = np.max(np.abs(values, out=values))
+
+    own, theirs = ((np.empty(length), np.empty(length), np.empty(length - 1)) for _ in range(2))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        filling = pool.submit(rng.standard_normal, out=batches[0])
-        for index, start in enumerate(range(0, replications, rows)):
-            batch = filling.result()
-            after = start + rows
-            if after < replications:
-                following = batches[1 - index % 2, : replications - after]
-                filling = pool.submit(rng.standard_normal, out=following)
-            for r, draws in enumerate(batch, start):
-                _trace_into(draws, sizes, sums, values)
-                maxima[r] = np.max(np.abs(values, out=values))
+        handed = []
+        for rows in row_chunks(replications):
+            rngs = substream(seed, _STREAM_NULL, rows, (length,))
+            half = (len(rngs) + 1) // 2
+            mid = rows.start + half
+            handed.append(pool.submit(scan, rngs[:half], theirs, maxima[rows.start : mid]))
+            scan(rngs[half:], own, maxima[mid : rows.stop])
+        for future in handed:
+            future.result()
     maxima.sort()
     # conservative ceil((R+1)*level) order statistic
     k = min(replications, int(np.ceil((replications + 1) * level)))

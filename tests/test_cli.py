@@ -1003,6 +1003,33 @@ class TestSimulateCommand:
         assert 1.0 <= stadd <= sadd + 3.0 * entries["monte-carlo-stadd"]["std_error"]
         assert any("stationary delay" in note for note in report["notes"])
 
+    MODEL = ["--mu-pre", "0", "--sigma-pre", "1", "--mu-post", "1", "--sigma-post", "1"]
+
+    def test_score_design_other_than_the_model_gets_the_designs_arl_constants(self, tmp_path):
+        # the score of --q 1 --delta 2 is the LLR of N(0, 1) -> N(2, 1), not of
+        # the model N(0, 1) -> N(1, 1); with the model's constants SR's
+        # approx-arl read 57.86 against a Monte Carlo 101.28 +- 3.11
+        out = tmp_path / "o"
+        args = ["simulate", "--mode", "score", *self.MODEL, "--q", "1", "--delta", "2",
+                "--gamma", "100", "--nu", "500", "--replications", "1000", "--seed", "1"]
+        assert run_cli(args, out) == 0
+        report = load_report(out, "simulate")
+        for kind in ("cusum", "sr"):
+            entries = entry_map(report, kind)
+            arl = entries["monte-carlo-arl"]
+            assert abs(entries["approx-arl"]["value"] - arl["value"]) <= 3 * arl["std_error"], kind
+            assert [n for n in entries if n.startswith("approx-")] == ["approx-arl"], kind
+        assert any(note.startswith("no approx delay lines") for note in report["notes"])
+
+    def test_score_design_equal_to_the_model_keeps_the_delay_lines(self, tmp_path):
+        out = tmp_path / "o"
+        args = ["simulate", "--mode", "score", *self.MODEL, "--q", "1", "--delta", "1",
+                "--kind", "sr", "--gamma", "20", "--nu", "100", "--replications", "200"]
+        assert run_cli(args, out) == 0
+        report = load_report(out, "simulate")
+        assert {"approx-sadd", "approx-stadd"} <= set(entry_map(report, "sr"))
+        assert not any("design" in note for note in report["notes"])
+
 
 class TestEntryPoint:
     def test_import_leaves_scipy_stats_unloaded(self):

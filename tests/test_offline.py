@@ -1,6 +1,7 @@
 """Retrospective change-point statistic, estimation, and segmentation."""
 
 
+import itertools
 import math
 import threading
 
@@ -16,6 +17,7 @@ from quickdetect import (
     null_threshold,
     offline,
 )
+from quickdetect._rand import _ROWS
 
 
 def direct_statistic(x, n):
@@ -27,7 +29,7 @@ def direct_statistic(x, n):
 
 
 def loop_null_threshold(length, sd, seed, replications=199, level=0.95):
-    """The null threshold drawn and evaluated one fresh array per replication."""
+    """The null threshold drawn and evaluated one fresh generator and array per replication."""
 
     def trace_values(x):
         n_obs = x.size
@@ -38,9 +40,10 @@ def loop_null_threshold(length, sd, seed, replications=199, level=0.95):
         right_mean = (total - left_sums) / (n_obs - n)
         return np.sqrt(n * (n_obs - n)) / n_obs * (left_mean - right_mean)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, length, replications]))
     maxima = np.empty(replications)
     for r in range(replications):
+        key = [seed, offline._STREAM_NULL, length, r]
+        rng = np.random.default_rng(np.random.SeedSequence(key))
         maxima[r] = np.max(np.abs(trace_values(rng.standard_normal(length))))
     maxima.sort()
     k = min(replications, int(np.ceil((replications + 1) * level)))
@@ -148,28 +151,26 @@ class TestNullThreshold:
         assert c == pytest.approx(2.0 * a, rel=1e-12)
         assert null_threshold(300, 1.0, seed=10) != a
 
-    # replications per batch at length 20 000; the cases around it end the
-    # last batch one row short, exactly full and one row into a fresh batch
-    BATCH = offline._NULL_BLOCK // 20_000
+    # R cases: one replication (the worker's alone), part of one chunk, the
+    # last chunk one row short, exactly full or one row into a fresh chunk,
+    # and several chunks; the last case is one long series
+    CASES = [
+        *itertools.product([1, 25, 26, 27, _ROWS - 1, _ROWS, _ROWS + 1, 199], [0, 20261017],
+                           [2, 3, 61, 1_000, 20_000]),
+        (3, 4, 2**19 + 1_000),
+    ]
 
-    @pytest.mark.parametrize("length", [2, 3, 61, 1_000, 20_000])
-    @pytest.mark.parametrize("seed", [0, 20261017])
-    @pytest.mark.parametrize("replications", [1, 199, BATCH - 1, BATCH, BATCH + 1])
+    @pytest.mark.parametrize("replications,seed,length", CASES)
     def test_bit_equal_to_the_per_replication_loop(self, length, seed, replications):
         for level in (0.80, 0.95, 0.99):
             expected = loop_null_threshold(length, 1.7, seed, replications, level)
             got = null_threshold(length, 1.7, seed, replications, level)
             assert got.hex() == expected.hex(), (level, got, expected)
 
-    def test_bit_equal_with_one_replication_per_batch(self):
-        length = offline._NULL_BLOCK + 1_000
-        expected = loop_null_threshold(length, 0.9, 4, 3, 0.5)
-        assert null_threshold(length, 0.9, 4, 3, 0.5).hex() == expected.hex()
-
     def test_worker_thread_does_not_outlive_the_call(self):
         before = threading.active_count()
         for length in (50, 20_000):
-            null_threshold(length, 1.0, seed=1, replications=60)
+            null_threshold(length, 1.0, seed=1, replications=3 * _ROWS)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("level", [0.0, -0.02, 1.0, 2.0, -3.0, float("nan")])
