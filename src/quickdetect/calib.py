@@ -46,11 +46,20 @@ Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them is an error.
 
 The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
-:mod:`quickdetect.detect`, block by block as the observations are drawn,
+:mod:`quickdetect.detect`, round by round as the observations are drawn,
 at most ``_ROWS`` replications at a time as the rows of one array: each
 row still draws from its own generator, so the draws, and every stopping
 time, are those of a replication run alone, and the stopping times are
-averaged in replication order.
+averaged in replication order.  A round is one ``_BLOCK`` of steps, but
+the estimators that build a store per run of ``_ROWS`` replications (ARL,
+SADD, and STADD after the change) draw a first round of ``_BLOCK // 8``
+when the median stopping time of the run before lay within that many steps:
+a call whose runs alarm within a few steps then draws little past them,
+and one whose runs are longer draws whole blocks, as its first run does.  A
+generator yields the same normals however its stream is split into draws
+and the kernels carry each run's state across rounds, so where a round
+ends moves a stopping time only if a path value lies within an ulp of the
+threshold.
 """
 
 from __future__ import annotations
@@ -181,6 +190,9 @@ class _Runs:
     strict new maximum.  The store keeps each run's state and running
     maximum ``top``, each row's count of steps drawn, and one flat ladder
     record of (run, step, height) for every strict new maximum up to the cap.
+    Rows are drawn in rounds of ``_BLOCK`` steps, bar a first round of
+    ``first`` steps.  A round's width moves no stopping time, bar a path
+    value within an ulp of a threshold (see the module docstring).
     """
 
     def __init__(
@@ -190,8 +202,10 @@ class _Runs:
         cap: int,
         rngs: list[np.random.Generator],
         states: np.ndarray,
+        first: int = _BLOCK,
     ) -> None:
         self.config = config
+        self.first = first
         self.regime = regime
         self.cap = cap
         self.rngs = rngs
@@ -209,11 +223,12 @@ class _Runs:
         """Steps to each run's first alarm at ``threshold``, and the mask of capped runs.
 
         Both are shaped like ``states``; a capped run counts ``cap`` steps.  Each
-        round draws a block of every row with a run short of ``threshold`` and
-        of the cap, ``_ROWS`` rows per array.  With ``give_up``, None is returned
-        once ``give_up`` holds for a lower bound on the mean: after each round a
-        run still going counts its drawn steps plus one (at most ``cap``) and
-        any other run one; at the end, the exact mean.
+        round draws the next steps of every row with a run short of ``threshold``
+        and of the cap, ``_ROWS`` rows per array (see :meth:`_advance` for how
+        many).  With ``give_up``, None is returned once ``give_up`` holds for a
+        lower bound on the mean: after each round a run still going counts its
+        drawn steps plus one (at most ``cap``) and any other run one, a bound
+        for rounds of any width; at the end, the exact mean.
         """
         n = self.state.size
         while True:
@@ -243,21 +258,22 @@ class _Runs:
         return times.reshape(self.shape), capped.reshape(self.shape)
 
     def _advance(self, rows: np.ndarray) -> None:
-        """Draw one full block for each of ``rows`` and advance every run of theirs.
+        """Draw one round for each of ``rows`` and advance every run of theirs.
 
-        The generator's first normals are the same whatever the block size,
-        so a block that overruns the cap moves no stopping time; its steps
-        past the cap enter neither the record nor ``top``.
+        A round is ``_BLOCK`` steps, or ``first`` for the store's first.  A
+        round that overruns the cap moves no stopping time: its steps past
+        the cap enter neither the record nor ``top``.
         """
-        z = _draw(self.config, [self.rngs[i] for i in rows], _BLOCK, self.regime)
+        width = _BLOCK if self.drawn[rows].any() else self.first
+        z = _draw(self.config, [self.rngs[i] for i in rows], width, self.regime)
         starts = self.state.size // self.drawn.size
         runs = (np.arange(starts)[:, None] * self.drawn.size + rows).ravel()
         path = _path(self.config.kind, self.state[runs], np.tile(z, (starts, 1)))
         self.state[runs] = path[:, -1]
         steps = self.drawn[self.row[runs]]
         left = self.cap - steps
-        if left.min() < _BLOCK:
-            path[np.arange(_BLOCK) >= left[:, None]] = np.nan  # fmax skips NaN
+        if left.min() < width:
+            path[np.arange(width) >= left[:, None]] = np.nan  # fmax skips NaN
         top = self.top[runs]
         ahead = np.fmax(top[:, None], np.fmax.accumulate(path, axis=1))
         new = np.empty(path.shape, dtype=bool)
@@ -266,7 +282,7 @@ class _Runs:
         r, c = np.nonzero(new)
         self.pending.append((runs[r], steps[r] + c + 1, path[r, c]))
         self.top[runs] = ahead[:, -1]
-        self.drawn[rows] += _BLOCK
+        self.drawn[rows] += width
 
 
 def _estimate(
@@ -277,10 +293,22 @@ def _estimate(
 
 
 def _by_chunks(
-    spec: CalibrationSpec, simulate: Callable[[range], tuple[np.ndarray, np.ndarray]]
+    spec: CalibrationSpec, simulate: Callable[[range, int], tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``simulate`` on runs of at most ``_ROWS`` replications, joined in order."""
-    times, capped = zip(*map(simulate, row_chunks(spec.replications)))
+    """``simulate(rows, first)`` on runs of at most ``_ROWS`` replications, joined in order.
+
+    ``first`` is the first-round width of the run's store of runs: ``_BLOCK // 8``
+    if the median stopping time of the run before it is at most that, else
+    (and for the first run) ``_BLOCK``.  The replications are alike, so the
+    run before predicts this one: a short first round saves most of a block
+    when most runs alarm within it, and would add a round when they do not.
+    """
+    times, capped, first = [], [], _BLOCK
+    for rows in row_chunks(spec.replications):
+        t, c = simulate(rows, first)
+        times.append(t)
+        capped.append(c)
+        first = _BLOCK // 8 if np.median(t) <= _BLOCK // 8 else _BLOCK
     return np.concatenate(times, axis=-1), np.concatenate(capped, axis=-1)
 
 
@@ -288,7 +316,7 @@ def _draw(
     config: DetectorConfig, rngs: list[np.random.Generator], n: int, regime: str
 ) -> np.ndarray:
     """The next ``n`` log increments of each generator's stream, as rows."""
-    return config.log_increments(np.stack([config.sample(rng, n, regime) for rng in rngs]))
+    return config.log_increments(np.array([config.sample(rng, n, regime) for rng in rngs]))
 
 
 def _fresh_start_estimate(
@@ -301,9 +329,10 @@ def _fresh_start_estimate(
 ) -> PerformanceEstimate:
     check_threshold(threshold)
 
-    def simulate(rows: range) -> tuple[np.ndarray, np.ndarray]:
+    def simulate(rows: range, first: int) -> tuple[np.ndarray, np.ndarray]:
         rngs = substream(spec.seed, stream, rows)
-        return _Runs(config, regime, spec.run_cap, rngs, np.zeros(len(rows))).stop_times(threshold)
+        runs = _Runs(config, regime, spec.run_cap, rngs, np.zeros(len(rows)), first)
+        return runs.stop_times(threshold)
 
     est = _estimate(metric, threshold, *_by_chunks(spec, simulate))
     if est.cap_hits > 0.01 * spec.replications:
@@ -333,15 +362,20 @@ def estimate_sadd(
 
 
 def _stadd_delays(
-    config: DetectorConfig, threshold: float, spec: CalibrationSpec, rows: range
+    config: DetectorConfig,
+    threshold: float,
+    spec: CalibrationSpec,
+    rows: range,
+    first: int = _BLOCK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delays after a change at ``nu`` and at ``2 * nu``, for a run of rows.
 
     Each row's pre-change walk, with restarts, goes once to ``2 * nu`` in
     ``_BLOCK``-aligned blocks, the blocks a walk to either change point
     uses; the block holding ``nu`` is also evaluated up to ``nu`` for the
-    state there.  Both states then read the row's one post-change stream.
-    Returns delays and capped masks of shape ``(2, len(rows))``.
+    state there.  Both states then read the row's one post-change stream,
+    whose first round is ``first`` steps.  Returns delays and capped masks
+    of shape ``(2, len(rows))``.
     """
     nu = spec.nu_stationary
     pre = substream(spec.seed, _STREAM_STADD_PRE, rows)
@@ -355,7 +389,7 @@ def _stadd_delays(
         state, _ = _advance_with_resets(config.kind, state, z, threshold)
         if lo + z.shape[1] == nu:
             at_nu = state
-    runs = _Runs(config, "post", spec.run_cap, post, np.stack([at_nu, state]))
+    runs = _Runs(config, "post", spec.run_cap, post, np.stack([at_nu, state]), first)
     return runs.stop_times(threshold)
 
 
@@ -375,7 +409,7 @@ def estimate_stadd(
     runs of ``_ROWS`` rows.
     """
     check_threshold(threshold)
-    delays, capped = _by_chunks(spec, lambda rows: _stadd_delays(config, threshold, spec, rows))
+    delays, capped = _by_chunks(spec, lambda *run: _stadd_delays(config, threshold, spec, *run))
     est, check = (_estimate("stadd", threshold, d, c) for d, c in zip(delays, capped))
     for e in (est, check):
         if e.cap_hits > 0.01 * spec.replications:

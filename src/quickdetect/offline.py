@@ -22,6 +22,13 @@ its arguments.  The calling thread and one worker thread each draw and
 scan half of every chunk of replications (numpy releases the interpreter
 lock in both), so two cores share the work; each thread holds three
 series-sized buffers.
+
+The split test compares ``max |Y|`` with that estimate as if it were
+exact, so it carries the threshold's Monte Carlo noise: a segment whose
+``max |Y|`` lies within the threshold's own spread can split under one
+seed and not under another.  On the ``surveil-long`` benchmark series of
+seed 8, segment [31118, 46311) has ``max |Y|`` 0.0063563, while its
+threshold over 40 null seeds has mean 0.00640 and sd 0.00017.
 """
 
 from __future__ import annotations

@@ -284,9 +284,8 @@ class TestSpecValidation:
             PerformanceEstimate("arl", 1.0, 0.0, 10, 1.0, cap_hits=11)
 
 
-def first_crossing(config, threshold, rng, cap, regime):
-    """Oracle: one fresh run at one threshold, block by block."""
-    state = 0.0
+def first_crossing(config, threshold, rng, cap, regime, state=0.0):
+    """Oracle: one run from ``state`` at one threshold, in whole blocks."""
     consumed = 0
     while consumed < cap:
         block = min(_BLOCK, cap - consumed)
@@ -433,6 +432,94 @@ class TestLadderStore:
                 est = estimate(config, threshold, spec)
                 expected = oracle_mean(config, threshold, spec, regime, stream)
                 assert (est.value, est.std_error, est.cap_hits) == expected
+
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    @pytest.mark.parametrize("mode", ["exact", "score"])
+    def test_a_short_first_round_moves_no_stop_time(self, kind, mode):
+        # these stores draw a 32-step first round, then whole blocks; the
+        # oracle draws whole blocks from the start.  On the HST model the
+        # first threshold ends every run within 32 steps, the second ends
+        # runs on both sides of step 32, h = 1.97 / A = 917 (the score's
+        # thresholds at gamma = 1000) runs to hundreds of steps, and the last
+        # caps many runs at gamma = 5's cap of 500
+        config = DetectorConfig(
+            kind=kind, model=HST, mode=mode, score=HST_SCORE if mode == "score" else None
+        )
+        thresholds = {"cusum": (0.1, 0.8, 1.97, 6.0), "sr": (10.0, 25.0, 917.0, 1e4)}[kind]
+        spec = CalibrationSpec(gamma=5.0, replications=calib._ROWS + 37, seed=3)
+        rows = range(spec.replications)
+        second = np.random.default_rng(9).uniform(0.0, thresholds[-2], rows.stop)
+
+        def oracle(threshold, starts, cap=spec.run_cap):
+            return [
+                first_crossing(
+                    config, threshold, keyed_rng(3, calib._STREAM_SADD, r), cap, "post",
+                    float(starts[r]),
+                )
+                for r in rows
+            ]
+
+        def store(starts, cap=spec.run_cap):
+            rngs = [keyed_rng(3, calib._STREAM_SADD, r) for r in rows]
+            return calib._Runs(config, "post", cap, rngs, starts, _BLOCK // 8)
+
+        runs = store(np.zeros(rows.stop))
+        answers = []
+        for t in thresholds:
+            expected = oracle(t, np.zeros(rows.stop))
+            assert as_optional(*runs.stop_times(t)) == expected, t
+            if t == thresholds[0]:
+                assert max(expected) <= _BLOCK // 8
+                assert np.all(runs.drawn == _BLOCK // 8)
+            answers += expected
+        assert None in answers  # capped runs ...
+        assert any(t is not None and t > _BLOCK + _BLOCK // 8 for t in answers)  # ... third rounds
+        assert any(t is not None and t <= _BLOCK // 8 for t in answers)  # ... first rounds
+
+        # two starts per row read one stream, as estimate_stadd builds them
+        starts = np.stack([np.zeros(rows.stop), second])
+        both = store(starts)
+        for t in thresholds[::-1]:
+            times, capped = both.stop_times(t)
+            for got, hit_cap, start in zip(times, capped, starts):
+                assert as_optional(got, hit_cap) == oracle(t, start), t
+
+        # a cap inside the first round
+        times, capped = store(np.zeros(rows.stop), 20).stop_times(thresholds[1])
+        assert 0 < capped.sum() < rows.stop
+        assert as_optional(times, capped) == oracle(thresholds[1], np.zeros(rows.stop), 20)
+
+        # a store's first round is a whole block unless it is told otherwise
+        whole = fresh_runs(config, spec, "post", calib._STREAM_SADD)
+        times, _ = whole.stop_times(thresholds[0])
+        assert times.max() <= _BLOCK // 8
+        assert np.all(whole.drawn == _BLOCK)
+
+    @pytest.mark.parametrize(
+        "medians,widths",
+        [
+            ((300, 3, 32, 33, 5), (_BLOCK, _BLOCK, _BLOCK // 8, _BLOCK // 8, _BLOCK)),
+            ((3, 3, 3, 3, 3), (_BLOCK,) + 4 * (_BLOCK // 8,)),
+            ((900, 700, 500, 300, 100), 5 * (_BLOCK,)),
+        ],
+    )
+    def test_first_round_follows_the_run_before(self, medians, widths):
+        # each run's store draws a 32-step first round only when the median
+        # stopping time of the run before it lay within 32 steps; a quarter
+        # of each run's times are ten times the median, so a mean would
+        # decide otherwise at a median of 32
+        spec = CalibrationSpec(gamma=5.0, replications=4 * calib._ROWS + 9, seed=0)
+        asked = []
+
+        def simulate(rows, first):
+            asked.append(first)
+            median = medians[len(asked) - 1]
+            times = np.array([1, median, median, 10 * median] * calib._ROWS)[: len(rows) + 1]
+            return times[1:], np.zeros(len(rows), dtype=bool)
+
+        times, _ = calib._by_chunks(spec, simulate)
+        assert tuple(asked) == widths
+        assert times.size == spec.replications
 
     def test_record_answers_without_drawing(self, unit_shift_model):
         config = DetectorConfig(kind="cusum", model=unit_shift_model)

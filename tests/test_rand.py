@@ -61,6 +61,16 @@ def test_generators_are_independent_objects():
     assert a.tolist() == reference(3, 11, 0).normal(size=5).tolist()
 
 
+@pytest.mark.parametrize("mu,sd", [(0.0, 1.0), (1.0, 1.0), (0.0199, 0.2306)])
+def test_a_draw_split_in_rounds_equals_one_draw(mu, sd):
+    # calib's stores draw a stream in rounds of 32 and 256 steps; where a
+    # round ends must not change a single normal
+    for split, whole in zip(substream(20261017, 12, range(40)), substream(20261017, 12, range(40))):
+        parts = [split.normal(mu, sd, n) for n in (32, 224, 256)]
+        assert np.concatenate(parts).tobytes() == whole.normal(mu, sd, 512).tobytes()
+        assert split.bit_generator.state == whole.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "seed,stream,rows,message",
     [
