@@ -2,11 +2,11 @@
 Calibrating thresholds and comparing CUSUM against Shiryaev-Roberts
 ===================================================================
 
-For a target mean time to false alarm gamma, bisects Monte Carlo ARL
-curves under common random numbers to find each detector's threshold,
-then measures the worst-case delay (change in force from step one) and
-the stationary multi-cyclic delay (change injected deep into a restarting
-run).  In the multi-cyclic regime Shiryaev-Roberts is the one to beat.
+For a target mean time to false alarm gamma, reads each detector's
+threshold off its Monte Carlo ARL curve, a step function under common
+random numbers (the midpoint of the step nearest gamma), then measures
+the worst-case delay (change in force from step one) and the stationary
+multi-cyclic delay (change injected deep into a restarting run).  In the multi-cyclic regime Shiryaev-Roberts is the one to beat.
 """
 
 import math

@@ -1,4 +1,4 @@
-"""Monte Carlo calibration: ARL/delay estimation and threshold root-finding.
+"""Monte Carlo calibration: ARL/delay estimation and threshold solving.
 
 The operating characteristics estimated here:
 
@@ -22,20 +22,20 @@ The operating characteristics estimated here:
 All estimators draw each replication from its own generator keyed by
 ``(seed, estimator, replication index)``, so repeated calls with different
 thresholds reuse the same observation paths (common random numbers).
-Stopping times are then pathwise nondecreasing in the threshold, which makes
-the bisection in :func:`solve_threshold` exact apart from Monte Carlo noise
-shared across iterations.  The generators of a call, or of one run of
-``_ROWS`` replications, are seeded together in one array pass
-(:func:`quickdetect._rand.substream`).
+Stopping times are then pathwise nondecreasing in the threshold, so the
+Monte Carlo ARL is a nondecreasing step function of it, and
+:func:`solve_threshold` reads the threshold off that whole curve.  The
+generators of a call, or of one run of ``_ROWS`` replications, are seeded
+together in one array pass (:func:`quickdetect._rand.substream`).
 
-A fresh-start path (ARL, SADD, and STADD after the change) does not
-depend on the threshold at all: the stopping time at ``h`` is the first step
-at which the path's running maximum reaches ``h``.  One store of runs serves
-every estimator.  It keeps each run's ladder record, the steps and heights
-of its strict new maxima, and a stopping time is a lookup in that record;
-a path is drawn only as far as the thresholds asked need.
-:func:`solve_threshold` asks one store many thresholds, so it draws each
-path once for the whole search.  The one-shot estimators
+A fresh-start path (ARL, SADD, and STADD after the change) does not depend
+on the threshold at all: the stopping time at ``h`` is one plus the number
+of steps whose running maximum is below ``h``.  One store of runs serves
+every estimator.  It keeps one record, sorted by height, of how many steps
+each run spent at each running maximum; a stopping time is one prefix sum
+of it, and the record summed in height order bounds the ARL curve at every
+threshold at once.  A path is drawn only as far as the thresholds asked,
+or the curve's steps next to ``gamma``, need.  The one-shot estimators
 (:func:`estimate_arl`, :func:`estimate_sadd`) ask one threshold of a store
 per run of ``_ROWS`` replications.  The STADD pre-change walk restarts
 after every alarm, so it depends on the threshold and is drawn per call;
@@ -78,10 +78,8 @@ _STREAM_ARL = 11
 _STREAM_SADD = 12
 _STREAM_STADD_PRE = 13
 _STREAM_STADD_POST = 14
-#: bisection steps before the search gives up: forty halvings shrink the log
-#: bracket below 1e-10, finer than the steps of the ARL under common random
-#: numbers, so more cannot land closer to gamma
-_BISECTIONS = 40
+#: the farthest the ARL of a solved threshold may lie from gamma, as a share of it
+_MISS = 0.02
 
 
 class CalibrationError(RuntimeError):
@@ -95,7 +93,6 @@ class CalibrationSpec:
     gamma: float
     replications: int = 10_000
     seed: int = 0
-    relative_tolerance: float = 0.02
     nu_stationary: int = 1_000
 
     def __post_init__(self) -> None:
@@ -107,8 +104,6 @@ class CalibrationSpec:
             raise ValueError("need at least two replications")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0.0 < self.relative_tolerance < 1.0:
-            raise ValueError("relative_tolerance must lie in (0, 1)")
         if self.nu_stationary < 1:
             raise ValueError("nu_stationary must be positive")
 
@@ -184,15 +179,15 @@ class _Runs:
 
     Run ``s * rows + i`` starts from ``states[s, i]`` and reads the draws of
     ``rngs[i]``; ``states`` is ``(starts, rows)``, or ``(rows,)`` for one
-    start.  Under common random numbers a run's path does not depend on the
-    threshold, so one path answers every threshold: the stopping time at
-    ``h`` is the first step whose value reaches ``h``, which is always a
-    strict new maximum.  The store keeps each run's state and running
-    maximum ``top``, each row's count of steps drawn, and one flat ladder
-    record of (run, step, height) for every strict new maximum up to the cap.
-    Rows are drawn in rounds of ``_BLOCK`` steps, bar a first round of
-    ``first`` steps.  A round's width moves no stopping time, bar a path
-    value within an ulp of a threshold (see the module docstring).
+    start.  Under common random numbers one path answers every threshold:
+    the stopping time at ``h`` is one plus the number of steps whose running
+    maximum is below ``h``.  The store keeps each run's state and running
+    maximum ``top``, each row's count of steps drawn, and one record, sorted
+    by height, of ``(height, run, weight)``: ``weight`` of the run's steps
+    numbered below the cap, all in one round, had running maximum
+    ``height``.  Rows are drawn in rounds of ``_BLOCK`` steps, bar a first
+    round of ``first`` steps, which moves no stopping time bar a path value
+    within an ulp of a threshold (see the module docstring).
     """
 
     def __init__(
@@ -214,55 +209,59 @@ class _Runs:
         self.top = np.full(self.state.size, -np.inf)
         self.row = np.arange(self.state.size) % len(rngs)
         self.drawn = np.zeros(len(rngs), dtype=np.int64)
-        self.record = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        # a stretch lies within one round, so its weight fits in 16 bits
+        self.entries = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int16))
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def stop_times(
-        self, threshold: float, give_up: Callable[[float], bool] | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    def open(self) -> np.ndarray:
+        """The mask of runs not yet drawn to the cap."""
+        return self.drawn[self.row] < self.cap
+
+    def lower_total(self) -> int:
+        """The record's total weight plus one per run: a lower bound on the total stopping time."""
+        return int(np.minimum(self.drawn[self.row], self.cap - 1).sum()) + self.state.size
+
+    def record(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Heights, runs and weights, ascending in height, with every round drawn so far."""
+        if self.pending:  # new entries merge in once per read
+            new = tuple(map(np.concatenate, zip(*self.pending)))
+            self.pending.clear()
+            order = np.argsort(new[0])
+            at = np.searchsorted(self.entries[0], new[0][order]) + np.arange(order.size)
+            keep = np.ones(self.entries[0].size + order.size, dtype=bool)
+            keep[at] = False
+            merged = tuple(np.empty(keep.size, old.dtype) for old in self.entries)
+            for out, old, add in zip(merged, self.entries, new):
+                out[keep], out[at] = old, add[order]
+            self.entries = merged
+        return self.entries
+
+    def draw(self, runs: np.ndarray) -> None:
+        """One round for every row with a run in the mask ``runs``, ``_ROWS`` rows per array."""
+        rows = np.unique(self.row[runs])
+        for lo in range(0, rows.size, _ROWS):
+            self._advance(rows[lo : lo + _ROWS])
+
+    def stop_times(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Steps to each run's first alarm at ``threshold``, and the mask of capped runs.
 
-        Both are shaped like ``states``; a capped run counts ``cap`` steps.  Each
-        round draws the next steps of every row with a run short of ``threshold``
-        and of the cap, ``_ROWS`` rows per array (see :meth:`_advance` for how
-        many).  With ``give_up``, None is returned once ``give_up`` holds for a
-        lower bound on the mean: after each round a run still going counts its
-        drawn steps plus one (at most ``cap``) and any other run one, a bound
-        for rounds of any width; at the end, the exact mean.
+        Both are shaped like ``states``; a capped run counts ``cap`` steps.  Rows
+        with a run short of ``threshold`` and of the cap are drawn round by
+        round; then a run's stopping time is one plus its weights at heights
+        below ``threshold``, one prefix of the record.
         """
-        n = self.state.size
-        while True:
-            steps = self.drawn[self.row]
-            going = self.top < threshold
-            if give_up is not None and give_up(
-                (int(np.minimum(steps[going], self.cap - 1).sum()) + n) / n
-            ):
-                return None
-            rows = np.unique(self.row[going & (steps < self.cap)])
-            if not rows.size:
-                break
-            for lo in range(0, rows.size, _ROWS):
-                self._advance(rows[lo : lo + _ROWS])
-        if self.pending:  # one concatenation per query
-            self.record = tuple(map(np.concatenate, zip(self.record, *self.pending)))
-            self.pending.clear()
-        run, step, height = self.record
-        hit = height >= threshold
-        alarmed, first = np.unique(run[hit], return_index=True)
-        times = np.full(n, self.cap, dtype=np.int64)
-        times[alarmed] = step[hit][first]
-        capped = np.ones(n, dtype=bool)
-        capped[alarmed] = False
-        if give_up is not None and give_up(int(times.sum()) / n):
-            return None
-        return times.reshape(self.shape), capped.reshape(self.shape)
+        while (going := (self.top < threshold) & self.open()).any():
+            self.draw(going)
+        height, run, weight = self.record()
+        below = np.searchsorted(height, threshold)
+        times = 1 + np.bincount(run[:below], weight[:below], self.state.size).astype(np.int64)
+        return times.reshape(self.shape), (self.top < threshold).reshape(self.shape)
 
     def _advance(self, rows: np.ndarray) -> None:
-        """Draw one round for each of ``rows`` and advance every run of theirs.
+        """Draw one round (``_BLOCK`` steps, ``first`` for the store's first) for each of ``rows``.
 
-        A round is ``_BLOCK`` steps, or ``first`` for the store's first.  A
-        round that overruns the cap moves no stopping time: its steps past
-        the cap enter neither the record nor ``top``.
+        Of a round that overruns the cap, steps past it enter neither the
+        record nor ``top``, and step ``cap`` enters only ``top``.
         """
         width = _BLOCK if self.drawn[rows].any() else self.first
         z = _draw(self.config, [self.rngs[i] for i in rows], width, self.regime)
@@ -270,17 +269,26 @@ class _Runs:
         runs = (np.arange(starts)[:, None] * self.drawn.size + rows).ravel()
         path = _path(self.config.kind, self.state[runs], np.tile(z, (starts, 1)))
         self.state[runs] = path[:, -1]
-        steps = self.drawn[self.row[runs]]
-        left = self.cap - steps
-        if left.min() < width:
+        left = self.cap - self.drawn[self.row[runs]]
+        end = np.minimum(left - 1, width)  # columns of the steps numbered below the cap
+        near_cap = left.min() <= width
+        if near_cap:
             path[np.arange(width) >= left[:, None]] = np.nan  # fmax skips NaN
-        top = self.top[runs]
-        ahead = np.fmax(top[:, None], np.fmax.accumulate(path, axis=1))
-        new = np.empty(path.shape, dtype=bool)
-        new[:, 0] = path[:, 0] > top
-        np.greater(path[:, 1:], ahead[:, :-1], out=new[:, 1:])
-        r, c = np.nonzero(new)
-        self.pending.append((runs[r], steps[r] + c + 1, path[r, c]))
+        ahead = np.fmax(self.top[runs, None], np.fmax.accumulate(path, axis=1))
+        # a stretch at one running maximum starts at the round's first step
+        # and at each strict new maximum
+        start = np.empty(path.shape, dtype=bool)
+        start[:, 0] = True
+        np.greater(ahead[:, 1:], ahead[:, :-1], out=start[:, 1:])
+        if near_cap:
+            start &= np.arange(width) < end[:, None]
+        at = np.flatnonzero(start)
+        r = at // width
+        # a stretch ends where the next starts, or at its row's end
+        stop = np.minimum(np.append(at[1:], start.size), r * width + end[r])
+        # kept at the record's widths: the first read merges several rounds at once
+        stretch = (ahead.ravel()[at], runs[r].astype(np.int32), (stop - at).astype(np.int16))
+        self.pending.append(stretch)
         self.top[runs] = ahead[:, -1]
         self.drawn[rows] += width
 
@@ -429,105 +437,68 @@ def estimate_stadd(
 def solve_threshold(
     config: DetectorConfig, spec: CalibrationSpec
 ) -> tuple[float, PerformanceEstimate]:
-    """Find a threshold whose Monte Carlo ARL matches ``gamma``.
+    """The threshold whose Monte Carlo ARL is nearest ``gamma``, read off the whole ARL curve.
 
-    Both modes start at ``log gamma`` for CUSUM and ``gamma`` for SR, where
-    theory puts an exact-likelihood detector's ARL at gamma or above.  The
-    upper end doubles only while its ARL is below gamma (score detectors);
-    the lower end then halves until its ARL falls below gamma.  Bisection
-    runs on the log threshold under common random numbers until the ARL
-    lands within ``relative_tolerance`` of gamma.  Deterministic given the spec.
-
-    Every evaluation reads the same store of runs, one per replication, so
-    the search draws each path once, as far as its highest threshold needs.
-    An evaluation draws a block of every row still short of the threshold
-    per round, ``_ROWS`` rows per array, so all rows advance in lockstep.
-    After each round it bounds the total steps from below and stops as
-    soon as that bound puts the mean above ``gamma`` plus the tolerance:
-    the full mean could only be larger, so the search takes the branch a
-    full evaluation would.  Only complete estimates enter the monotonicity
-    check and can be accepted.
+    Under common random numbers the Monte Carlo ARL is a nondecreasing step
+    function of the threshold, stepping up at each height of the store's
+    record.  The record's weights summed in height order bound it from below
+    at every height at once: a run still short of a height counts its drawn
+    steps plus one.  Let ``reach`` be the least height where that bound
+    reaches ``gamma``.  Each round draws every run short of ``min(reach,
+    h0)``, where ``h0`` (``log gamma`` for CUSUM, ``gamma`` for SR, where
+    theory puts an exact-likelihood detector's ARL at gamma or above) counts
+    only while some run is short of it.  Once no run is short of ``reach``,
+    the bound is the ARL on both steps next to ``gamma``, and the threshold
+    is the geometric midpoint of the one whose ARL is nearest (of those with
+    a positive lower end).  It fails if that ARL misses ``gamma`` by more
+    than ``_MISS`` of it, if more than 1% of runs hit the cap there, or if
+    the ARL at every positive threshold is already ``gamma`` or more.
     """
-    gamma = spec.gamma
-    tol = spec.relative_tolerance * gamma
-    rngs = substream(spec.seed, _STREAM_ARL, range(spec.replications))
-    runs = _Runs(config, "pre", spec.run_cap, rngs, np.zeros(spec.replications))
-    evaluations: dict[float, PerformanceEstimate] = {}
-
-    def arl_at(threshold: float) -> PerformanceEstimate | None:
-        # bracketing evaluations tolerate capped runs (a cap-heavy estimate
-        # just means "far above gamma", which is useful bracket information);
-        # only the accepted solution is held to the strict cap contract.
-        # None means the partial sum already put the mean above gamma + tol.
-        est = evaluations.get(threshold)
-        if est is None:
-            answer = runs.stop_times(threshold, lambda mean: mean - gamma > tol)
-            if answer is not None:
-                est = _estimate("arl", threshold, *answer)
-                evaluations[threshold] = est
-                _check_monotone(evaluations)
-        return est
-
-    def within(est: PerformanceEstimate | None) -> bool:
-        return est is not None and abs(est.value - gamma) <= tol
-
-    def below(est: PerformanceEstimate | None) -> bool:
-        return est is not None and est.value < gamma
-
-    def accept(threshold: float, est: PerformanceEstimate):
-        if est.cap_hits > 0.01 * spec.replications:
-            raise CalibrationError(
-                f"{est.cap_hits}/{spec.replications} runs still hit the "
-                f"{spec.run_cap}-step cap at the accepted threshold"
-            )
-        return threshold, est
-
-    hi = math.log(gamma) if config.kind == "cusum" else gamma
-    est = arl_at(hi)
-    if within(est):
-        return accept(hi, est)
-    expansions = 0
-    while below(est):
-        expansions += 1
-        if expansions > 60:
-            raise CalibrationError("no upper bracket found after 60 doublings")
-        hi *= 2.0
-        est = arl_at(hi)
-        if within(est):
-            return accept(hi, est)
-    lo = hi / 2.0
-    est = arl_at(lo)
-    while not below(est):
-        if within(est):
-            return accept(lo, est)
-        if lo / 2.0 < 1e-12:
-            raise CalibrationError(
-                f"gamma={gamma:g} is below every ARL this detector reaches: the ARL "
-                f"at the lowest threshold tried, {lo:.3g}, is still above it"
-            )
-        lo /= 2.0
-        est = arl_at(lo)
-    for _ in range(_BISECTIONS):
-        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        est = arl_at(mid)
-        if within(est):
-            return accept(mid, est)
-        if below(est):
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(
-        f"threshold not bracketed to within {spec.relative_tolerance:.1%} of "
-        f"gamma={gamma} after {_BISECTIONS} bisection steps"
-    )
-
-
-def _check_monotone(evaluations: dict[float, PerformanceEstimate]) -> None:
-    """ARL must be nondecreasing in the threshold under common random numbers."""
-    items = sorted(evaluations.items())
-    for (t_lo, e_lo), (t_hi, e_hi) in zip(items, items[1:]):
-        if e_lo.value > e_hi.value + 1e-9:
-            raise CalibrationError(
-                "nonmonotone ARL estimates under common random numbers: "
-                f"ARL({t_lo})={e_lo.value} > ARL({t_hi})={e_hi.value}"
-            )
+    gamma, n = spec.gamma, spec.replications
+    rngs = substream(spec.seed, _STREAM_ARL, range(n))
+    runs = _Runs(config, "pre", spec.run_cap, rngs, np.zeros(n))
+    h0 = math.log(gamma) if config.kind == "cusum" else gamma
+    target, reach, read = gamma * n, math.inf, 0  # read: the lower total reach was read at
+    while True:
+        lower, open_ = runs.lower_total(), runs.open()
+        if lower >= target:
+            # since reach was read the bound has risen by at most the steps drawn
+            # since, so reach has fallen to floor at the lowest: read it again
+            # only where that could change what to draw, or to stop
+            slack, floor = target - (lower - read), -math.inf
+            if reach < math.inf and slack > n:
+                floor = float(height[np.searchsorted(total, slack)])
+            tops = runs.top[open_]
+            unsure = ((floor < tops) & (tops <= reach)).any() or floor <= h0 < reach
+            if unsure or not (tops <= floor).any():
+                height, _, weight = runs.record()
+                total = n + np.cumsum(weight, dtype=np.int64)
+                reach, read = float(height[np.searchsorted(total, target)]), lower
+        short = open_ & (runs.top <= reach)
+        if reach < math.inf and not short.any():
+            break
+        short_of_h0 = open_ & (runs.top <= h0)
+        runs.draw(short_of_h0 if h0 < reach and short_of_h0.any() else short)
+    lo, hi = np.searchsorted(height, reach, "left"), np.searchsorted(height, reach, "right")
+    # (lower end, upper end, n times the ARL) of the steps just below and above reach
+    below = (height[lo - 1] if lo else -math.inf, reach, total[lo - 1] if lo else n)
+    above = (reach, height[hi] if hi < height.size else math.inf, total[hi - 1])
+    if reach <= 0.0:
+        raise CalibrationError(
+            f"gamma={gamma:g} is below every ARL this detector reaches: at every "
+            f"positive threshold the ARL is at least {above[2] / n:.6g}"
+        )
+    a, b, _ = min((s for s in (below, above) if s[0] > 0.0), key=lambda s: abs(s[2] - target))
+    threshold = min(max(math.sqrt(a) * math.sqrt(b), math.nextafter(a, math.inf)), b)
+    est = _estimate("arl", threshold, *runs.stop_times(threshold))
+    if abs(est.value - gamma) > _MISS * gamma:
+        raise CalibrationError(
+            f"no threshold puts the ARL within {_MISS:.0%} of gamma={gamma:g}: the nearest "
+            f"step, thresholds ({a:.6g}, {b:.6g}], has ARL {est.value:.6g}"
+        )
+    if est.cap_hits > 0.01 * n:
+        raise CalibrationError(
+            f"{est.cap_hits}/{n} runs still hit the {spec.run_cap}-step cap at the "
+            "accepted threshold"
+        )
+    return threshold, est

@@ -17,9 +17,9 @@ share one per-field type, read from the field's annotation, and flags always
 override file values.  A file number in a float field reads as a float, so a
 file and a flag that give one setting give one configuration hash.  What the
 program can work out itself takes no setting: the renewal series and walks
-run until they settle, and the threshold search bisects at most a fixed
-number of times.  Every run derives all randomness from the single
-``--seed``.  Reports are written twice: a human-readable text file and a
+run until they settle, and a threshold is read off the whole Monte Carlo ARL
+curve.  Every run derives all randomness from the single ``--seed``.
+Reports are written twice: a human-readable text file and a
 machine-readable JSON file, plus CSV tables for traces and series.  File
 names contain the command and a hash of the effective configuration, and
 report bodies contain no timestamps, so a rerun with the same inputs
@@ -89,7 +89,6 @@ class RunConfig:
     null_replications: int = 199
     gamma: float | None = None
     replications: int = 10_000
-    relative_tolerance: float = 0.02
     nu: int = 1_000
 
     def __post_init__(self) -> None:
@@ -366,6 +365,28 @@ def _require_model(config: RunConfig) -> models.GaussianChangeModel:
     raise UsageError("give a model via moment flags or via --q/--delta")
 
 
+def _refuse_unread_flags(config: RunConfig) -> None:
+    """Refuse model flags that this run would not read, naming them (usage error)."""
+    given = [f for f in _MODEL + ("train_end",) if getattr(config, f) is not None]
+    moments = [f for f in given if f in _MOMENTS]
+    design = [f for f in given if f in ("q", "delta")]
+    score_detect = config.command == "detect" and config.mode == "score"
+    if len(design) == 1:
+        unread, why = design, "give --q and --delta together"
+    elif score_detect and moments:
+        unread, why = moments, "detect --mode score standardizes by moments of the series"
+    elif config.command == "detect" and not score_detect and "train_end" in given:
+        unread, why = ["train_end"], "detect --mode exact fits nothing to the series"
+    elif design and len(moments) == 4 and not (
+        config.mode == "score" and config.command in ("calibrate", "simulate")
+    ):
+        unread, why = design, "next to the moment flags only a score design reads them"
+    else:
+        return
+    flags = "/".join("--" + f.replace("_", "-") for f in unread)
+    raise UsageError(f"{flags} would be ignored: {why}")
+
+
 def _score_params(config: RunConfig, model: models.GaussianChangeModel) -> models.ScoreParams:
     if config.q is not None and config.delta is not None:
         return models.design_coefficients(config.q, config.delta)
@@ -380,7 +401,6 @@ def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
         gamma=config.gamma,
         replications=config.replications,
         seed=config.seed,
-        relative_tolerance=config.relative_tolerance,
         nu_stationary=config.nu,
     )
 
@@ -591,7 +611,8 @@ def _cmd_calibrate(config: RunConfig) -> Report:
         sections=tuple(sections),
         notes=(
             f"target mean time to false alarm gamma={spec.gamma}",
-            f"bisection tolerance {spec.relative_tolerance:.1%} of gamma",
+            "each threshold is the geometric midpoint of the step of the Monte Carlo ARL "
+            f"curve nearest gamma; an ARL there more than {calib._MISS:.0%} from gamma is an error",
         ),
     )
 
@@ -734,7 +755,8 @@ class Command(NamedTuple):
 
 _COMMON = ("config", "seed", "out")
 _INPUT = ("input", "schema")
-_MODEL = ("mu_pre", "sigma_pre", "mu_post", "sigma_post", "q", "delta")
+_MOMENTS = ("mu_pre", "sigma_pre", "mu_post", "sigma_post")
+_MODEL = _MOMENTS + ("q", "delta")
 #: help lines of the flags that have one
 _HELP = {
     "config": "JSON file with defaults for any flag",
@@ -766,7 +788,7 @@ _COMMANDS = {
     "calibrate": Command(
         _cmd_calibrate, "thresholds for a target ARL",
         _COMMON + _MODEL
-        + ("gamma", "kind", "mode", "replications", "relative_tolerance"),
+        + ("gamma", "kind", "mode", "replications"),
     ),
     "detect": Command(
         _cmd_detect, "run detectors over a series",
@@ -775,14 +797,15 @@ _COMMANDS = {
     ),
     "simulate": Command(
         _cmd_simulate, "calibrated SR-vs-CUSUM comparison",
-        _COMMON + _MODEL + ("gamma", "kind", "mode", "replications", "nu",
-                            "relative_tolerance"),
+        _COMMON + _MODEL + ("gamma", "kind", "mode", "replications", "nu"),
     ),
 }
 
 
 def execute(config: RunConfig) -> Report:
     """Run one configured command and return its report."""
+    if "q" in _COMMANDS[config.command].flags:
+        _refuse_unread_flags(config)
     return _COMMANDS[config.command].run(config)
 
 

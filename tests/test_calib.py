@@ -1,5 +1,6 @@
 """Monte Carlo operating characteristics and threshold calibration."""
 
+import bisect
 import math
 
 import numpy as np
@@ -139,12 +140,23 @@ class TestDegenerateStream:
         assert est.std_error == 0.0
         assert est.cap_hits == 0
 
+    def test_an_alarm_at_the_cap_is_no_cap_hit(self, unit_shift_model):
+        # gamma = 1.2 caps runs at 120 steps, where R_n first reaches 120
+        config = flat_increments(0.0, kind="sr", model=unit_shift_model)
+        spec = CalibrationSpec(gamma=1.2, replications=50, seed=1)
+        est = estimate_arl(config, 120.0, spec)
+        assert (est.value, est.cap_hits) == (120.0, 0)
+        with pytest.raises(CalibrationError, match="50/50 runs hit the 120-step cap"):
+            estimate_arl(config, 120.5, spec)
+
     def test_solver_returns_the_threshold_itself(self, unit_shift_model):
+        # every run alarms at step ceil(A), so the ARL is exactly 60 on (59, 60]
         config = flat_increments(0.0, kind="sr", model=unit_shift_model)
         spec = CalibrationSpec(gamma=60.0, replications=500, seed=1)
         threshold, est = solve_threshold(config, spec)
-        assert threshold == 60.0
+        assert 59.0 < threshold <= 60.0
         assert est.value == 60.0
+        assert est.std_error == 0.0
 
 
 class TestArlEstimation:
@@ -272,8 +284,6 @@ class TestSpecValidation:
         for gamma in (math.inf, math.nan):
             with pytest.raises(ValueError, match="gamma must be finite"):
                 CalibrationSpec(gamma=gamma)
-        with pytest.raises(ValueError, match="relative_tolerance"):
-            CalibrationSpec(gamma=10.0, relative_tolerance=0.0)
         with pytest.raises(ValueError, match="nu_stationary"):
             CalibrationSpec(gamma=10.0, nu_stationary=0)
 
@@ -314,44 +324,6 @@ def oracle_mean(config, threshold, spec, regime="pre", stream=calib._STREAM_ARL)
     return times.mean(), times.std(ddof=1) / math.sqrt(times.size), cap_hits
 
 
-def oracle_solve(config, spec):
-    """Oracle: the bisection of solve_threshold on full fresh evaluations."""
-    gamma = spec.gamma
-    tol = spec.relative_tolerance * gamma
-    cache = {}
-
-    def arl(threshold):
-        if threshold not in cache:
-            cache[threshold] = oracle_mean(config, threshold, spec)
-        return cache[threshold][0]
-
-    def result(threshold):
-        value, se, cap_hits = cache[threshold]
-        return threshold, value, se, cap_hits
-
-    hi = math.log(gamma) if config.kind == "cusum" else gamma
-    if abs(arl(hi) - gamma) <= tol:
-        return result(hi)
-    while arl(hi) < gamma:
-        hi *= 2.0
-        if abs(arl(hi) - gamma) <= tol:
-            return result(hi)
-    lo = hi / 2.0
-    while arl(lo) >= gamma:
-        if abs(arl(lo) - gamma) <= tol:
-            return result(lo)
-        lo /= 2.0
-    for _ in range(calib._BISECTIONS):
-        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        if abs(arl(mid) - gamma) <= tol:
-            return result(mid)
-        if arl(mid) < gamma:
-            lo = mid
-        else:
-            hi = mid
-    raise AssertionError("oracle bisection did not converge")
-
-
 def detector(kind, mode):
     if mode == "exact":
         return DetectorConfig(kind=kind, model=GaussianChangeModel(0.0, 1.0, 1.0, 1.0))
@@ -378,17 +350,52 @@ def as_optional(times, capped):
     return [None if c else int(t) for t, c in zip(times, capped)]
 
 
-class FixedStream:
-    """Stands in for a generator: zeros, with a single 1.0 at step ``alarm``."""
+class SteadyStream:
+    """Stands in for a generator: every draw is ``value``."""
 
-    def __init__(self, alarm):
-        self.alarm = alarm
-        self.steps = 0
+    def __init__(self, value):
+        self.value = value
 
     def normal(self, loc, scale, size):
-        steps = np.arange(self.steps + 1, self.steps + size + 1)
-        self.steps += size
-        return (steps == self.alarm).astype(float)
+        return np.full(size, self.value)
+
+
+def run_maxima(config, spec, rng):
+    """Oracle: one fresh run's running maximum at every step to the cap, in whole blocks."""
+    state, paths = 0.0, []
+    for consumed in range(0, spec.run_cap, _BLOCK):
+        z = config.log_increments(config.sample(rng, min(_BLOCK, spec.run_cap - consumed), "pre"))
+        paths.append(_path(config.kind, state, z))
+        state = float(paths[-1][-1])
+    return np.maximum.accumulate(np.concatenate(paths))
+
+
+def curve_oracle(config, spec, rng_of=None):
+    """Oracle: the step of the exact Monte Carlo ARL curve nearest gamma.
+
+    Each replication is drawn whole to the cap.  The ARL steps up just above
+    each running maximum that some run holds before the cap; on the step
+    above height ``u`` each run stops at its first step whose running maximum
+    exceeds ``u``, or at the cap.  Of the steps with a positive lower end,
+    returns the one whose ARL is nearest gamma as ``(lower end, upper end)``,
+    with each run's running maxima.
+    """
+    rng_of = rng_of or (lambda r: keyed_rng(spec.seed, calib._STREAM_ARL, r))
+    maxima = [run_maxima(config, spec, rng_of(r)) for r in range(spec.replications)]
+    heights = np.unique([m[:-1] for m in maxima])
+
+    def arl(k):  # on (heights[k], heights[k + 1]]
+        return np.mean(
+            [min(np.searchsorted(m, heights[k], "right") + 1, spec.run_cap) for m in maxima]
+        )
+
+    # the curve is nondecreasing, so the nearest step is next to where it reaches gamma
+    k = bisect.bisect_left(range(heights.size), spec.gamma, key=arl)
+    k = min(
+        (j for j in (k - 1, k) if 0 <= j < heights.size and heights[j] > 0),
+        key=lambda j: abs(arl(j) - spec.gamma),
+    )
+    return heights[k], heights[k + 1] if k + 1 < heights.size else np.inf, maxima
 
 
 class TestLadderStore:
@@ -521,6 +528,32 @@ class TestLadderStore:
         assert tuple(asked) == widths
         assert times.size == spec.replications
 
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    def test_record_sums_to_the_lower_curve_between_rounds(self, kind):
+        # after any round, the replications plus the weights below a height
+        # sum the runs' lower bounds there: a run past it counts its stopping
+        # time, a run still short its drawn steps (at most cap - 1) plus one
+        config = detector(kind, "score")
+        spec = CalibrationSpec(gamma=5.0, replications=calib._ROWS + 37, seed=3)
+        rngs = [keyed_rng(3, calib._STREAM_ARL, r) for r in range(spec.replications)]
+        runs = calib._Runs(config, "pre", spec.run_cap, rngs, np.zeros(spec.replications), 32)
+        maxima = [
+            run_maxima(config, spec, keyed_rng(3, calib._STREAM_ARL, r))
+            for r in range(spec.replications)
+        ]
+        for drawn in (32, 288, 500):  # a short first round, then whole blocks to the cap
+            runs.draw(runs.open())
+            assert np.all(np.minimum(runs.drawn, spec.run_cap) == drawn)
+            height, run, weight = runs.record()
+            assert np.all(np.diff(height) >= 0.0)
+            assert runs.lower_total() == spec.replications + weight.sum()
+            for t in LADDERS[kind, "score"]:
+                expected = 0
+                for m in maxima:
+                    alarm = np.searchsorted(m, t) + 1  # past the cap if the run never alarms
+                    expected += alarm if alarm <= drawn else min(drawn, spec.run_cap - 1) + 1
+                assert spec.replications + weight[height < t].sum() == expected, (drawn, t)
+
     def test_record_answers_without_drawing(self, unit_shift_model):
         config = DetectorConfig(kind="cusum", model=unit_shift_model)
         spec = CalibrationSpec(gamma=50.0, replications=calib._ROWS + 37, seed=2)
@@ -531,124 +564,77 @@ class TestLadderStore:
         np.testing.assert_array_equal(runs.drawn, drawn)
         assert np.all(low <= high)
 
-    @pytest.mark.parametrize(
-        "times,gives_up,blocks",
-        [
-            ([997, 1, 1, 1], False, 4),  # mean exactly gamma + tol
-            ([900, 50, 49, 1], False, 4),
-            ([997, 1, 1, 2], True, 4),  # 250.25 only once all are in
-            ([1000, 1000, 1000, 1000], True, 1),  # every run past step 256
-        ],
-    )
-    def test_give_up_boundary(self, times, gives_up, blocks):
-        # a run alarms at the one step whose increment is 1.0; the bound
-        # after a round counts a run still going at its drawn steps plus one
-        config = FixedIncrements(
-            lambda x: x, kind="cusum", model=GaussianChangeModel(0.0, 1.0, 1.0, 1.0)
-        )
-        gamma, tol = 200.0, 50.0
-        runs = calib._Runs(
-            config, "pre", 20_000, [FixedStream(t) for t in times], np.zeros(len(times))
-        )
-        answer = runs.stop_times(1.0, lambda m: m - gamma > tol)
-        assert (answer is None) == gives_up
-        assert runs.drawn.max() == blocks * _BLOCK
-        if answer is not None:
-            assert list(answer[0]) == times and not answer[1].any()
 
-    @pytest.mark.parametrize("kind", ["cusum", "sr"])
-    def test_give_up_exactly_when_the_full_mean_is_above(self, kind):
-        # an evaluation may stop early only where the full mean exceeds
-        # gamma + tol; otherwise it returns the full estimate
-        config = detector(kind, "score")
-        spec = CalibrationSpec(gamma=25.0, replications=200, seed=7)
-        gamma, tol = spec.gamma, spec.relative_tolerance * spec.gamma
-        runs = fresh_runs(config, spec)
-        # around the solutions, h = 0.32 and A = 22
-        lo, hi = {"cusum": (0.16, 0.65), "sr": (11.0, 44.0)}[kind]
-        thresholds = np.geomspace(lo, hi, 25)
-        outcomes = set()
-        for t in map(float, thresholds):
-            value, se, cap_hits = oracle_mean(config, t, spec)
-            answer = runs.stop_times(t, lambda m: m - gamma > tol)
-            if value - gamma > tol:
-                assert answer is None, t
-            else:
-                times, capped = answer
-                assert calib.mean_se(times) + (capped.sum(),) == (value, se, cap_hits)
-            outcomes.add("above" if answer is None else "full")
-        assert outcomes == {"above", "full"}
+class TestCurveSolver:
+    """The solver returns a threshold on the step of the exact ARL curve nearest gamma."""
+
+    @staticmethod
+    def check(config, spec, rng_of=None):
+        low, high, maxima = curve_oracle(config, spec, rng_of)
+        threshold, est = solve_threshold(config, spec)
+        assert low < threshold <= high
+        # each run stops at its first step whose path reaches the threshold
+        times = np.array(
+            [min(np.searchsorted(m, threshold) + 1, spec.run_cap) for m in maxima], dtype=float
+        )
+        capped = sum(m[-1] < threshold for m in maxima)
+        se = times.std(ddof=1) / math.sqrt(times.size)
+        assert (est.value, est.std_error, est.cap_hits) == (times.mean(), se, capped)
+        assert abs(est.value - spec.gamma) <= 0.02 * spec.gamma
+        return threshold, est
 
     @pytest.mark.parametrize("kind", ["cusum", "sr"])
     @pytest.mark.parametrize("mode,gamma", [("score", 25.0), ("exact", 30.0)])
-    def test_solver_decisions_match_full_evaluations(
-        self, kind, mode, gamma, monkeypatch
-    ):
-        config = detector(kind, mode)
-        spec = CalibrationSpec(gamma=gamma, replications=300, seed=11)
-        expected = oracle_solve(config, spec)
+    def test_solver_matches_the_curve_oracle(self, kind, mode, gamma):
+        self.check(detector(kind, mode), CalibrationSpec(gamma=gamma, replications=300, seed=11))
 
-        generators = []
-        real_substream = calib.substream
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    def test_capped_runs_count_at_the_cap(self, kind, monkeypatch):
+        # 3 of 400 runs never rise past their first steps, so at every
+        # threshold above those they hit the 5000-step cap and add 37.5 of
+        # the ARL of 50; the others climb by 0.01 per step
+        def stream(r):
+            return SteadyStream(-1.0 if r < 3 else 0.01)
 
-        def counting_substream(*args):
-            rngs = real_substream(*args)
-            generators.extend(rngs)
-            return rngs
+        monkeypatch.setattr(calib, "substream", lambda seed, key, rows: [stream(r) for r in rows])
+        config = FixedIncrements(lambda x: x, kind=kind, model=HST)
+        _, est = self.check(config, CalibrationSpec(gamma=50.0, replications=400), stream)
+        assert est.cap_hits == 3
 
-        outcomes = []
-        real_stop_times = calib._Runs.stop_times
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    @pytest.mark.parametrize("mode,gamma", [("score", 1000.0), ("exact", 300.0)])
+    def test_each_round_draws_the_runs_the_rule_asks(self, kind, mode, gamma, monkeypatch):
+        # the solver reads the curve only when a round's choice depends on it;
+        # each round must still draw exactly the open runs short of
+        # min(reach, h0), h0 counting only while some run is short of it,
+        # with reach the least height where the lower curve reaches gamma
+        spec = CalibrationSpec(gamma=gamma, replications=200, seed=11)
+        h0 = math.log(gamma) if kind == "cusum" else gamma
+        real_draw, rounds = calib._Runs.draw, []
 
-        def recording_stop_times(runs, threshold, give_up=None):
-            # the rule of the "above gamma + tol" branch, float for float
-            tol = spec.relative_tolerance * spec.gamma
-            means = [spec.gamma + tol]
-            for _ in range(3):
-                means = [np.nextafter(means[0], 0.0), *means, np.nextafter(means[-1], np.inf)]
-            assert [give_up(m) for m in means] == [m - spec.gamma > tol for m in means]
-            outcomes.append(real_stop_times(runs, threshold, give_up))
-            # each evaluation gives up exactly where the full mean is above
-            # gamma + tol, and otherwise equals the full evaluation
-            value, se, cap_hits = oracle_mean(config, threshold, spec)
-            if value - spec.gamma > tol:
-                assert outcomes[-1] is None, threshold
-            else:
-                times, capped = outcomes[-1]
-                assert calib.mean_se(times) + (capped.sum(),) == (value, se, cap_hits)
-            return outcomes[-1]
+        def checked_draw(runs, mask):
+            n = runs.state.size
+            height, _, weight = runs.record()
+            total = n + np.cumsum(weight, dtype=np.int64)
+            reach = np.inf
+            if total.size and total[-1] >= gamma * n:
+                reach = height[np.searchsorted(total, gamma * n)]
+            open_ = runs.drawn[runs.row] < runs.cap
+            by_h0 = open_ & (runs.top <= h0)
+            expected = by_h0 if h0 < reach and by_h0.any() else open_ & (runs.top <= reach)
+            np.testing.assert_array_equal(mask, expected)
+            rounds.append(reach)
+            real_draw(runs, mask)
 
-        monkeypatch.setattr(calib, "substream", counting_substream)
-        monkeypatch.setattr(calib._Runs, "stop_times", recording_stop_times)
-        threshold, est = solve_threshold(config, spec)
-        assert (threshold, est.value, est.std_error, est.cap_hits) == expected
-        assert len(generators) == spec.replications
-        if (kind, mode) == ("cusum", "score"):
-            # the theory bracket log(gamma) is far above gamma here: the
-            # first evaluation gives up early
-            assert outcomes[0] is None
+        monkeypatch.setattr(calib._Runs, "draw", checked_draw)
+        solve_threshold(detector(kind, mode), spec)
+        assert np.inf in rounds and any(r < np.inf for r in rounds)
 
-    def test_give_up_advances_every_row_in_lockstep(self, monkeypatch):
-        # h = log gamma puts the HST score CUSUM's ARL far above gamma; the
-        # first evaluation gives up once the rows together have drawn past
-        # gamma + tol, so no array of rows runs on alone to its alarms
-        config = detector("cusum", "score")
-        spec = CalibrationSpec(gamma=1000.0, replications=3 * calib._ROWS + 5, seed=1)
-        tol = spec.relative_tolerance * spec.gamma
-        first = []
-        real_stop_times = calib._Runs.stop_times
-
-        def recording_stop_times(runs, threshold, give_up=None):
-            answer = real_stop_times(runs, threshold, give_up)
-            if not first:
-                first.append((threshold, answer, runs.drawn.copy()))
-            return answer
-
-        monkeypatch.setattr(calib._Runs, "stop_times", recording_stop_times)
-        solve_threshold(config, spec)
-        threshold, answer, drawn = first[0]
-        assert threshold == math.log(spec.gamma)
-        assert answer is None
-        assert drawn.max() <= (math.ceil((spec.gamma + tol) / _BLOCK) + 1) * _BLOCK
+    def test_heights_that_tie_across_runs(self, unit_shift_model):
+        # R_n = n in every run: one step per integer, the same in each run
+        config = flat_increments(0.0, kind="sr", model=unit_shift_model)
+        threshold, est = self.check(config, CalibrationSpec(gamma=60.0, replications=50))
+        assert 59.0 < threshold <= 60.0 and est.value == 60.0
 
 
 def stadd_delay_loop(config, threshold, rng_pre, rng_post, nu, cap):

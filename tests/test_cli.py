@@ -402,13 +402,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,key", [("constants", "truncation"), ("simulate", "horizon"),
-                        ("calibrate", "max_iterations")],
+                        ("calibrate", "max_iterations"), ("calibrate", "relative_tolerance"),
+                        ("simulate", "relative_tolerance")],
     )
     def test_settings_worked_out_by_the_program_are_refused(
         self, tmp_path, capsys, command, key
     ):
-        # the renewal walks run until they settle and the bisection bound is
-        # fixed: neither a flag nor a config-file key sets them
+        # the renewal walks run until they settle and a threshold is the step
+        # of the ARL curve nearest gamma: neither a flag nor a config-file key
+        # sets them
         args = [command, "--q", "1", "--delta", "1", "--replications", "50"]
         if command != "constants":
             args += ["--gamma", "10"]
@@ -419,6 +421,42 @@ class TestExitCodes:
         path.write_text(json.dumps({key: 100}))
         assert run_cli([*args, "--config", str(path)], tmp_path / "o") == 2
         assert f"usage error: unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    MOMENTS = ["--mu-pre", "0", "--sigma-pre", "0.5", "--mu-post", "0.6", "--sigma-post", "0.7"]
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["calibrate", "--mode", "score", *MOMENTS, "--q", "0.5"], "--q"),
+            (["simulate", "--delta", "1"], "--delta"),
+            (["detect", "--q", "0.9", "--train-end", "100"], "--q"),
+            (["detect", "--mode", "score", *MOMENTS, "--q", "1", "--delta", "1"],
+             "--mu-pre/--sigma-pre/--mu-post/--sigma-post"),
+            (["detect", "--mode", "score", "--mu-pre", "0", "--train-end", "100"], "--mu-pre"),
+            (["detect", "--mode", "exact", *MOMENTS, "--train-end", "100"], "--train-end"),
+            (["detect", "--mode", "exact", *MOMENTS, "--q", "1", "--delta", "1"], "--q/--delta"),
+            (["constants", *MOMENTS, "--q", "1", "--delta", "1"], "--q/--delta"),
+            (["calibrate", "--mode", "exact", *MOMENTS, "--q", "1", "--delta", "1"],
+             "--q/--delta"),
+            (["simulate", "--mode", "exact", *MOMENTS, "--q", "1", "--delta", "1"],
+             "--q/--delta"),
+        ],
+        ids=["calibrate-lone-q", "simulate-lone-delta", "detect-lone-q", "detect-score-moments",
+             "detect-score-one-moment", "detect-exact-train-end", "detect-exact-design",
+             "constants-design", "calibrate-exact-design", "simulate-exact-design"],
+    )
+    def test_model_flags_the_run_would_not_read_are_refused(
+        self, price_csv, tmp_path, capsys, args, named
+    ):
+        # each of these ran before with the flag silently ignored: the same
+        # output as without it, under another configuration hash
+        if args[0] == "detect":
+            args = [*args, "--input", str(price_csv), "--threshold-h", "5"]
+        elif args[0] != "constants":
+            args = [*args, "--gamma", "10", "--replications", "50"]
+        assert run_cli(args, tmp_path / "o") == 2
+        assert f"usage error: {named} would be ignored: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_schema_is_usage_error(self, capsys):
@@ -974,7 +1012,8 @@ class TestCalibrateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: gamma=1.5 is below every ARL this detector reaches" in err
-        assert "lowest threshold tried, 1.48e-12" in err
+        # the ARL on the lowest step with positive thresholds: 1/P(x > 1.5) is 14.97
+        assert "at every positive threshold the ARL is at least 14.47" in err
         assert not out.exists()
 
 
