@@ -362,7 +362,7 @@ def _require_model(config: RunConfig) -> models.GaussianChangeModel:
     if config.q is not None and config.delta is not None:
         design = models.design_coefficients(config.q, config.delta)  # refuses q <= 0
         return models.GaussianChangeModel(0.0, 1.0, design.delta, 1.0 / design.q)
-    raise UsageError("give a model via moment flags or via --q/--delta")
+    raise UsageError("give a model via the four moment flags, or --q/--delta outside detect")
 
 
 def _refuse_unread_flags(config: RunConfig) -> None:
@@ -377,6 +377,8 @@ def _refuse_unread_flags(config: RunConfig) -> None:
         unread, why = moments, "detect --mode score standardizes by moments of the series"
     elif config.command == "detect" and not score_detect and "train_end" in given:
         unread, why = ["train_end"], "detect --mode exact fits nothing to the series"
+    elif config.command == "detect" and not score_detect and design:
+        unread, why = design, "detect --mode exact reads its model from the four moment flags"
     elif design and len(moments) == 4 and not (
         config.mode == "score" and config.command in ("calibrate", "simulate")
     ):

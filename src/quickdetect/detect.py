@@ -232,10 +232,6 @@ class DetectionTrace:
         return int(self.statistics.size)
 
     @property
-    def alarmed(self) -> bool:
-        return len(self.alarms) > 0
-
-    @property
     def first_alarm(self) -> AlarmRecord | None:
         return self.alarms[0] if self.alarms else None
 

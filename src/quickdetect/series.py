@@ -91,13 +91,12 @@ class PriceSeries:
 class ReturnSeries:
     """First differences of a :class:`PriceSeries`.
 
-    ``values[j] = source.values[offset + j + 1] - source.values[offset + j]``.
+    ``values[j] = source.values[j + 1] - source.values[j]``.
     A detached series (``source is None``) is allowed for simulated data.
     """
 
     values: np.ndarray
     source: PriceSeries | None = None
-    offset: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))
@@ -107,11 +106,8 @@ class ReturnSeries:
             raise ValueError("a return series needs at least one value")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("return values must be finite")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
-        if self.source is not None:
-            if self.offset + self.values.size > len(self.source) - 1:
-                raise ValueError("return series extends past its source")
+        if self.source is not None and self.values.size > len(self.source) - 1:
+            raise ValueError("return series extends past its source")
 
     def __len__(self) -> int:
         return self.values.size
@@ -121,8 +117,7 @@ class ReturnSeries:
         """Date on which each difference is realized (the later of its two days)."""
         if self.source is None:
             return None
-        lo = self.offset + 1
-        return self.source.timestamps[lo : lo + self.values.size]
+        return self.source.timestamps[1 : 1 + self.values.size]
 
 
 @dataclass(frozen=True)
@@ -251,7 +246,7 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
 
 def to_returns(series: PriceSeries) -> ReturnSeries:
     """First differences ``x[i+1] - x[i]`` of the price series (length N-1)."""
-    return ReturnSeries(values=np.diff(series.values), source=series, offset=0)
+    return ReturnSeries(values=np.diff(series.values), source=series)
 
 
 def _values_of(series) -> np.ndarray:
@@ -295,7 +290,7 @@ def standardize(series: ReturnSeries, moments: MomentEstimate) -> ReturnSeries:
     if moments.sd == 0.0:
         raise ValueError("cannot standardize by a zero sd")
     values = (_values_of(series) - moments.mean) / moments.sd
-    return ReturnSeries(values=values, source=series.source, offset=series.offset)
+    return ReturnSeries(values=values, source=series.source)
 
 
 def acf(series: ReturnSeries, max_lag: int) -> AcfResult:

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestArlEstimation:
         spec = CalibrationSpec(gamma=5.0, replications=100, seed=3)
         with pytest.raises(CalibrationError, match="cap"):
             estimate_arl(config, 1e9, spec)
+
+    @pytest.mark.parametrize(
+        "estimate, metric",
+        [(estimate_arl, "ARL"), (estimate_sadd, "SADD"), (estimate_stadd, "STADD")],
+    )
+    def test_every_estimator_states_the_cap_alike(self, estimate, metric, unit_shift_model):
+        # no CUSUM path climbs to 1e9 within the 500-step cap, before or after the change
+        config = DetectorConfig(kind="cusum", model=unit_shift_model)
+        spec = CalibrationSpec(gamma=5.0, replications=100, seed=3, nu_stationary=10)
+        text = f"100/100 runs hit the 500-step cap estimating {metric} at threshold 1e+09"
+        with pytest.raises(CalibrationError, match=f"^{re.escape(text)}; at most 1% may$"):
+            estimate(config, 1e9, spec)
 
 
 class TestDelayEstimation:
@@ -604,10 +617,9 @@ class TestCurveSolver:
     @pytest.mark.parametrize("kind", ["cusum", "sr"])
     @pytest.mark.parametrize("mode,gamma", [("score", 1000.0), ("exact", 300.0)])
     def test_each_round_draws_the_runs_the_rule_asks(self, kind, mode, gamma, monkeypatch):
-        # the solver reads the curve only when a round's choice depends on it;
-        # each round must still draw exactly the open runs short of
-        # min(reach, h0), h0 counting only while some run is short of it,
-        # with reach the least height where the lower curve reaches gamma
+        # each round must draw exactly the open runs short of min(reach, h0),
+        # h0 counting only while some run is short of it, with reach the
+        # least height where the lower curve reaches gamma
         spec = CalibrationSpec(gamma=gamma, replications=200, seed=11)
         h0 = math.log(gamma) if kind == "cusum" else gamma
         real_draw, rounds = calib._Runs.draw, []
@@ -727,5 +739,6 @@ class TestBatchedStadd:
             assert list(got) == [spec.run_cap if d is None else d for d in want]
         cap_hits = sum(d is None for d in expected[0])
         assert 0 < cap_hits < 60
-        with pytest.raises(CalibrationError, match=f"^{cap_hits}/60 post-change runs hit the cap$"):
+        text = f"{cap_hits}/60 runs hit the 300-step cap estimating STADD at threshold 150"
+        with pytest.raises(CalibrationError, match=f"^{text}; at most 1% may$"):
             estimate_stadd(config, 150.0, spec)

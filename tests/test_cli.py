@@ -280,7 +280,8 @@ class TestCommandTable:
             ["constants"],
             ["calibrate", "--gamma", "10"],
             ["simulate", "--gamma", "10"],
-            ["detect", "--threshold-h", "5", "--mode", "exact"],
+            ["calibrate", "--gamma", "10", "--mode", "score", "--mu-pre", "0", "--sigma-pre", "1",
+             "--mu-post", "1", "--sigma-post", "1"],
             ["detect", "--threshold-h", "5", "--mode", "score"],
         ],
     )
@@ -436,6 +437,7 @@ class TestExitCodes:
             (["detect", "--mode", "score", "--mu-pre", "0", "--train-end", "100"], "--mu-pre"),
             (["detect", "--mode", "exact", *MOMENTS, "--train-end", "100"], "--train-end"),
             (["detect", "--mode", "exact", *MOMENTS, "--q", "1", "--delta", "1"], "--q/--delta"),
+            (["detect", "--mode", "exact", "--q", "1", "--delta", "1"], "--q/--delta"),
             (["constants", *MOMENTS, "--q", "1", "--delta", "1"], "--q/--delta"),
             (["calibrate", "--mode", "exact", *MOMENTS, "--q", "1", "--delta", "1"],
              "--q/--delta"),
@@ -444,7 +446,8 @@ class TestExitCodes:
         ],
         ids=["calibrate-lone-q", "simulate-lone-delta", "detect-lone-q", "detect-score-moments",
              "detect-score-one-moment", "detect-exact-train-end", "detect-exact-design",
-             "constants-design", "calibrate-exact-design", "simulate-exact-design"],
+             "detect-exact-design-alone", "constants-design", "calibrate-exact-design",
+             "simulate-exact-design"],
     )
     def test_model_flags_the_run_would_not_read_are_refused(
         self, price_csv, tmp_path, capsys, args, named

@@ -265,7 +265,7 @@ class TestReturns:
     def test_offset_bounds(self, make_csv):
         prices = load_csv(make_csv([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="past its source"):
-            ReturnSeries(values=[1.0, 1.0], source=prices, offset=1)
+            ReturnSeries(values=[1.0, 1.0, 1.0], source=prices)
 
 
 class TestMoments:
