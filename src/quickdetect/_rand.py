@@ -2,12 +2,9 @@
 
 Every replication draws from its own generator keyed by
 ``(seed, stream id, replication index)``, so estimates are independent of
-evaluation order and bit-for-bit reproducible for a fixed seed.  A key may
-carry more words between the stream id and the index, such as the series
-length of :func:`quickdetect.offline.null_threshold`'s key
-``(seed, stream, length, r)``.  The generator of key ``(seed, stream, *words, r)``
-is the one
-``numpy.random.default_rng(numpy.random.SeedSequence([seed, stream, *words, r]))``
+evaluation order and bit-for-bit reproducible for a fixed seed.  The
+generator of key ``(seed, stream, r)`` is the one
+``numpy.random.default_rng(numpy.random.SeedSequence([seed, stream, r]))``
 returns: a ``PCG64`` in the same state.
 
 :func:`substream` builds the generators of a whole range of replication
@@ -132,17 +129,13 @@ def _seeder():
     return lambda words: Generator(PCG64(StateWords(words)))
 
 
-def substream(
-    seed: int, stream: int, replications: range, words: tuple[int, ...] = ()
-) -> list[np.random.Generator]:
+def substream(seed: int, stream: int, replications: range) -> list[np.random.Generator]:
     """One estimator's generators for the replication indices in ``replications``.
 
-    The generator of index ``r`` is that of key ``(seed, stream, *words, r)``.
+    The generator of index ``r`` is that of key ``(seed, stream, r)``.
     Indices must lie in ``[0, 2**32)``, one entropy word each.
     """
     prefix = _int_words(int(seed), "seed") + _int_words(int(stream), "stream")
-    for word in words:
-        prefix += _int_words(int(word), "key word")
     if not replications:
         return []
     if min(replications[0], replications[-1]) < 0:

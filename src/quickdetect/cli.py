@@ -86,7 +86,6 @@ class RunConfig:
     split: int | None = None
     min_segment: int = 30
     bd_threshold: float | None = None
-    null_replications: int = 199
     gamma: float | None = None
     replications: int = 10_000
     nu: int = 1_000
@@ -516,8 +515,6 @@ def _cmd_segment(config: RunConfig) -> Report:
         returns,
         significance_threshold=config.bd_threshold,
         min_segment=config.min_segment,
-        seed=config.seed,
-        null_replications=config.null_replications,
     )
     dates = returns.dates
     entries = [
@@ -781,7 +778,7 @@ _COMMANDS = {
     ),
     "segment": Command(
         _cmd_segment, "offline change-point segmentation",
-        _COMMON + _INPUT + ("min_segment", "bd_threshold", "null_replications"),
+        _COMMON + _INPUT + ("min_segment", "bd_threshold"),
     ),
     "constants": Command(
         _cmd_constants, "renewal constants of a change model",

@@ -259,7 +259,7 @@ def test_criterion_8_hst_history_reproduction():
     global_cp, _ = offline.bd_estimate(returns)
     assert returns.dates[global_cp - 1] == date(2003, 3, 14)
 
-    segmentation = offline.bd_segment(returns, seed=0)
+    segmentation = offline.bd_segment(returns)
     target = date(2001, 9, 18)
     target_idx = next(
         i for i, d in enumerate(returns.dates) if d == target

@@ -679,6 +679,30 @@ class TestSegmentCommand:
         assert [int(row["split"]) for row in rows] == list(range(1, 340))
         assert [float(row["statistic"]) for row in rows] == trace.values.tolist()
 
+    def test_seed_changes_only_the_config_hash(self, price_csv, tmp_path):
+        # the null threshold is a deterministic solve: nothing in a segment
+        # run draws random numbers, but the seed is still a recorded setting
+        reports = []
+        for seed in ("0", "11"):
+            out = tmp_path / seed
+            assert run_cli(["segment", "--input", str(price_csv), "--seed", seed], out) == 0
+            reports.append(load_report(out, "segment"))
+        assert reports[0]["config_hash"] != reports[1]["config_hash"]
+        assert reports[0]["sections"] == reports[1]["sections"]
+        assert reports[0]["notes"] == reports[1]["notes"]
+        assert any("exceeds the null threshold" in note for note in reports[0]["notes"])
+
+    def test_null_replications_refused(self, price_csv, tmp_path, capsys):
+        # the null threshold simulates no series, so nothing sets a count of them
+        args = ["segment", "--input", str(price_csv)]
+        assert run_cli([*args, "--null-replications", "199"], tmp_path / "o") == 2
+        assert "unrecognized arguments: --null-replications 199" in capsys.readouterr().err
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"null_replications": 199}))
+        assert run_cli([*args, "--config", str(path)], tmp_path / "o") == 2
+        assert "usage error: unknown config keys: ['null_replications']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_explicit_threshold_disables_splitting(self, price_csv, tmp_path):
         out = tmp_path / "o"
         code = run_cli(

@@ -17,7 +17,7 @@ from quickdetect import (
     null_threshold,
     offline,
 )
-from quickdetect._rand import _ROWS
+from quickdetect._rand import _ROWS, row_chunks, substream
 
 
 def direct_statistic(x, n):
@@ -28,8 +28,12 @@ def direct_statistic(x, n):
     return np.sqrt(n * (N - n)) / N * (left - right)
 
 
-def loop_null_threshold(length, sd, seed, replications=199, level=0.95):
-    """The null threshold drawn and evaluated one fresh generator and array per replication."""
+def loop_null_maxima(length, replications, seed):
+    """``max |Y|`` of i.i.d. standard normal series, replication ``r`` keyed ``(seed, 21, length, r)``.
+
+    The Monte Carlo null that ``null_threshold`` replaced, one fresh generator
+    and array per replication.
+    """
 
     def trace_values(x):
         n_obs = x.size
@@ -42,12 +46,34 @@ def loop_null_threshold(length, sd, seed, replications=199, level=0.95):
 
     maxima = np.empty(replications)
     for r in range(replications):
-        key = [seed, offline._STREAM_NULL, length, r]
-        rng = np.random.default_rng(np.random.SeedSequence(key))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 21, length, r]))
         maxima[r] = np.max(np.abs(trace_values(rng.standard_normal(length))))
-    maxima.sort()
-    k = min(replications, int(np.ceil((replications + 1) * level)))
-    return float(sd * maxima[k - 1])
+    return maxima
+
+
+def mc_null_maxima(length, replications, seed):
+    """The same null maxima, drawn as the package draws replications.
+
+    Generators come one ``row_chunks`` range at a time from ``substream``; its
+    stream ``21 + length * 2**32`` splits into the uint32 words ``21, length``,
+    so replication ``r`` has the key ``(seed, 21, length, r)`` of
+    :func:`loop_null_maxima`.  Each series is scanned by ``offline._trace_values``.
+    """
+    maxima = np.empty(replications)
+    for rows in row_chunks(replications):
+        for r, rng in zip(rows, substream(seed, 21 + (length << 32), rows), strict=True):
+            maxima[r] = np.max(np.abs(offline._trace_values(rng.standard_normal(length))))
+    return maxima
+
+
+def full_sum_exceedance(b, length):
+    """James, James & Siegmund's tail approximation, summed over every split on scipy's normal."""
+    from scipy.stats import norm
+
+    t = np.arange(1, length) / length
+    x = b / np.sqrt(length * t * (1 - t))
+    nu = (2 / x) * (norm.cdf(x / 2) - 0.5) / ((x / 2) * norm.cdf(x / 2) + norm.pdf(x / 2))
+    return b * norm.pdf(b) * np.sum(nu / (t * (1 - t))) / length
 
 
 class TestStatistic:
@@ -144,16 +170,13 @@ class TestEstimationAccuracy:
 
 class TestNullThreshold:
     def test_deterministic_and_scales_with_sd(self):
-        a = null_threshold(300, 1.0, seed=9)
-        b = null_threshold(300, 1.0, seed=9)
-        c = null_threshold(300, 2.0, seed=9)
-        assert a == b
-        assert c == pytest.approx(2.0 * a, rel=1e-12)
-        assert null_threshold(300, 1.0, seed=10) != a
+        a = null_threshold(300, 1.0)
+        assert null_threshold(300, 1.0) == a
+        assert null_threshold(300, 2.0) == pytest.approx(2.0 * a, rel=1e-15)
 
-    # R cases: one replication (the worker's alone), part of one chunk, the
-    # last chunk one row short, exactly full or one row into a fresh chunk,
-    # and several chunks; the last case is one long series
+    # R cases: one replication, part of one chunk, the last chunk one row
+    # short, exactly full or one row into a fresh chunk, and several chunks;
+    # the last case is one long series
     CASES = [
         *itertools.product([1, 25, 26, 27, _ROWS - 1, _ROWS, _ROWS + 1, 199], [0, 20261017],
                            [2, 3, 61, 1_000, 20_000]),
@@ -162,39 +185,78 @@ class TestNullThreshold:
 
     @pytest.mark.parametrize("replications,seed,length", CASES)
     def test_bit_equal_to_the_per_replication_loop(self, length, seed, replications):
-        for level in (0.80, 0.95, 0.99):
-            expected = loop_null_threshold(length, 1.7, seed, replications, level)
-            got = null_threshold(length, 1.7, seed, replications, level)
-            assert got.hex() == expected.hex(), (level, got, expected)
+        # the Monte Carlo oracle of the tail-probability test below
+        got = mc_null_maxima(length, replications, seed)
+        expected = loop_null_maxima(length, replications, seed)
+        assert got.tobytes() == expected.tobytes()
 
-    def test_worker_thread_does_not_outlive_the_call(self):
+    def test_worker_thread_does_not_outlive_the_call(self, monkeypatch):
+        # the threshold is solved on the calling thread: no thread is started
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
         before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         for length in (50, 20_000):
-            null_threshold(length, 1.0, seed=1, replications=3 * _ROWS)
+            null_threshold(length, 1.0)
+        bd_segment(np.random.default_rng(5).standard_normal(2_000))
         assert threading.active_count() == before
+
+    # a separate run of 4 000-40 000 null series per length put the
+    # threshold's tail probability at 0.043-0.048 for level 0.95; the band
+    # widens that by three binomial standard errors of this test's count
+    @pytest.mark.parametrize("length,replications", [(60, 4_000), (1_000, 4_000), (5_000, 2_000),
+                                                     (30_000, 1_000)])
+    def test_monte_carlo_tail_probability_near_the_level(self, length, replications):
+        threshold = null_threshold(length, 1.0)
+        exceed = np.mean(mc_null_maxima(length, replications, seed=20261017) > threshold)
+        se = math.sqrt(0.0455 * 0.9545 / replications)
+        assert 0.043 - 3 * se <= exceed <= 0.048 + 3 * se
+
+    @pytest.mark.parametrize("length", [131, 1_000, 1_001, 4_999, 5_000, 19_999, 20_000])
+    def test_quadrature_matches_the_full_sum(self, length):
+        tail = offline._exceedance(length)
+        for b in (2.0, 3.0, 3.5, 4.0, 5.0):
+            assert tail(b) == pytest.approx(full_sum_exceedance(b, length), rel=1e-5), b
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 61, 129, 130])
+    def test_short_lengths_take_the_exact_path(self, length):
+        points, weights = offline._split_nodes(length)
+        half = (length - 1) // 2
+        assert points.tolist() == [*range(1, half + 1), *([length / 2] if length % 2 == 0 else [])]
+        assert weights.tolist() == [2.0] * half + [1.0] * (length % 2 == 0)
+        tail = offline._exceedance(length)
+        for b in (1.5, 3.0, 4.5):
+            assert tail(b) == pytest.approx(full_sum_exceedance(b, length), rel=1e-13), b
 
     @pytest.mark.parametrize("level", [0.0, -0.02, 1.0, 2.0, -3.0, float("nan")])
     def test_level_outside_the_unit_interval_refused(self, level):
         with pytest.raises(ValueError, match="level"):
-            null_threshold(50, 1.0, seed=0, replications=19, level=level)
+            null_threshold(50, 1.0, level=level)
+
+    def test_level_below_the_approximation_refused(self):
+        # at N = 2 the approximation's largest value on b >= 1 is about 0.21
+        with pytest.raises(ValueError, match="level 0.5 lies below the tail approximation"):
+            null_threshold(2, 1.0, level=0.5)
+        assert null_threshold(2, 1.0, level=0.95) > 0.0
 
     @pytest.mark.parametrize("sd", [-1.0, float("nan"), float("inf")])
     def test_sd_negative_or_not_finite_refused(self, sd):
         with pytest.raises(ValueError, match="sd"):
-            null_threshold(50, sd, seed=0, replications=19)
+            null_threshold(50, sd)
 
     def test_zero_sd_gives_zero(self):
-        assert null_threshold(50, 0.0, seed=0, replications=19) == 0.0
+        assert null_threshold(50, 0.0) == 0.0
 
     def test_level_ordering(self):
-        lo = null_threshold(200, 1.0, seed=3, level=0.80)
-        hi = null_threshold(200, 1.0, seed=3, level=0.99)
+        lo = null_threshold(200, 1.0, level=0.80)
+        hi = null_threshold(200, 1.0, level=0.99)
         assert lo < hi
 
     def test_holds_its_level(self):
         # the 95% threshold should be exceeded by roughly 5% of fresh null
         # series; allow a generous binomial margin around 10 of 200
-        threshold = null_threshold(150, 1.0, seed=21, replications=199)
+        threshold = null_threshold(150, 1.0)
         rng = np.random.default_rng(77)
         exceed = 0
         for _ in range(200):
@@ -214,7 +276,7 @@ class TestSegmentation:
                 rng.normal(0.2, 1.0, 300),
             ]
         )
-        result = bd_segment(x, min_segment=30, seed=2)
+        result = bd_segment(x, min_segment=30)
         assert len(result.change_points) == 2
         first, second = result.change_points
         assert abs(first - 300) <= 20
@@ -233,14 +295,14 @@ class TestSegmentation:
         splits = 0
         for child in root.spawn(30):
             rng = np.random.default_rng(child)
-            result = bd_segment(rng.standard_normal(200), seed=6)
+            result = bd_segment(rng.standard_normal(200))
             splits += len(result.change_points)
         # each root test is level ~5%; 30 runs should produce few splits
         assert splits <= 5
 
     def test_min_segment_honored(self, rng):
         x = rng.normal(size=50)
-        result = bd_segment(x, min_segment=30, seed=0)
+        result = bd_segment(x, min_segment=30)
         assert result.change_points == ()
         assert "too short" in result.decisions[0].reason
         for m in result.segments:
@@ -258,7 +320,7 @@ class TestSegmentation:
     def test_decision_log_covers_recursion(self):
         rng = np.random.default_rng(13)
         x = np.concatenate([rng.normal(0, 1, 200), rng.normal(2, 1, 200)])
-        result = bd_segment(x, min_segment=30, seed=1)
+        result = bd_segment(x, min_segment=30)
         # one decision for the root plus one per child examined
         assert len(result.decisions) >= 3
         root_decision = result.decisions[0]
