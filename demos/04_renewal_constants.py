@@ -4,9 +4,9 @@ Computes the Kullback-Leibler numbers, the ladder constants (overshoot
 and walk extremes) and the path functionals for two change models,
 evaluates the renewal-theory approximations at a few thresholds, and pits
 them against quick Monte Carlo estimates.  The equal-variance model gets
-its ladder constants from exact series; the unequal-variance one falls
-back to simulation (nonzero standard errors).  The path functionals C0 and
-Cinf are always simulated.
+its ladder constants from exact series; the unequal-variance one reads
+them off simulated post-change walks (nonzero standard errors).  The path
+functionals C0 and Cinf are always simulated, C0 from those same walks.
 """
 
 import math

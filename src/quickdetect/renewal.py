@@ -34,10 +34,10 @@ With equal pre/post variances the walk is exactly Gaussian,
 series reduce to normal tails (libm's ``erfc``), and the pre-change walk is
 the mirror image of the post-change one, so ``beta_inf = -beta0`` exactly.
 With unequal variances the log-likelihood ratio is quadratic in the
-observation and the walk is not Gaussian.  ``zeta`` and ``varkappa`` are
-then series estimated by Monte Carlo, and ``beta0`` and ``beta_inf`` are
-read off the same walks directly (a Monte Carlo ``beta_inf`` series has
-many times the standard error of the CUSUM tail mean).
+observation and the walk is not Gaussian.  The four ladder constants are
+then means of per-walk sums over the post-change walks of ``c0`` (Wald's
+identity makes their pre-change probabilities post-change expectations).
+Every walk is drawn by one loop, ``_walks``.
 
 No setting bounds the work: series run until a term falls below
 ``TERM_TOL`` and walks until they escape, both within ``STEP_CAP``.  A
@@ -64,10 +64,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rand import mean_se, row_chunks, substream
-from .detect import LLR_CLAMP, _cusum_path, check_threshold
+from .detect import LLR_CLAMP, check_threshold
 from .models import GaussianChangeModel, llr
 
-_STREAM_OVERSHOOT = 1
 _STREAM_POST_WALK = 2
 _STREAM_PRE_WALK = 3
 
@@ -76,12 +75,9 @@ TERM_TOL = 1e-12
 #: bound on series terms and on walk steps; a model whose sums have not
 #: settled by then is too faint, and the estimate fails
 STEP_CAP = 10**6
-#: a walk this far on the escaping side adds no visible mass to
-#: sum(exp(s * Z_k)); paths are cut here
+#: a walk this far on the escaping side adds no visible mass to any of
+#: its sums; paths are cut here
 ESCAPE_MARGIN = 50.0
-#: pre-change steps of the Monte Carlo ``beta_inf`` draw; its second half is
-#: the averaging window
-_TAIL_WINDOW = 4_000
 #: ``math.erfc`` underflows to exactly 0.0 at and above this argument
 _ERFC_UNDERFLOW = 27.3
 _BLOCK = 512
@@ -254,50 +250,77 @@ def _overshoots_exact(model: GaussianChangeModel):
     return Estimate(min(zeta, 1.0)), Estimate(first + beta0), Estimate(beta0), Estimate(-beta0)
 
 
-def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
-    """Unequal-variance route: estimate the series terms from simulated walks.
+def _walks(model: GaussianChangeModel, policy: EstimationPolicy, regime: str):
+    """Each replication's ``regime`` walk, block by block, until it escapes.
 
-    Each replication draws a pre- and a post-change walk of ``length``
-    steps from one stream.  The post-change walk's ``min(0, min_k Z_k)`` is
-    its ``beta0`` draw.  The pre-change walk, continued from the same
-    stream to ``_TAIL_WINDOW`` steps when shorter, gives the ``beta_inf``
-    draw: the mean CUSUM statistic over steps ``n > _TAIL_WINDOW // 2``.
+    Yields ``(rows, z, k)``: the replications still walking, their ``Z`` over
+    one block (a row each) and the step number of its first column.  A walk
+    escapes once ``s * Z`` (``s = -1`` post-change, ``+1`` pre-change) is
+    below ``-ESCAPE_MARGIN`` at a block end.  Up to ``_rand._ROWS`` walks
+    step together as rows, each drawing from its own generator.  More than
+    1% never escaping within ``STEP_CAP`` steps is an error.
     """
-    i_f, i_g = kl_numbers(model)
-    drift = min(i_f, i_g)
-    length = int(min(STEP_CAP, 60.0 / drift + 64))
-    reps = policy.replications
-    inv_k = 1.0 / np.arange(1, length + 1)
-    s_vals = np.empty(reps)
-    t_vals = np.empty(reps)
-    minima = np.empty(reps)
-    tails = np.empty(reps)
-    tail_hits = 0
-    for rows in row_chunks(reps):
-        for r, rng in zip(rows, substream(policy.seed, _STREAM_OVERSHOOT, rows)):
-            x_pre = llr(model, rng.normal(model.mu_pre, model.sigma_pre, length))
-            z_pre = np.cumsum(x_pre)
-            z_post = np.cumsum(llr(model, rng.normal(model.mu_post, model.sigma_post, length)))
-            crossings = (z_pre > 0.0).astype(float) + (z_post <= 0.0).astype(float)
-            s_vals[r] = float(inv_k @ crossings)
-            t_vals[r] = float(inv_k @ np.minimum(0.0, z_post))
-            if z_pre[-1] > 0.0 or z_post[-1] <= 0.0:
-                tail_hits += 1
-            minima[r] = min(0.0, float(np.min(z_post)))
-            if _TAIL_WINDOW > length:
-                more = llr(model, rng.normal(model.mu_pre, model.sigma_pre, _TAIL_WINDOW - length))
-                x_pre = np.concatenate((x_pre, more))
-            tails[r] = float(np.mean(_cusum_path(0.0, x_pre[:_TAIL_WINDOW])[_TAIL_WINDOW // 2 :]))
-    if tail_hits > 0.005 * reps:
+    if regime == "post":
+        sign, stream, mu, sigma = -1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post
+    else:
+        sign, stream, mu, sigma = 1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre
+    unsettled = 0
+    for rows in row_chunks(policy.replications):
+        rngs = substream(policy.seed, stream, rows)
+        z_end = np.zeros(len(rows))
+        for steps in range(0, STEP_CAP, _BLOCK):
+            live = np.flatnonzero(sign * z_end >= -ESCAPE_MARGIN)
+            if not live.size:
+                break
+            x = np.stack([rngs[i].normal(mu, sigma, min(_BLOCK, STEP_CAP - steps)) for i in live])
+            z = z_end[live, None] + np.cumsum(llr(model, x), axis=1)
+            z_end[live] = z[:, -1]
+            yield rows.start + live, z, steps + 1
+        unsettled += int(np.count_nonzero(sign * z_end >= -ESCAPE_MARGIN))
+    if unsettled > 0.01 * policy.replications:
         raise RuntimeError(
-            f"overshoot series not converged at {length} terms "
-            f"({tail_hits}/{reps} paths still crossing): the change is too faint"
+            f"{unsettled}/{policy.replications} {regime}-change walks never escaped "
+            f"within {STEP_CAP} steps: the change is too faint"
         )
-    s_mean, s_se = mean_se(s_vals)
+
+
+def _ladder_sums(model: GaussianChangeModel, policy: EstimationPolicy) -> np.ndarray:
+    """Per-walk draws of ``(zeta, varkappa, beta0, beta_inf)``, one row each.
+
+    Over a post-change walk ``Z_1, Z_2, ...``: ``sum_k exp(-Z_k^+)/k``, as
+    ``P_pre(Z_k > 0) + P_post(Z_k <= 0) = E_post[exp(-Z_k^+)]`` by Wald's
+    likelihood-ratio identity; ``sum_k min(0, Z_k)/k``; ``min(0, min_k Z_k)``;
+    and ``sum_k (m_k - m_{k-1}) exp(-m_k)`` in [0, 1], with
+    ``m_k = max(0, Z_1, ..., Z_k)``.  That is ``beta_inf = E_pre[sup_n Z_n]``
+    (Lindley-Loynes) ``= int_0^inf P_pre(sup_n Z_n > x) dx``, whose
+    integrand is ``E_post[exp(-m)]`` at the first ladder height ``m > x``.
+    Terms past the escape are below ``exp(-ESCAPE_MARGIN)``.
+    """
+    sums = np.zeros((4, policy.replications))
+    zeta_sums, kappa_sums, minima, beta_inf_sums = sums
+    tops = np.zeros(policy.replications)  # m_k at the end of the walk drawn so far
+    for rows, z, k in _walks(model, policy, "post"):
+        inv_k = 1.0 / np.arange(k, k + z.shape[1])
+        m = np.maximum(np.maximum.accumulate(z, axis=1), tops[rows, None])
+        zeta_sums[rows] += np.exp(-np.maximum(z, 0.0)) @ inv_k
+        kappa_sums[rows] += np.minimum(z, 0.0) @ inv_k
+        minima[rows] = np.minimum(minima[rows], np.min(z, axis=1))
+        rises = np.diff(m, axis=1, prepend=tops[rows, None])
+        beta_inf_sums[rows] += np.sum(rises * np.exp(-m), axis=1)
+        tops[rows] = m[:, -1]
+    return sums
+
+
+def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
+    """Unequal-variance route: the means of the ``_ladder_sums`` draws."""
+    reps = policy.replications
+    zeta_sums, kappa_sums, minima, beta_inf_sums = _ladder_sums(model, policy)
+    _, i_g = kl_numbers(model)
+    s_mean, s_se = mean_se(zeta_sums)
     zeta = math.exp(-s_mean) / i_g
     mean_post, var_post = llr_moments(model, "post")
     first = (var_post + mean_post * mean_post) / (2.0 * mean_post)
-    t_mean, t_se = mean_se(t_vals)
+    t_mean, t_se = mean_se(kappa_sums)
     varkappa = first + t_mean
     for name, value, se, bad, allowed in (
         ("zeta", zeta, zeta * s_se, zeta > 1.0 + 1e-9, "(0, 1]"),
@@ -313,7 +336,7 @@ def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
         Estimate(min(zeta, 1.0), zeta * s_se, reps),
         Estimate(varkappa, t_se, reps),
         Estimate(*mean_se(minima), reps),
-        Estimate(*mean_se(tails), reps),
+        Estimate(*mean_se(beta_inf_sums), reps),
     )
 
 
@@ -323,8 +346,9 @@ def limiting_overshoots(
     """The ladder constants ``(zeta, varkappa, beta0, beta_inf)``.
 
     With equal variances all four are exact series (SE 0, 0 replications)
-    and ``beta_inf == -beta0``; otherwise all four are Monte Carlo estimates
-    from one set of simulated walks, with standard errors.
+    and ``beta_inf == -beta0``; otherwise all four are Monte Carlo means of
+    per-replication sums over one set of simulated post-change walks (the
+    ones ``path_functionals`` draws for ``c0``), with standard errors.
     """
     policy = policy or EstimationPolicy()
     if model.sigma_pre == model.sigma_post:
@@ -332,37 +356,17 @@ def limiting_overshoots(
     return _overshoots_mc(model, policy)
 
 
-def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str):
-    """Per-replication ``sum_k exp(s * Z_k)`` and the count of unescaped walks.
+def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str) -> np.ndarray:
+    """Per-replication ``sum_k exp(s * Z_k)`` over the walks of ``regime``.
 
     ``"post"``: ``s = -1`` (the sum is ``U``).  ``"pre"``: ``s = +1`` (the
-    time-reversed Shiryaev-Roberts statistic).  A walk stops once ``s * Z``
-    falls below ``-ESCAPE_MARGIN`` at the end of a block; walks still short
-    of that after ``STEP_CAP`` steps are counted.  The walks of at most
-    ``_rand._ROWS`` replications step together as the rows of one array,
-    block by block, each row drawing from its own generator, so every sum is
-    that of its walk run alone.
+    time-reversed Shiryaev-Roberts statistic).
     """
-    if regime == "post":
-        sign, stream, mu, sigma = -1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post
-    else:
-        sign, stream, mu, sigma = 1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre
+    sign = -1.0 if regime == "post" else 1.0
     sums = np.zeros(policy.replications)
-    unsettled = 0
-    for rows in row_chunks(policy.replications):
-        rngs = substream(policy.seed, stream, rows)
-        total = sums[rows.start : rows.stop]  # a view: adding to it fills sums
-        z_end = np.zeros(len(rows))
-        for steps in range(0, STEP_CAP, _BLOCK):
-            live = np.flatnonzero(sign * z_end >= -ESCAPE_MARGIN)
-            if not live.size:
-                break
-            x = np.stack([rngs[i].normal(mu, sigma, min(_BLOCK, STEP_CAP - steps)) for i in live])
-            z = z_end[live, None] + np.cumsum(llr(model, x), axis=1)
-            total[live] += np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP)), axis=1)
-            z_end[live] = z[:, -1]
-        unsettled += int(np.count_nonzero(sign * z_end >= -ESCAPE_MARGIN))
-    return sums, unsettled
+    for rows, z, _ in _walks(model, policy, regime):
+        sums[rows] += np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP)), axis=1)
+    return sums
 
 
 def path_functionals(
@@ -377,15 +381,8 @@ def path_functionals(
     """
     policy = policy or EstimationPolicy()
     reps = policy.replications
-    sums = {}
-    for regime in ("post", "pre"):
-        sums[regime], unsettled = _exp_sums(model, policy, regime)
-        if unsettled > max(1, 0.01 * reps):
-            raise RuntimeError(
-                f"{unsettled}/{reps} {regime}-change walks never escaped within "
-                f"{STEP_CAP} steps: the change is too faint"
-            )
-    u_sums, r_sums = sums["post"], sums["pre"]
+    u_sums = _exp_sums(model, policy, "post")
+    r_sums = _exp_sums(model, policy, "pre")
     return (
         Estimate(*mean_se(np.log1p(u_sums)), reps),
         Estimate(*mean_se(np.log1p(u_sums + r_sums)), reps),

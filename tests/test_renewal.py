@@ -26,9 +26,11 @@ from quickdetect.renewal import (
     _STREAM_PRE_WALK,
     TERM_TOL,
     _exp_sums,
+    _ladder_sums,
     _normal_tail,
     _overshoots_exact,
     _overshoots_mc,
+    _walks,
     limiting_overshoots,
     llr_moments,
     path_functionals,
@@ -54,6 +56,138 @@ def walk(model, regime):
         "post": (-1.0, _STREAM_POST_WALK, model.mu_post, model.sigma_post),
         "pre": (1.0, _STREAM_PRE_WALK, model.mu_pre, model.sigma_pre),
     }[regime]
+
+
+def walk_sums(model, policy, regime):
+    """``_exp_sums`` read off ``_walks`` directly, with the walker's error (or None).
+
+    Where the walker raises no error, ``_exp_sums`` must give the same bits.
+    """
+    sign = walk(model, regime)[0]
+    sums = np.zeros(policy.replications)
+    try:
+        for rows, z, _ in _walks(model, policy, regime):
+            sums[rows] += np.sum(np.exp(np.minimum(sign * z, LLR_CLAMP)), axis=1)
+    except RuntimeError as err:
+        return sums, str(err)
+    np.testing.assert_array_equal(_exp_sums(model, policy, regime), sums)
+    return sums, None
+
+
+def unsettled_error(still, reps, regime):
+    """The walker's error for ``still`` unescaped walks of ``reps``, or None."""
+    if still <= 0.01 * reps:
+        return None
+    return (
+        f"{still}/{reps} {regime}-change walks never escaped within "
+        f"{renewal.STEP_CAP} steps: the change is too faint"
+    )
+
+
+def fixed_length_oracle(model, reps, seed):
+    """The ladder constants from fixed-length walks, ``[(value, se)]``.
+
+    Each replication draws a pre- and a post-change walk of
+    ``60 / min(I_f, I_g) + 64`` steps.  ``zeta`` takes the crossing
+    indicators ``1{Z_pre_k > 0} + 1{Z_post_k <= 0}`` as its series terms,
+    ``varkappa`` and ``beta0`` read ``min(0, Z_post_k)``, and ``beta_inf``
+    is the mean CUSUM statistic ``Z_n - min(0, min_{k <= n} Z_k)`` of the
+    pre-change walk, drawn on to 4 000 steps, over steps ``n > 2 000``.
+    Order ``(zeta, varkappa, beta0, beta_inf)``.
+    """
+    i_f, i_g = kl_numbers(model)
+    length, window = int(60.0 / min(i_f, i_g) + 64), 4_000
+    inv_k = 1.0 / np.arange(1, length + 1)
+    rng = np.random.default_rng(seed)
+    draws = np.empty((4, reps))
+    crossing = 0
+    for start in range(0, reps, 64):
+        rows = slice(start, min(reps, start + 64))
+        n = rows.stop - rows.start
+        x_pre = rng.normal(model.mu_pre, model.sigma_pre, (n, max(length, window)))
+        z_pre = np.cumsum(llr(model, x_pre), axis=1)
+        z_post = np.cumsum(llr(model, rng.normal(model.mu_post, model.sigma_post, (n, length))), axis=1)
+        crossings = (z_pre[:, :length] > 0.0).astype(float) + (z_post <= 0.0)
+        crossing += int(np.count_nonzero(crossings[:, -1]))
+        draws[0, rows] = crossings @ inv_k
+        draws[1, rows] = np.minimum(0.0, z_post) @ inv_k
+        draws[2, rows] = np.minimum(0.0, np.min(z_post, axis=1))
+        z_tail = z_pre[:, :window]
+        cusum = z_tail - np.minimum(0.0, np.minimum.accumulate(z_tail, axis=1))
+        draws[3, rows] = np.mean(cusum[:, window // 2 :], axis=1)
+    # the series must have settled within the walks' length
+    assert crossing <= 0.005 * reps
+    (s_mean, s_se), *rest = [
+        (float(np.mean(d)), float(np.std(d, ddof=1)) / math.sqrt(reps)) for d in draws
+    ]
+    zeta = math.exp(-s_mean) / i_g
+    mean_post, var_post = llr_moments(model, "post")
+    first = (var_post + mean_post * mean_post) / (2.0 * mean_post)
+    (t_mean, t_se), beta0, beta_inf = rest
+    return [(zeta, zeta * s_se), (first + t_mean, t_se), beta0, beta_inf]
+
+
+def ncx2_series(model, terms):
+    """The ladder constants of a model with ``sigma_post > sigma_pre`` as exact series.
+
+    The LLR is ``a (x + h)^2 + shift`` with ``a > 0``, so under either law
+    ``Z_k = scale * Y + k * shift`` with ``Y`` noncentral chi-square on ``k``
+    degrees of freedom, and ``Z_k > 0`` iff ``Y > t``.  The partial means
+    follow from ``y f_{k,lam}(y) = k f_{k+2,lam}(y) + lam f_{k+4,lam}(y)``:
+    ``E[(Y - t)^+] = k sf_{k+2} + lam sf_{k+4} - t sf_k`` and likewise with
+    the CDF.  Each series is summed over ``k <= terms``.  Order
+    ``(zeta, varkappa, beta0, beta_inf)``.
+    """
+    s_pre2, s_post2 = model.sigma_pre**2, model.sigma_post**2
+    a = 0.5 / s_pre2 - 0.5 / s_post2
+    assert a > 0.0
+    b = model.mu_post / s_post2 - model.mu_pre / s_pre2
+    c = math.log(model.sigma_pre / model.sigma_post) + model.mu_pre**2 / (2 * s_pre2) - model.mu_post**2 / (2 * s_post2)
+    h, shift = b / (2 * a), c - b * b / (4 * a)
+    k = np.arange(1, terms + 1, dtype=float)
+
+    def law(mu, sigma):
+        scale = a * sigma * sigma
+        return scale, k * ((mu + h) / sigma) ** 2, np.maximum(-k * shift / scale, 0.0)
+
+    scale, lam, t = law(model.mu_pre, model.sigma_pre)
+    p_pre = stats.ncx2.sf(t, k, lam)  # P_pre(Z_k > 0)
+    pre_positive = scale * (k * stats.ncx2.sf(t, k + 2, lam) + lam * stats.ncx2.sf(t, k + 4, lam) - t * p_pre)
+    scale, lam, t = law(model.mu_post, model.sigma_post)
+    p_post = stats.ncx2.cdf(t, k, lam)  # P_post(Z_k <= 0)
+    post_negative = -scale * (t * p_post - k * stats.ncx2.cdf(t, k + 2, lam) - lam * stats.ncx2.cdf(t, k + 4, lam))
+    _, i_g = kl_numbers(model)
+    mean_post, var_post = llr_moments(model, "post")
+    beta0 = math.fsum(post_negative / k)
+    return (
+        math.exp(-math.fsum((p_pre + p_post) / k)) / i_g,
+        (var_post + mean_post * mean_post) / (2.0 * mean_post) + beta0,
+        beta0,
+        math.fsum(pre_positive / k),
+    )
+
+
+def ladder_definitions(model, seed, r):
+    """Replication ``r``'s four ``_ladder_sums`` draws, recomputed in one piece.
+
+    The walk is drawn from its own generator in 512-step blocks until ``Z``
+    exceeds the escape margin at a block end, then each draw is summed over
+    the whole walk at once.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_POST_WALK, r]))
+    pieces = []
+    while not pieces or pieces[-1][-1] <= ESCAPE_MARGIN:
+        start = pieces[-1][-1] if pieces else 0.0
+        pieces.append(start + np.cumsum(llr(model, rng.normal(model.mu_post, model.sigma_post, 512))))
+    z = np.concatenate(pieces)
+    k = np.arange(1, z.size + 1)
+    m = np.maximum.accumulate(np.maximum(z, 0.0))
+    return (
+        np.sum(np.exp(-np.maximum(z, 0.0)) / k),
+        np.sum(np.minimum(z, 0.0) / k),
+        min(0.0, float(np.min(z))),
+        np.sum(np.diff(m, prepend=0.0) * np.exp(-m)),
+    )
 
 
 FAST_POLICY = EstimationPolicy(replications=4_000, seed=11)
@@ -257,17 +391,62 @@ class TestOvershoots:
             assert est.std_error > 0.0
             assert est.replications == FAST_POLICY.replications
 
-    @pytest.mark.parametrize("seed, name", [(1, "zeta"), (3, "varkappa")])
+    @pytest.mark.parametrize("seed, name", [(1, "zeta"), (4, "varkappa")])
     def test_small_budget_on_the_hst_model_names_its_cause(self, seed, name):
-        # at R = 1000 these seeds put zeta above 1 and varkappa below 0;
-        # at R = 10 000 they sit well inside their ranges
-        policy = EstimationPolicy(replications=1_000, seed=seed)
+        # at R = 200 these seeds put zeta above 1 (1.007, se 0.074) and
+        # varkappa below 0 (-0.13, se 0.11); at R = 1000 no seed of 1-40
+        # leaves either range
+        policy = EstimationPolicy(replications=200, seed=seed)
         with pytest.raises(RuntimeError) as info:
             _overshoots_mc(HST, policy)
         message = str(info.value)
         assert message.startswith(f"{name} estimated as")
-        assert "se " in message and "1000 replications" in message
+        assert "se " in message and "200 replications" in message
         assert "raise --replications" in message
+
+    @pytest.mark.parametrize(
+        "model, reps, terms",
+        [(GaussianChangeModel(0.1, 0.8, 0.6, 1.3), 4_000, 1_000), (HST, 2_000, 12_000)],
+        ids=["variance_model", "hst"],
+    )
+    def test_walk_route_agrees_with_oracles(self, model, reps, terms):
+        # two oracles: the route the walk sums replace (crossing indicators
+        # of a pre- and a post-change walk for zeta, the CUSUM tail mean for
+        # beta_inf) on walks of an independent generator, and the exact
+        # noncentral chi-square series (HST's sums at 12 000 terms are
+        # within 1e-9 of those at 40 000)
+        policy = EstimationPolicy(replications=reps, seed=7)
+        walk_route = _overshoots_mc(model, policy)
+        oracle = fixed_length_oracle(model, reps, seed=2024)
+        series = ncx2_series(model, terms)
+        for name, est, (value, se), exact in zip(
+            ("zeta", "varkappa", "beta0", "beta_inf"), walk_route, oracle, series
+        ):
+            assert est.replications == reps, name
+            assert abs(float(est) - value) < 3.5 * math.hypot(est.std_error, se), name
+            assert abs(float(est) - exact) < 3.5 * est.std_error, name
+
+    @pytest.mark.parametrize(
+        "model", [GaussianChangeModel(0.1, 0.8, 0.6, 1.3), GaussianChangeModel(0.0, 1.0, 0.3, 1.0), HST]
+    )
+    def test_ladder_sums_match_definitions(self, model):
+        # the walker's blocks carry the step number and the running maximum
+        # across block ends: each draw equals its walk summed in one piece
+        policy = EstimationPolicy(replications=70, seed=5)
+        sums = _ladder_sums(model, policy)
+        for r in (0, 1, 63, 64, 69):
+            for got, want in zip(sums[:, r], ladder_definitions(model, policy.seed, r)):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [GaussianChangeModel(0.1, 0.8, 0.6, 1.3), GaussianChangeModel(0.0, 1.0, 1.0, 1.0), HST]
+    )
+    def test_beta_inf_draws_lie_in_the_unit_interval(self, model):
+        # each draw sum (m_k - m_{k-1}) exp(-m_k) is a right-endpoint sum of
+        # int_0^m exp(-x) dx over the walk's maximum m, so in [0, 1 - e^-m]
+        beta_inf_draws = _ladder_sums(model, EstimationPolicy(replications=500, seed=3))[3]
+        assert np.all(beta_inf_draws >= 0.0) and np.all(beta_inf_draws < 1.0)
+        assert np.all(beta_inf_draws > 0.0)  # every walk rises above 0 before it escapes
 
 
 class TestPathFunctionals:
@@ -313,11 +492,12 @@ class TestPathFunctionals:
         # piece: sum_{k <= cap} exp(s Z_k), with s = -1 post-change and
         # s = +1 pre-change, under a cap 3 steps into a block.  Terms past
         # the walk's escape are below exp(-50) and do not show here.  A walk
-        # is unsettled if s Z stays above -50 at every block end.
+        # is unsettled if s Z stays above -50 at every block end, and more
+        # than 1% unsettled is the walker's error.
         cap = 1_027
         monkeypatch.setattr(renewal, "STEP_CAP", cap)
         policy = EstimationPolicy(replications=30, seed=5)
-        sums, unsettled = _exp_sums(model, policy, regime)
+        sums, error = walk_sums(model, policy, regime)
         sign, stream, mu, sigma = walk(model, regime)
         block_ends = [511, 1023, cap - 1]
         still = 0
@@ -326,7 +506,7 @@ class TestPathFunctionals:
             z = np.cumsum(llr(model, rng.normal(mu, sigma, cap)))
             assert sums[r] == pytest.approx(np.sum(np.exp(sign * z)), rel=1e-9)
             still += bool(np.all(sign * z[block_ends] >= -ESCAPE_MARGIN))
-        assert unsettled == still
+        assert error == unsettled_error(still, policy.replications, regime)
 
     @pytest.mark.parametrize("model", WALK_MODELS)
     @pytest.mark.parametrize("regime", ["post", "pre"])
@@ -339,7 +519,7 @@ class TestPathFunctionals:
         sign, stream, mu, sigma = walk(model, regime)
         for cap in (700, renewal.STEP_CAP):
             monkeypatch.setattr(renewal, "STEP_CAP", cap)
-            sums, unsettled = _exp_sums(model, policy, regime)
+            sums, error = walk_sums(model, policy, regime)
             expected, still = [], 0
             for r in range(policy.replications):
                 rng = np.random.default_rng(np.random.SeedSequence([policy.seed, stream, r]))
@@ -353,22 +533,34 @@ class TestPathFunctionals:
                 still += sign * z_end >= -ESCAPE_MARGIN
                 expected.append(total)
             np.testing.assert_array_equal(sums, expected)
-            assert unsettled == still
-        assert unsettled == 0  # under the real cap
+            assert error == unsettled_error(still, policy.replications, regime)
+        assert still == 0  # under the real cap
 
     def test_faint_change_rejected(self, monkeypatch):
         monkeypatch.setattr(renewal, "STEP_CAP", 64)
         policy = EstimationPolicy(replications=64, seed=0)
-        for model, regime in (
+        for estimator, model, regime in (
             # a faint shift: the post-change walks, checked first, never escape
-            (GaussianChangeModel(0.0, 1.0, 0.02, 1.0), "post"),
+            (path_functionals, GaussianChangeModel(0.0, 1.0, 0.02, 1.0), "post"),
             # I_g = 2.9 and I_f = 0.65: 64 steps settle the post-change walks
             # (about -186 on average) but leave the pre-change ones near -42
-            (GaussianChangeModel(0.0, 1.0, 0.0, 3.0), "pre"),
+            (path_functionals, GaussianChangeModel(0.0, 1.0, 0.0, 3.0), "pre"),
+            # a faint change in mean and scale: the ladder constants' walks
+            # (post-change) never escape either
+            (limiting_overshoots, GaussianChangeModel(0.0, 1.0, 0.02, 1.01), "post"),
         ):
-            with pytest.raises(RuntimeError, match=f"{regime}-change walks never escaped "
-                               "within 64 steps: the change is too faint"):
-                path_functionals(model, policy)
+            with pytest.raises(RuntimeError, match=rf"^\d+/64 {regime}-change walks never "
+                               "escaped within 64 steps: the change is too faint$"):
+                estimator(model, policy)
+
+    def test_one_unsettled_walk_in_fewer_than_100_fails(self, unit_shift_model, monkeypatch):
+        # more than 1% of the walks never escaping is an error at any
+        # replication count: under a cap of 160 steps, one of these 50
+        # post-change walks (seed 0) is still short of its escape
+        monkeypatch.setattr(renewal, "STEP_CAP", 160)
+        with pytest.raises(RuntimeError, match="^1/50 post-change walks never escaped "
+                           "within 160 steps: the change is too faint$"):
+            path_functionals(unit_shift_model, EstimationPolicy(replications=50, seed=0))
 
 
 class TestEstimateConstants:
