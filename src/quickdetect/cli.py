@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import date
@@ -704,12 +705,16 @@ def _cmd_simulate(config: RunConfig) -> Report:
         f"stationary delay estimated at nu={spec.nu_stationary} (doubling checked within "
         "2*hypot(se_nu, se_2nu), about four standard errors of the difference)",
     ]
-    # a --q/--delta score is the LLR of N(0, 1) -> N(delta, 1/q^2), which need
-    # not be the model; the detectors above have refused q <= 0 and q=1, delta=0
+    # a --q/--delta score is the LLR of N(0, 1) -> N(delta, 1/q^2), the model's
+    # own only up to rounding; the detectors above refused q <= 0 and q=1, delta=0
     design = None
     if config.mode == "score" and config.q is not None and config.delta is not None:
         design = models.GaussianChangeModel(0.0, 1.0, config.delta, 1.0 / config.q)
-    own_design = design is None or design == model.standardized
+    own = model.standardized
+    own_design = design is None or all(
+        math.isclose(a, b, rel_tol=1e-12)
+        for a, b in ((design.mu_post, own.mu_post), (design.sigma_post, own.sigma_post))
+    )
     if not own_design:
         arl_constants = renewal.estimate_constants(design, _policy(config))
         notes += [

@@ -37,7 +37,9 @@ With unequal variances the log-likelihood ratio is quadratic in the
 observation and the walk is not Gaussian.  The four ladder constants are
 then means of per-walk sums over the post-change walks of ``c0`` (Wald's
 identity makes their pre-change probabilities post-change expectations).
-Every walk is drawn by one loop, ``_walks``.
+Every walk is drawn by one loop, ``_walks``.  Both routes feed one assembly,
+``_ladder_constants``, and ``I_f``, ``I_g`` and the increment variance of its
+first ``varkappa`` term all come from one two-Gaussian formula, ``_gaussian_llr``.
 
 No setting bounds the work: series run until a term falls below
 ``TERM_TOL`` and walks until they escape, both within ``STEP_CAP``.  A
@@ -149,46 +151,42 @@ class RenewalConstants:
             raise ValueError("c_inf cannot fall below c0")
 
 
-def kl_numbers(model: GaussianChangeModel) -> tuple[float, float]:
-    """Kullback-Leibler numbers ``(I_f, I_g)`` of the change model.
+def _gaussian_llr(mu_p, sigma_p, mu_q, sigma_q) -> tuple[float, float]:
+    """``(KL(p || q), Var_p[log p/q])``, ``p = N(mu_p, sigma_p^2)``, ``q = N(mu_q, sigma_q^2)``.
 
-    ``I_f = -E_pre[LLR]`` and ``I_g = E_post[LLR]``; both are positive
-    because the two distributions differ.  Closed Gaussian forms are used.
+    Under ``p``, ``log p/q = quad u^2 + lin u + const`` with ``u ~ N(0, 1)``.
+    ``quad`` is exactly 0 on equal variances, so no ``1/2`` cancels in the KL.
     """
-    theta = model.mu_post - model.mu_pre
-    s_pre2 = model.sigma_pre**2
-    s_post2 = model.sigma_post**2
-    i_f = (
-        math.log(model.sigma_post / model.sigma_pre)
-        + (s_pre2 + theta * theta) / (2.0 * s_post2)
-        - 0.5
-    )
-    i_g = (
-        math.log(model.sigma_pre / model.sigma_post)
-        + (s_post2 + theta * theta) / (2.0 * s_pre2)
-        - 0.5
-    )
-    return i_f, i_g
+    d = mu_p - mu_q
+    quad = ((sigma_p / sigma_q) ** 2 - 1.0) / 2.0
+    lin = sigma_p * d / sigma_q**2
+    kl = math.log(sigma_q / sigma_p) + quad + d * d / (2.0 * sigma_q**2)
+    return kl, 2.0 * quad * quad + lin * lin
+
+
+def kl_numbers(model: GaussianChangeModel) -> tuple[float, float]:
+    """Kullback-Leibler numbers ``(I_f, I_g) = (KL(f || g), KL(g || f))``.
+
+    ``I_f = -E_pre[LLR]`` and ``I_g = E_post[LLR]``, the means of
+    ``llr_moments``; both are positive because the two distributions differ.
+    """
+    return -llr_moments(model, "pre")[0], llr_moments(model, "post")[0]
 
 
 def llr_moments(model: GaussianChangeModel, regime: str) -> tuple[float, float]:
     """Exact mean and variance of a single log-likelihood-ratio increment.
 
-    ``regime`` is ``"pre"`` or ``"post"``.  The LLR is affine-quadratic in
-    the standardized observation, so both moments are available in closed
-    form; they anchor the first overshoot term and the Monte Carlo checks.
+    ``regime`` is ``"pre"`` (mean ``-I_f = -KL(f || g)``) or ``"post"`` (mean
+    ``I_g = KL(g || f)``); the variance is ``Var[log f/g] = Var[log g/f]``
+    under that regime's law.  They anchor the first overshoot term and the
+    Monte Carlo checks.
     """
-    i_f, i_g = kl_numbers(model)
-    theta = model.mu_post - model.mu_pre
-    q = model.sigma_pre / model.sigma_post
+    pre, post = (model.mu_pre, model.sigma_pre), (model.mu_post, model.sigma_post)
     if regime == "post":
-        quad = (1.0 / q**2 - 1.0) / 2.0
-        lin = model.sigma_post * theta / model.sigma_pre**2
-        return i_g, 2.0 * quad * quad + lin * lin
+        return _gaussian_llr(*post, *pre)
     if regime == "pre":
-        quad = (1.0 - q * q) / 2.0
-        lin = model.sigma_pre * theta / model.sigma_post**2
-        return -i_f, 2.0 * quad * quad + lin * lin
+        kl, var = _gaussian_llr(*pre, *post)
+        return -kl, var
     raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
 
 
@@ -223,6 +221,31 @@ def _normal_tail(a: np.ndarray) -> np.ndarray:
     return 0.5 * tail
 
 
+def _ladder_constants(model: GaussianChangeModel, s_sum, t_sum, beta0, beta_inf, reps: int):
+    """``(zeta, varkappa, beta0, beta_inf)`` from either route's ``(mean, se)`` sums.
+
+    ``zeta = exp(-s)/I_g`` and ``varkappa = E[Z_1^2]/(2 E[Z_1]) + t``, both
+    checked for range and ``zeta`` then clamped to 1; ``reps`` is 0 on the
+    exact series, whose errors carry no replication hint.
+    """
+    i_g, var = llr_moments(model, "post")
+    (s, s_se), (t, t_se) = s_sum, t_sum
+    zeta = math.exp(-s) / i_g
+    varkappa = (var + i_g * i_g) / (2.0 * i_g) + t
+    hint = ": too few replications for this model; raise --replications" if reps else ""
+    for name, value, se, bad, allowed in (
+        ("zeta", zeta, zeta * s_se, zeta > 1.0 + 1e-9, "(0, 1]"),
+        ("varkappa", varkappa, t_se, varkappa < 0.0, "[0, inf)"),
+    ):
+        if bad:
+            raise RuntimeError(
+                f"{name} estimated as {value:.6g} (se {se:.2g}, {reps} replications), "
+                f"outside {allowed}{hint}"
+            )
+    sums = (min(zeta, 1.0), zeta * s_se), (varkappa, t_se), beta0, beta_inf
+    return tuple(Estimate(value, se, reps) for value, se in sums)
+
+
 def _overshoots_exact(model: GaussianChangeModel):
     """Equal-variance route: ``Z_k`` is exactly Gaussian, use normal tails.
 
@@ -242,12 +265,8 @@ def _overshoots_exact(model: GaussianChangeModel):
         return i_g * _normal_tail(arg) - np.sqrt(2.0 * i_g / k) * pdf
 
     exponent = _converging_sum(zeta_term, "zeta")
-    zeta = math.exp(-exponent) / i_g
-    if zeta > 1.0 + 1e-9:
-        raise RuntimeError(f"zeta computed as {zeta}, outside (0, 1]")
-    first = 1.0 + i_g / 2.0  # E[Z_1^2]/(2 E[Z_1]) for N(I, 2I)
     beta0 = _converging_sum(kappa_term, "varkappa")
-    return Estimate(min(zeta, 1.0)), Estimate(first + beta0), Estimate(beta0), Estimate(-beta0)
+    return _ladder_constants(model, (exponent, 0.0), (beta0, 0.0), (beta0, 0.0), (-beta0, 0.0), 0)
 
 
 def _walks(model: GaussianChangeModel, policy: EstimationPolicy, regime: str):
@@ -313,31 +332,7 @@ def _ladder_sums(model: GaussianChangeModel, policy: EstimationPolicy) -> np.nda
 
 def _overshoots_mc(model: GaussianChangeModel, policy: EstimationPolicy):
     """Unequal-variance route: the means of the ``_ladder_sums`` draws."""
-    reps = policy.replications
-    zeta_sums, kappa_sums, minima, beta_inf_sums = _ladder_sums(model, policy)
-    _, i_g = kl_numbers(model)
-    s_mean, s_se = mean_se(zeta_sums)
-    zeta = math.exp(-s_mean) / i_g
-    mean_post, var_post = llr_moments(model, "post")
-    first = (var_post + mean_post * mean_post) / (2.0 * mean_post)
-    t_mean, t_se = mean_se(kappa_sums)
-    varkappa = first + t_mean
-    for name, value, se, bad, allowed in (
-        ("zeta", zeta, zeta * s_se, zeta > 1.0 + 1e-9, "(0, 1]"),
-        ("varkappa", varkappa, t_se, varkappa < 0.0, "[0, inf)"),
-    ):
-        if bad:
-            raise RuntimeError(
-                f"{name} estimated as {value:.6g} (se {se:.2g}, {reps} "
-                f"replications), outside {allowed}: too few replications "
-                "for this model; raise --replications"
-            )
-    return (
-        Estimate(min(zeta, 1.0), zeta * s_se, reps),
-        Estimate(varkappa, t_se, reps),
-        Estimate(*mean_se(minima), reps),
-        Estimate(*mean_se(beta_inf_sums), reps),
-    )
+    return _ladder_constants(model, *map(mean_se, _ladder_sums(model, policy)), policy.replications)
 
 
 def limiting_overshoots(
@@ -350,10 +345,9 @@ def limiting_overshoots(
     per-replication sums over one set of simulated post-change walks (the
     ones ``path_functionals`` draws for ``c0``), with standard errors.
     """
-    policy = policy or EstimationPolicy()
     if model.sigma_pre == model.sigma_post:
         return _overshoots_exact(model)
-    return _overshoots_mc(model, policy)
+    return _overshoots_mc(model, policy or EstimationPolicy())
 
 
 def _exp_sums(model: GaussianChangeModel, policy: EstimationPolicy, regime: str) -> np.ndarray:

@@ -1096,6 +1096,39 @@ class TestSimulateCommand:
         assert {"approx-sadd", "approx-stadd"} <= set(entry_map(report, "sr"))
         assert not any("design" in note for note in report["notes"])
 
+    ROUNDED = ["--mu-pre", "-0.009", "--sigma-pre", "0.954", "--mu-post", "0.303",
+               "--sigma-post", "1.599"]
+    # sigma_pre/sigma_post and (mu_post - mu_pre)/sigma_pre of ROUNDED in Python;
+    # 1/q then differs from the standardized sigma_post in the last bit
+    ROUNDED_Q, ROUNDED_DELTA = 0.5966228893058161, 0.32704402515723274
+
+    def rounded_design_run(self, out, *design):
+        args = ["simulate", "--mode", "score", *self.ROUNDED, *design, "--gamma", "20",
+                "--nu", "100", "--replications", "200", "--seed", "3"]
+        assert run_cli(args, out) == 0
+        return load_report(out, "simulate")
+
+    def test_score_design_equal_to_the_model_up_to_rounding_keeps_the_delay_lines(self, tmp_path):
+        design = ["--q", repr(self.ROUNDED_Q), "--delta", repr(self.ROUNDED_DELTA)]
+        report = self.rounded_design_run(tmp_path / "design", *design)
+        plain = self.rounded_design_run(tmp_path / "plain")
+        assert not any("design" in note for note in report["notes"])
+        for kind, delays in (("cusum", {"approx-sadd", "approx-add-inf"}),
+                             ("sr", {"approx-sadd", "approx-stadd"})):
+            entries = entry_map(report, kind)
+            assert delays <= set(entries), kind
+            # the score's last-bit rounding moves the threshold by an ulp
+            assert entries["approx-arl"]["value"] == pytest.approx(
+                entry_map(plain, kind)["approx-arl"]["value"], rel=1e-12
+            ), kind
+
+    def test_score_design_one_percent_off_the_model_keeps_the_note(self, tmp_path):
+        design = ["--q", repr(self.ROUNDED_Q), "--delta", repr(self.ROUNDED_DELTA * 1.01)]
+        report = self.rounded_design_run(tmp_path / "o", *design)
+        assert any(note.startswith("no approx delay lines") for note in report["notes"])
+        for kind in ("cusum", "sr"):
+            assert [n for n in entry_map(report, kind) if n.startswith("approx-")] == ["approx-arl"]
+
 
 class TestEntryPoint:
     def test_import_leaves_scipy_stats_unloaded(self):

@@ -193,6 +193,58 @@ def ladder_definitions(model, seed, r):
 FAST_POLICY = EstimationPolicy(replications=4_000, seed=11)
 
 
+def kl_oracle(model):
+    """``(I_f, I_g)`` in the hand-expanded forms that cancel ``-1/2`` by hand."""
+    theta = model.mu_post - model.mu_pre
+    s_pre2 = model.sigma_pre**2
+    s_post2 = model.sigma_post**2
+    i_f = (
+        math.log(model.sigma_post / model.sigma_pre)
+        + (s_pre2 + theta * theta) / (2.0 * s_post2)
+        - 0.5
+    )
+    i_g = (
+        math.log(model.sigma_pre / model.sigma_post)
+        + (s_post2 + theta * theta) / (2.0 * s_pre2)
+        - 0.5
+    )
+    return i_f, i_g
+
+
+def llr_variance_oracle(model, regime):
+    """``2 quad^2 + lin^2`` with each regime's own coefficients of the LLR in
+    that regime's standardized observation."""
+    theta = model.mu_post - model.mu_pre
+    q = model.sigma_pre / model.sigma_post
+    if regime == "post":
+        quad = (1.0 / q**2 - 1.0) / 2.0
+        lin = model.sigma_post * theta / model.sigma_pre**2
+    else:
+        quad = (1.0 - q * q) / 2.0
+        lin = model.sigma_pre * theta / model.sigma_post**2
+    return 2.0 * quad * quad + lin * lin
+
+
+def random_models(count, seed):
+    rng = np.random.default_rng(seed)
+    mus = rng.uniform(-2.0, 2.0, (count, 2))
+    sigmas = rng.uniform(0.2, 3.0, (count, 2))
+    return [
+        GaussianChangeModel(mu_pre, sigma_pre, mu_post, sigma_post)
+        for (mu_pre, mu_post), (sigma_pre, sigma_post) in zip(mus.tolist(), sigmas.tolist())
+    ]
+
+
+#: the named models of the suite and 1 000 random ones, for the oracles above
+ORACLE_MODELS = [
+    GaussianChangeModel(0.0, 1.0, 1.0, 1.0),
+    HST,
+    GaussianChangeModel(0.1, 0.8, 0.6, 1.3),
+    GaussianChangeModel(0.0, 1.0, 0.3, 1.0),
+    *random_models(1_000, seed=0),
+]
+
+
 class TestKlNumbers:
     def test_frozen_examples(self, unit_shift_model):
         i_f, i_g = kl_numbers(unit_shift_model)
@@ -218,6 +270,14 @@ class TestKlNumbers:
         direct_g = expect(lambda x: llr(model, x), model.mu_post, model.sigma_post)
         assert i_f == pytest.approx(direct_f, abs=1e-9)
         assert i_g == pytest.approx(direct_g, abs=1e-9)
+
+    def test_hand_expanded_forms(self):
+        # the two-Gaussian formula keeps the terms the oracle cancels, so they
+        # agree to rounding; on the unit shift nothing rounds
+        assert kl_numbers(ORACLE_MODELS[0]) == kl_oracle(ORACLE_MODELS[0]) == (0.5, 0.5)
+        for model in ORACLE_MODELS:
+            for got, want in zip(kl_numbers(model), kl_oracle(model)):
+                assert got == pytest.approx(want, rel=1e-11, abs=0.0), model
 
     def test_positive_for_any_change(self):
         for model in (
@@ -248,6 +308,17 @@ class TestLlrMoments:
             direct_var = expect(lambda x: (llr(model, x) - direct_mean) ** 2)
             assert mean == pytest.approx(direct_mean, abs=1e-9)
             assert var == pytest.approx(direct_var, abs=1e-8)
+
+    def test_per_regime_forms(self):
+        # the means are the KL numbers, the variances each regime's own
+        # quadratic-and-linear coefficients
+        for model in ORACLE_MODELS:
+            i_f, i_g = kl_numbers(model)
+            for regime, mean in (("pre", -i_f), ("post", i_g)):
+                got_mean, got_var = llr_moments(model, regime)
+                assert got_mean == mean, (model, regime)
+                want = llr_variance_oracle(model, regime)
+                assert got_var == pytest.approx(want, rel=1e-13, abs=0.0), (model, regime)
 
     def test_equal_variance_case(self, unit_shift_model):
         mean, var = llr_moments(unit_shift_model, "post")
@@ -318,6 +389,24 @@ class TestOvershoots:
         # and -0.99179 at I = 1e-4), so bound it by the size of its two parts
         first = 1.0 + i / 2.0
         assert abs(float(varkappa) - (first + beta0_ndtr)) <= 1e-14 * (first - beta0_ndtr)
+
+    @pytest.mark.parametrize("name, forced", [("zeta", -1.0), ("varkappa", -10.0)])
+    def test_exact_route_out_of_range_raises_the_shared_message(
+        self, unit_shift_model, monkeypatch, name, forced
+    ):
+        # a forced series sum puts zeta at e/I = 5.4 or varkappa at 1.25 - 10;
+        # the message is the walk route's, without its replication hint
+        series = renewal._converging_sum
+
+        def forced_sum(term_fn, what):
+            return forced if what == name else series(term_fn, what)
+
+        monkeypatch.setattr(renewal, "_converging_sum", forced_sum)
+        with pytest.raises(RuntimeError) as info:
+            _overshoots_exact(unit_shift_model)
+        allowed = {"zeta": "(0, 1]", "varkappa": "[0, inf)"}[name]
+        assert str(info.value).startswith(f"{name} estimated as ")
+        assert str(info.value).endswith(f" (se 0, 0 replications), outside {allowed}")
 
     def test_normal_tail_skips_only_exact_zeros(self):
         # erfc is called below _ERFC_UNDERFLOW alone; every element must equal
