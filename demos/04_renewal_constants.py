@@ -49,7 +49,7 @@ for label, model in (
     h = 4.0
     spec = CalibrationSpec(gamma=math.exp(h), replications=8_000, seed=17)
     mc = estimate_arl(config, h, spec)
-    approx = arl_approx("cusum", h, constants)
+    approx = arl_approx("cusum", h, constants.i_f, constants.i_g, constants.zeta.value)
     print(f"\ncusum ARL at h = {h}: approx {approx:8.1f}   "
           f"monte carlo {mc.value:8.1f} (se {mc.std_error:.1f})")
 

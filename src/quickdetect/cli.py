@@ -20,10 +20,12 @@ program can work out itself takes no setting: the renewal series and walks
 run until they settle, and a threshold is read off the whole Monte Carlo ARL
 curve.  Every run derives all randomness from the single ``--seed``.
 Reports are written twice: a human-readable text file and a
-machine-readable JSON file, plus CSV tables for traces and series.  File
-names contain the command and a hash of the effective configuration, and
-report bodies contain no timestamps, so a rerun with the same inputs
-reproduces identical bytes.
+machine-readable JSON file, plus CSV tables for traces and series.  A
+table's columns stay numpy arrays, ranges or the series' own dates until
+:func:`emit` turns each block of 4096 rows into text as it writes it, so no
+table holds a Python object per cell.  File names contain the command and a
+hash of the effective configuration, and report bodies contain no
+timestamps, so a rerun with the same inputs reproduces identical bytes.
 
 Exit codes: 0 success, 1 runtime failure (bad data, failed estimation),
 2 usage error.
@@ -37,7 +39,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
-from datetime import date
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -147,11 +148,13 @@ class ReportEntry:
 class Report:
     """Results of one run: named sections of entries plus CSV-bound tables.
 
-    A table is ``(name, header, columns)``: equal-length columns (lists or
-    ranges) of Python ``int``, ``float`` or ``str`` cells.  :func:`emit`
-    writes the bytes :mod:`csv` would, a float as its ``repr`` and ``\\r\\n``
-    after each row, a block of rows at a time; a ``str`` cell that csv would
-    quote is refused instead.
+    A table is ``(name, header, columns)``: equal-length columns, each a
+    one-dimensional numpy array, a ``range``, or a sequence of dates or
+    ``str`` cells.  Columns stay whole until :func:`emit` writes them, a block
+    of rows at a time: it turns each block of an array into Python ``int`` and
+    ``float`` cells, writes a float as its ``repr``, a date as its ISO form and
+    ``\\r\\n`` after each row, the bytes :mod:`csv` would write; a ``str``
+    cell that csv would quote is refused instead.
     """
 
     config: RunConfig
@@ -161,6 +164,8 @@ class Report:
 
     def __post_init__(self) -> None:
         for name, header, columns in self.tables:
+            if any(isinstance(c, np.ndarray) and c.ndim != 1 for c in columns):
+                raise ValueError(f"table {name!r} has an array column that is not one-dimensional")
             if len(columns) != len(header) or len({len(c) for c in columns}) != 1:
                 raise ValueError(f"table {name!r} needs one equal-length column per header")
 
@@ -211,8 +216,15 @@ class Report:
 
 
 def _csv_rows(name: str, columns) -> str:
-    """One or more rows of equal-length cell columns as ``csv.writer`` writes them."""
-    cells = [list(map(str, column)) for column in columns]
+    """One or more rows of equal-length columns as ``csv.writer`` writes them.
+
+    An array turns into Python scalars first, whose ``str`` is their ``repr``;
+    a date's ``str`` is its ISO form.
+    """
+    cells = [
+        list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
+        for column in columns
+    ]
     for text in cells:
         joined = "".join(text)
         if any(mark in joined for mark in ',"\r\n'):
@@ -424,7 +436,6 @@ def _detector_config(
 def _cmd_returns(config: RunConfig) -> Report:
     prices, returns = _load_returns(config)
     moments = series.estimate_moments(returns)
-    dates = returns.dates
     entries = (
         ReportEntry("rows", len(prices), "prices"),
         ReportEntry("differences", len(returns), "observations"),
@@ -433,7 +444,7 @@ def _cmd_returns(config: RunConfig) -> Report:
         ReportEntry("mean", moments.mean, "price units"),
         ReportEntry("sd", moments.sd, "price units"),
     )
-    columns = (list(map(date.isoformat, dates)), returns.values.tolist())
+    columns = (returns.dates, returns.values)
     return Report(
         config=config,
         sections=(("series", entries),),
@@ -482,25 +493,21 @@ def _cmd_diagnose(config: RunConfig) -> Report:
         (
             "acf",
             ("lag", "autocorrelation", "band"),
-            (correl.lags.tolist(), correl.values.tolist(), [band] * correl.lags.size),
+            (correl.lags, correl.values, np.full(correl.values.size, band)),
         ),
         (
             "histogram",
             ("left_edge", "right_edge", "count"),
-            (
-                bundle.histogram.edges[:-1].tolist(),
-                bundle.histogram.edges[1:].tolist(),
-                bundle.histogram.counts.tolist(),
-            ),
+            (bundle.histogram.edges[:-1], bundle.histogram.edges[1:], bundle.histogram.counts),
         ),
         (
             "qq",
             ("theoretical", "empirical"),
-            (bundle.qq.theoretical.tolist(), bundle.qq.empirical.tolist()),
+            (bundle.qq.theoretical, bundle.qq.empirical),
         ),
     ]
     for lag, (x, y) in bundle.lag_pairs.items():
-        tables.append((f"lag{lag}", ("x", "y"), (x.tolist(), y.tolist())))
+        tables.append((f"lag{lag}", ("x", "y"), (x, y)))
     return Report(
         config=config,
         sections=tuple(sections),
@@ -535,7 +542,7 @@ def _cmd_segment(config: RunConfig) -> Report:
         + (f" (split at {d.split_at})" if d.split_at is not None else "")
         for d in result.decisions
     )
-    columns = (trace.split_indices.tolist(), trace.values.tolist())
+    columns = (trace.split_indices, trace.values)
     return Report(
         config=config,
         sections=(("estimate", tuple(entries)), ("segments", tuple(seg_entries))),
@@ -651,7 +658,7 @@ def _detect_increments(
 def _cmd_detect(config: RunConfig) -> Report:
     _, returns = _load_returns(config)
     increments, notes = _detect_increments(config, returns)
-    iso_dates = list(map(date.isoformat, returns.dates))
+    dates = returns.dates
     thresholds = {"cusum": config.threshold_h, "sr": config.threshold_a}
     sections = []
     tables = []
@@ -671,17 +678,17 @@ def _cmd_detect(config: RunConfig) -> Report:
         for i, alarm in enumerate(trace.alarms, start=1):
             entries.append(ReportEntry(f"alarm-{i}-step", alarm.global_time, "index"))
             entries.append(
-                ReportEntry(f"alarm-{i}-date", iso_dates[alarm.global_time - 1])
+                ReportEntry(f"alarm-{i}-date", dates[alarm.global_time - 1].isoformat())
             )
             entries.append(
                 ReportEntry(f"alarm-{i}-statistic", alarm.statistic_at_stop)
             )
         sections.append((kind, tuple(entries)))
         size = trace.statistics.size
-        flags = np.zeros(size, dtype=int)
+        flags = np.zeros(size, dtype=np.int8)
         flags[[a.global_time - 1 for a in trace.alarms]] = 1
         # a single run stops at its first alarm, before the dates run out
-        columns = (range(1, size + 1), iso_dates[:size], trace.statistics.tolist(), flags.tolist())
+        columns = (range(1, size + 1), dates[:size], trace.statistics, flags)
         tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), columns))
     if not ran_any:
         raise UsageError(
@@ -699,7 +706,8 @@ def _cmd_simulate(config: RunConfig) -> Report:
     model = _require_model(config)
     spec = _calibration_spec(config)
     detectors = [_detector_config(config, kind, model) for kind in _kinds(config)]
-    constants = arl_constants = renewal.estimate_constants(model, _policy(config))
+    constants = renewal.estimate_constants(model, _policy(config))
+    arl_numbers = (constants.i_f, constants.i_g, constants.zeta.value)
     notes = [
         "worst-case delay estimated with the change in force from the first step",
         f"stationary delay estimated at nu={spec.nu_stationary} (doubling checked within "
@@ -716,7 +724,9 @@ def _cmd_simulate(config: RunConfig) -> Report:
         for a, b in ((design.mu_post, own.mu_post), (design.sigma_post, own.sigma_post))
     )
     if not own_design:
-        arl_constants = renewal.estimate_constants(design, _policy(config))
+        # approx-arl reads only I_f, I_g and zeta; the path functionals go unused
+        zeta = renewal.limiting_overshoots(design, _policy(config))[0]
+        arl_numbers = (*renewal.kl_numbers(design), zeta.value)
         notes += [
             "approx-arl from the renewal constants of the score design's model "
             f"N(0, 1) -> N({config.delta!r}, 1/{config.q!r}^2)",
@@ -732,7 +742,7 @@ def _cmd_simulate(config: RunConfig) -> Report:
         entries = [
             ReportEntry("threshold", threshold),
             ReportEntry("monte-carlo-arl", arl.value, "observations", arl.std_error),
-            ReportEntry("approx-arl", renewal.arl_approx(kind, threshold, arl_constants), "observations"),
+            ReportEntry("approx-arl", renewal.arl_approx(kind, threshold, *arl_numbers), "observations"),
             ReportEntry("monte-carlo-sadd", sadd.value, "observations", sadd.std_error),
         ]
         approx = renewal.delay_approx(kind, threshold, constants) if own_design else {}

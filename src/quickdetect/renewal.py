@@ -407,18 +407,18 @@ def estimate_constants(
     )
 
 
-def arl_approx(kind: str, threshold: float, constants: RenewalConstants) -> float:
-    """Higher-order approximation to the pre-change mean time to false alarm."""
+def arl_approx(kind: str, threshold: float, i_f: float, i_g: float, zeta: float) -> float:
+    """Higher-order approximation to the pre-change mean time to false alarm.
+
+    It reads only the Kullback-Leibler numbers and ``zeta``, so a caller that
+    needs no delay approximation computes just ``kl_numbers`` and
+    ``limiting_overshoots``.
+    """
     check_threshold(threshold)
     if kind == "cusum":
-        zeta = constants.zeta.value
-        return (
-            math.exp(threshold) / (constants.i_g * zeta * zeta)
-            - threshold / constants.i_f
-            - 1.0 / (constants.i_g * zeta)
-        )
+        return math.exp(threshold) / (i_g * zeta * zeta) - threshold / i_f - 1.0 / (i_g * zeta)
     if kind == "sr":
-        return threshold / constants.zeta.value
+        return threshold / zeta
     raise ValueError(f"kind must be 'cusum' or 'sr', got {kind!r}")
 
 

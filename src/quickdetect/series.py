@@ -15,9 +15,10 @@ import csv
 import datetime as dt
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter, lt
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ class CsvFormatError(ValueError):
     """Input CSV violates the expected schema (bad rows are named by number)."""
 
 
-def _first_unordered(timestamps: tuple) -> dt.date | None:
+def _first_unordered(timestamps: list | tuple) -> dt.date | None:
     """The first timestamp not after its predecessor, or None if they increase."""
     if all(map(lt, timestamps, islice(timestamps, 1, None))):
         return None
@@ -184,11 +185,13 @@ class DiagnosticBundle:
 def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> PriceSeries:
     """Load a dated price series from a CSV file, given its path or its bytes.
 
-    Rows are sorted by date after parsing.  Any row with an unparsable date,
-    a non-numeric price, or a non-finite or non-positive price is an error
-    naming its line in the file; so are duplicate dates and files with fewer
-    than two valid rows.  Blank lines are skipped and missing fields read as
-    empty.  Identical input bytes always produce the identical series.
+    Dates and prices are read into two columns, which are sorted by date
+    (stably) only when the file's dates are out of order.  Any row with an
+    unparsable date, a non-numeric price, or a non-finite or non-positive
+    price is an error naming its line in the file; so are duplicate dates and
+    files with fewer than two valid rows.  Blank lines are skipped and missing
+    fields read as empty.  Identical input bytes always produce the identical
+    series.
     """
     schema = schema or CsvSchema()
     if not isinstance(source, bytes):
@@ -200,7 +203,8 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
     parse_date = (
         dt.date.fromisoformat if fmt is None else lambda t: dt.datetime.strptime(t, fmt).date()
     )
-    rows: list[tuple[dt.date, float]] = []
+    dates: list[dt.date] = []
+    prices = array("d")
     bad: list[str] = []
     with io.TextIOWrapper(io.BytesIO(source), newline="") as handle:
         reader = csv.reader(handle)
@@ -231,17 +235,21 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
                 sign = "non-positive" if math.isfinite(price) else "non-finite"
                 bad.append(f"row {reader.line_num}: {sign} price {raw_price!r}")
                 continue
-            rows.append((date, price))
+            dates.append(date)
+            prices.append(price)
     if bad:
         raise CsvFormatError("; ".join(bad))
-    if len(rows) < 2:
-        raise CsvFormatError(f"need at least 2 valid rows, found {len(rows)}")
-    rows.sort(key=itemgetter(0))
-    timestamps, prices = zip(*rows)
-    repeated = _first_unordered(timestamps)  # sorted, so only a repeat is out of order
-    if repeated is not None:
-        raise CsvFormatError(f"duplicate date {repeated.isoformat()}")
-    return PriceSeries(timestamps=timestamps, values=np.array(prices))
+    if len(dates) < 2:
+        raise CsvFormatError(f"need at least 2 valid rows, found {len(dates)}")
+    values = np.frombuffer(prices)
+    if _first_unordered(dates) is not None:
+        order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: ties keep file order
+        dates = list(map(dates.__getitem__, order))
+        values = values[order]
+        repeated = _first_unordered(dates)  # sorted, so only a repeat is out of order
+        if repeated is not None:
+            raise CsvFormatError(f"duplicate date {repeated.isoformat()}")
+    return PriceSeries(timestamps=dates, values=values)
 
 
 def to_returns(series: PriceSeries) -> ReturnSeries:

@@ -121,7 +121,8 @@ def test_criterion_4_arl_approximation_accuracy(
     exact_sr, unit_constants, arl_cusum_h5
 ):
     """Renewal ARL approximations within 10% of Monte Carlo."""
-    approx_c = renewal.arl_approx("cusum", 5.0, unit_constants)
+    arl_numbers = (unit_constants.i_f, unit_constants.i_g, unit_constants.zeta.value)
+    approx_c = renewal.arl_approx("cusum", 5.0, *arl_numbers)
     gap_c = abs(approx_c - arl_cusum_h5.value) / arl_cusum_h5.value
     assert gap_c <= 0.10, (approx_c, arl_cusum_h5.value)
 
@@ -131,7 +132,7 @@ def test_criterion_4_arl_approximation_accuracy(
     spec = calib.CalibrationSpec(gamma=1000.0, replications=40_000, seed=53)
     est = calib.estimate_arl(exact_sr, a, spec)
     assert 800.0 <= est.value <= 1250.0, est
-    approx_s = renewal.arl_approx("sr", a, unit_constants)
+    approx_s = renewal.arl_approx("sr", a, *arl_numbers)
     gap_s = abs(approx_s - est.value) / est.value
     assert gap_s <= 0.10, (approx_s, est.value)
     _pass(

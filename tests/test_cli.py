@@ -11,6 +11,7 @@ entry-point metadata to match and the command to be on ``PATH``.
 
 import csv
 import dataclasses
+import datetime
 import hashlib
 import importlib.metadata
 import io
@@ -22,12 +23,13 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quickdetect import cli, detect, models, offline, series
+from quickdetect import cli, detect, models, offline, renewal, series
 from quickdetect.cli import Report, ReportEntry, RunConfig, UsageError, _parse_schema
 
 
@@ -859,8 +861,12 @@ class TestTableBytes:
         for _, header, columns in report.tables:
             assert len(columns) == len(header)
             assert {len(column) for column in columns} == {len(columns[0])}
-        cells = {type(v) for _, _, columns in report.tables for column in columns for v in column}
-        assert cells <= {int, float, str}
+        # columns stay whole: arrays, ranges and the returns' tuple of dates
+        for _, _, columns in report.tables:
+            for column in columns:
+                assert isinstance(column, (np.ndarray, range, tuple)), type(column)
+                if isinstance(column, tuple):
+                    assert {type(d) for d in column} == {datetime.date}
         for name, (header, rows) in expected.items():
             path = next(Path(out).glob(f"{args[0]}-*.{name}.csv"))
             assert path.read_bytes() == cell_by_cell_csv(header, rows), name
@@ -933,14 +939,15 @@ class TestTableBytes:
 class TestEmitBlocks:
     """``emit`` writes tables a block of rows at a time, each block as ``csv`` would."""
 
+    TRACE = ("step", "date", "statistic", "alarm")
+
     @staticmethod
-    def emitted(tmp_path, columns):
-        report = Report(
-            RunConfig(command="detect"),
-            (),
-            tables=(("trace", ("step", "date", "statistic", "alarm"), columns),),
-        )
-        return next(p for p in cli.emit(report, tmp_path) if p.name.endswith(".trace.csv"))
+    def report(columns, header=TRACE):
+        return Report(RunConfig(command="detect"), (), tables=(("trace", header, columns),))
+
+    def emitted(self, tmp_path, columns, header=TRACE):
+        paths = cli.emit(self.report(columns, header), tmp_path)
+        return next(p for p in paths if p.name.endswith(".trace.csv"))
 
     @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
     def test_block_edges_match_csv(self, tmp_path, rows):
@@ -955,6 +962,29 @@ class TestEmitBlocks:
         path = self.emitted(tmp_path, columns)
         expected = cell_by_cell_csv(("step", "date", "statistic", "alarm"), zip(*columns))
         assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_array_and_date_columns_match_csv_of_lists(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        specials = [-0.0, math.inf, 1e16, 5e-324]
+        # four float64 columns, so that one row holds every special value
+        floats = rng.standard_normal((4, rows)) * 10.0 ** rng.integers(-20, 20, (4, rows))
+        floats[:, 0] = specials
+        floats[:, -1] = specials[::-1]
+        counts = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True)
+        counts[0], counts[-1] = 0, -(2**63)
+        start = datetime.date(1800, 1, 1)
+        dates = tuple(start + datetime.timedelta(days=int(k)) for k in rng.integers(0, 80_000, rows))
+        header = ("step", "date", "w", "x", "y", "z", "count")
+        columns = (range(1, rows + 1), dates, *floats, counts)
+        assert {c.dtype for c in (*floats, counts)} == {np.dtype(np.float64), np.dtype(np.int64)}
+        path = self.emitted(tmp_path, columns, header)
+        as_lists = (list(range(1, rows + 1)), list(dates), *(c.tolist() for c in (*floats, counts)))
+        assert path.read_bytes() == cell_by_cell_csv(header, zip(*as_lists))
+
+    def test_two_dimensional_array_column_is_refused(self):
+        with pytest.raises(ValueError, match="'trace'.*not one-dimensional"):
+            self.report((range(3), ("d",) * 3, np.zeros((3, 1)), np.zeros(3)))
 
     @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
     def test_cell_that_csv_quotes_is_refused(self, tmp_path, cell):
@@ -1087,6 +1117,39 @@ class TestSimulateCommand:
             assert [n for n in entries if n.startswith("approx-")] == ["approx-arl"], kind
         assert any(note.startswith("no approx delay lines") for note in report["notes"])
 
+    def test_score_design_of_other_variance_takes_approx_arl_from_three_numbers(
+        self, tmp_path, monkeypatch
+    ):
+        # approx-arl reads I_f, I_g and zeta of the design, so the design's
+        # c0/c_inf walks are never drawn; each approx-arl equals the one the
+        # design's full constants give
+        drawn = []
+        path_functionals = renewal.path_functionals
+        monkeypatch.setattr(
+            renewal, "path_functionals",
+            lambda model, policy=None: drawn.append(model) or path_functionals(model, policy),
+        )
+        q, delta, reps, seed = 0.5966, 0.3303, 300, 5
+        model = ["--mu-pre", "0", "--sigma-pre", "1", "--mu-post", "0.3", "--sigma-post", "1.6"]
+        args = ["simulate", "--mode", "score", *model, "--q", repr(q), "--delta", repr(delta),
+                "--gamma", "20", "--nu", "100", "--replications", str(reps), "--seed", str(seed)]
+        assert run_cli(args, tmp_path) == 0
+        report = load_report(tmp_path, "simulate")
+        assert drawn == [models.GaussianChangeModel(0.0, 1.0, 0.3, 1.6)]
+        design = models.GaussianChangeModel(0.0, 1.0, delta, 1.0 / q)
+        full = renewal.estimate_constants(design, renewal.EstimationPolicy(reps, seed))
+        zeta = full.zeta.value
+        assert full.zeta.replications == reps  # unequal variances: the walk route
+        for kind in ("cusum", "sr"):
+            entries = entry_map(report, kind)
+            h = entries["threshold"]["value"]
+            expected = (
+                math.exp(h) / (full.i_g * zeta * zeta) - h / full.i_f - 1.0 / (full.i_g * zeta)
+                if kind == "cusum" else h / zeta
+            )
+            assert entries["approx-arl"]["value"] == expected, kind
+            assert [n for n in entries if n.startswith("approx-")] == ["approx-arl"], kind
+
     def test_score_design_equal_to_the_model_keeps_the_delay_lines(self, tmp_path):
         out = tmp_path / "o"
         args = ["simulate", "--mode", "score", *self.MODEL, "--q", "1", "--delta", "1",
@@ -1128,6 +1191,53 @@ class TestSimulateCommand:
         assert any(note.startswith("no approx delay lines") for note in report["notes"])
         for kind in ("cusum", "sr"):
             assert [n for n in entry_map(report, kind) if n.startswith("approx-")] == ["approx-arl"]
+
+
+class TestMemoryGuard:
+    """Each added row of a long series costs a command few traced bytes.
+
+    Tables stay numpy columns (and the returns' tuple of dates) until
+    ``emit`` writes them a block at a time, so the traced peak of ``cli.main``
+    grows with the series by the columns themselves, not by per-cell objects.
+    """
+
+    #: traced bytes per added row each command may hold at its peak
+    BOUNDS = {"segment": 128, "detect": 128, "diagnose": 208}
+    ROWS = (20_000, 40_000)
+
+    @staticmethod
+    def args(command, csv_path):
+        if command == "detect":
+            q, delta = 0.2266 / 0.2306, (0.0199 + 0.0029) / 0.2266
+            return ["detect", "--input", str(csv_path), "--multi-cyclic", "--mode", "score",
+                    "--q", repr(q), "--delta", repr(delta), "--train-end", "300",
+                    "--threshold-h", "1.97", "--threshold-a", "917.0"]
+        return [command, "--input", str(csv_path)]
+
+    @staticmethod
+    def traced_peak(args, out) -> int:
+        tracemalloc.start()
+        try:
+            assert run_cli(args, out) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", sorted(BOUNDS))
+    def test_traced_peak_per_added_row(self, make_csv, price_csv, tmp_path, command):
+        rng = np.random.default_rng(11)
+        path = np.cumsum(rng.normal(0.0, 0.2266, max(self.ROWS)))
+        prices = 100.0 + path - min(0.0, float(path.min()))
+        # a first run leaves lazy imports and caches out of the measured runs
+        assert run_cli(self.args(command, price_csv), tmp_path / "warm") == 0
+        peaks = [
+            self.traced_peak(
+                self.args(command, make_csv(prices[:rows], name=f"p{rows}.csv")), tmp_path / f"o{rows}"
+            )
+            for rows in self.ROWS
+        ]
+        per_row = (peaks[1] - peaks[0]) / (self.ROWS[1] - self.ROWS[0])
+        assert per_row <= self.BOUNDS[command], (command, peaks, per_row)
 
 
 class TestEntryPoint:

@@ -693,6 +693,11 @@ def constants():
     return estimate_constants(GaussianChangeModel(0.0, 1.0, 1.0, 1.0), FAST_POLICY)
 
 
+def arl_numbers(constants):
+    """The three numbers ``arl_approx`` reads: ``(i_f, i_g, zeta)``."""
+    return constants.i_f, constants.i_g, constants.zeta.value
+
+
 class TestApproximations:
     def test_cusum_arl_formula(self, constants):
         h = 5.0
@@ -702,11 +707,13 @@ class TestApproximations:
             - h / constants.i_f
             - 1.0 / (constants.i_g * zeta)
         )
-        assert arl_approx("cusum", h, constants) == pytest.approx(expected, rel=1e-12)
+        assert arl_approx("cusum", h, *arl_numbers(constants)) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_sr_arl_is_threshold_over_zeta(self, constants):
         for a in (10.0, 500.0, 1e4):
-            assert arl_approx("sr", a, constants) == pytest.approx(
+            assert arl_approx("sr", a, *arl_numbers(constants)) == pytest.approx(
                 a / float(constants.zeta), rel=1e-12
             )
 
@@ -734,8 +741,8 @@ class TestApproximations:
 
     def test_validation(self, constants):
         with pytest.raises(ValueError, match="kind"):
-            arl_approx("ewma", 5.0, constants)
+            arl_approx("ewma", 5.0, *arl_numbers(constants))
         with pytest.raises(ValueError, match="threshold"):
-            arl_approx("cusum", -1.0, constants)
+            arl_approx("cusum", -1.0, *arl_numbers(constants))
         with pytest.raises(ValueError, match="kind"):
             delay_approx("other", 5.0, constants)

@@ -373,8 +373,7 @@ class TestDiagnostics:
         n = 10_000
         x = rng.normal(1.0, 2.0, size=n)
         bundle = diagnostics(ReturnSeries(values=x), lags=(1,))
-        from scipy import stats
-
+        stats = pytest.importorskip("scipy.stats")
         positions = (np.arange(1, n + 1) - 0.5) / n
         assert_allclose(bundle.qq.theoretical, stats.norm.ppf(positions))
         assert_array_equal(bundle.qq.empirical, np.sort(bundle.qq.empirical))
@@ -387,8 +386,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("n", [10, 1811, 60_000])
     def test_qq_quantiles_match_ndtri(self, n):
-        from scipy.special import ndtri
-
+        ndtri = pytest.importorskip("scipy.special").ndtri
         x = np.random.default_rng(n).normal(size=n)
         theoretical = diagnostics(ReturnSeries(values=x), lags=(1,)).qq.theoretical
         positions = (np.arange(1, n + 1) - 0.5) / n
