@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
-#: replications simulated together, as the rows of one array; bounds the
-#: memory of every estimator at any replication count
+#: replications simulated together, as the rows of one array (STADD's
+#: pre-change walk takes ``8 * _ROWS``); bounds the memory of every
+#: estimator at any replication count
 _ROWS = 64
 _MASK32 = 0xFFFF_FFFF
 #: ``SeedSequence``'s default pool size, in uint32 words
@@ -152,6 +154,20 @@ def substream(seed: int, stream: int, replications: range) -> list[np.random.Gen
 def row_chunks(replications: int):
     """Replication indices ``0 .. replications - 1`` in ranges of at most ``_ROWS``."""
     return (range(lo, min(lo + _ROWS, replications)) for lo in range(0, replications, _ROWS))
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a ``value`` of field ``name`` that is a bool or that ``operator.index`` refuses.
+
+    A float such as ``100.5`` would otherwise fail later inside ``range``, or
+    be truncated silently where a seed is split into words.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def mean_se(values: np.ndarray) -> tuple[float, float]:

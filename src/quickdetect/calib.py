@@ -25,8 +25,9 @@ thresholds reuse the same observation paths (common random numbers).
 Stopping times are then pathwise nondecreasing in the threshold, so the
 Monte Carlo ARL is a nondecreasing step function of it, and
 :func:`solve_threshold` reads the threshold off that whole curve.  The
-generators of a call, or of one run of ``_ROWS`` replications, are seeded
-together in one array pass (:func:`quickdetect._rand.substream`).
+generators of a call, or of one run of ``_ROWS`` replications (``8 * _ROWS``
+for the STADD pre-change walk), are seeded together in one array pass
+(:func:`quickdetect._rand.substream`).
 
 A fresh-start path (ARL, SADD, and STADD after the change) does not depend
 on the threshold at all: the stopping time at ``h`` is one plus the number
@@ -48,19 +49,21 @@ counted at the cap and reported, and more than 1% of them fails any estimate.
 
 The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
 :mod:`quickdetect.detect`, round by round as the observations are drawn,
-at most ``_ROWS`` replications at a time as the rows of one array: each
-row still draws from its own generator, so the draws, and every stopping
-time, are those of a replication run alone, and the stopping times are
-averaged in replication order.  A round is one ``_BLOCK`` of steps, but
+at most ``_ROWS`` replications at a time as the rows of one array (the
+STADD pre-change walk takes ``8 * _ROWS``, and hands its restart loop
+slices of ``_BLOCK // 8`` steps): each row still draws from its own
+generator, so the draws, and every stopping time, are those of a
+replication run alone, and the stopping times are averaged in replication
+order.  A round is one ``_BLOCK`` of steps, but
 the estimators that build a store per run of ``_ROWS`` replications (ARL,
 SADD, and STADD after the change) draw a first round of ``_BLOCK // 8``
 when the median stopping time of the run before lay within that many steps:
 a call whose runs alarm within a few steps then draws little past them,
 and one whose runs are longer draws whole blocks, as its first run does.  A
 generator yields the same normals however its stream is split into draws
-and the kernels carry each run's state across rounds, so where a round
-ends moves a stopping time only if a path value lies within an ulp of the
-threshold.
+and the kernels carry each run's state across rounds and slices, so where
+a round or slice ends moves a stopping time only if a path value lies
+within an ulp of the threshold.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rand import _ROWS, mean_se, row_chunks, substream
+from ._rand import _ROWS, check_integer, mean_se, row_chunks, substream
 from .detect import KINDS, MODES, _BLOCK, _advance_with_resets, _path, check_threshold
 from .models import GaussianChangeModel, ScoreParams, linear_quadratic_score, llr
 
@@ -97,6 +100,8 @@ class CalibrationSpec:
     nu_stationary: int = 1_000
 
     def __post_init__(self) -> None:
+        for name in ("replications", "seed", "nu_stationary"):
+            check_integer(name, getattr(self, name))
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if not self.gamma > 1.0:
@@ -372,35 +377,48 @@ def estimate_sadd(
 
 
 def _stadd_delays(
-    config: DetectorConfig,
-    threshold: float,
-    spec: CalibrationSpec,
-    rows: range,
-    first: int = _BLOCK,
+    config: DetectorConfig, threshold: float, spec: CalibrationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delays after a change at ``nu`` and at ``2 * nu``, for a run of rows.
+    """Delays after a change at ``nu`` and at ``2 * nu``, for every replication.
 
-    Each row's pre-change walk, with restarts, goes once to ``2 * nu`` in
-    ``_BLOCK``-aligned blocks, the blocks a walk to either change point
-    uses; the block holding ``nu`` is also evaluated up to ``nu`` for the
-    state there.  Both states then read the row's one post-change stream,
-    whose first round is ``first`` steps.  Returns delays and capped masks
-    of shape ``(2, len(rows))``.
+    The pre-change walks, with restarts, run ``8 * _ROWS`` replications at a
+    time as the rows of one array, each once to ``2 * nu``.  Every row draws
+    ``_BLOCK`` steps at a time, the steps a walk to either change point
+    uses, ``_ROWS`` rows per draw into one block; the restart loop takes the
+    block in slices of ``_BLOCK // 8`` steps, and the slice holding ``nu`` is
+    cut there for the state at ``nu``.  After an alarm that loop evaluates
+    its rows again to the end of the slice it was given, so short slices
+    bound that work, and wide arrays pay numpy's per-call cost once for more
+    rows.  Both states of a replication then read its one post-change
+    stream, in stores of ``_ROWS`` replications through :func:`_by_chunks`.
+    Returns delays and capped masks of shape ``(2, replications)``.
     """
-    nu = spec.nu_stationary
-    pre = substream(spec.seed, _STREAM_STADD_PRE, rows)
-    post = substream(spec.seed, _STREAM_STADD_POST, rows)
-    state = np.zeros(len(rows))
-    at_nu = state
-    for lo in range(0, 2 * nu, _BLOCK):
-        z = _draw(config, pre, min(_BLOCK, 2 * nu - lo), "pre")
-        if lo < nu < lo + z.shape[1]:
-            at_nu, _ = _advance_with_resets(config.kind, state, z[:, : nu - lo], threshold)
-        state, _ = _advance_with_resets(config.kind, state, z, threshold)
-        if lo + z.shape[1] == nu:
-            at_nu = state
-    runs = _Runs(config, "post", spec.run_cap, post, np.stack([at_nu, state]), first)
-    return runs.stop_times(threshold)
+    nu, n, wide = spec.nu_stationary, spec.replications, 8 * _ROWS
+    # slice ends: every _BLOCK // 8 steps, at nu and at 2 * nu
+    edges = sorted({*range(0, 2 * nu, _BLOCK // 8), nu, 2 * nu})
+    block = np.empty((min(n, wide), _BLOCK))
+    states = np.empty((2, n))
+    for start in range(0, n, wide):
+        rows = range(start, min(start + wide, n))
+        pre = substream(spec.seed, _STREAM_STADD_PRE, rows)
+        z, state = block[: len(rows)], np.zeros(len(rows))
+        for lo, hi in zip(edges, edges[1:]):
+            col = lo % _BLOCK
+            if col == 0:
+                width = min(_BLOCK, 2 * nu - lo)
+                for i in range(0, len(rows), _ROWS):
+                    z[i : i + _ROWS, :width] = _draw(config, pre[i : i + _ROWS], width, "pre")
+            state, _ = _advance_with_resets(config.kind, state, z[:, col : col + hi - lo], threshold)
+            if hi == nu:
+                states[0, rows.start : rows.stop] = state
+        states[1, rows.start : rows.stop] = state
+
+    def simulate(run: range, first: int) -> tuple[np.ndarray, np.ndarray]:
+        post = substream(spec.seed, _STREAM_STADD_POST, run)
+        runs = _Runs(config, "post", spec.run_cap, post, states[:, run.start : run.stop], first)
+        return runs.stop_times(threshold)
+
+    return _by_chunks(spec, simulate)
 
 
 def estimate_stadd(
@@ -415,11 +433,12 @@ def estimate_stadd(
     such error.  Both estimates read the same streams, so each replication's
     walk to ``nu`` is the first half of its walk to ``2 * nu`` and its
     post-change draws serve both: the two post-change runs of a replication
-    are one row of a store of runs.  Replications are simulated together in
-    runs of ``_ROWS`` rows.
+    are one row of a store of runs.  The pre-change walks run ``8 * _ROWS``
+    replications together as rows, restarted in slices of ``_BLOCK // 8``
+    steps; the post-change stores hold runs of ``_ROWS`` replications.
     """
     check_threshold(threshold)
-    delays, capped = _by_chunks(spec, lambda *run: _stadd_delays(config, threshold, spec, *run))
+    delays, capped = _stadd_delays(config, threshold, spec)
     est, check = (_estimate("stadd", threshold, *run, spec.run_cap) for run in zip(delays, capped))
     spread = 2.0 * math.hypot(est.std_error, check.std_error)
     if abs(est.value - check.value) >= max(spread, 1e-12):

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rand import mean_se, row_chunks, substream
+from ._rand import check_integer, mean_se, row_chunks, substream
 from .detect import LLR_CLAMP, check_threshold
 from .models import GaussianChangeModel, llr
 
@@ -113,6 +113,8 @@ class EstimationPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("replications", "seed"):
+            check_integer(name, getattr(self, name))
         if self.replications < 2:
             raise ValueError("need at least two replications")
         if self.seed < 0:

@@ -299,6 +299,21 @@ class TestSpecValidation:
                 CalibrationSpec(gamma=gamma)
         with pytest.raises(ValueError, match="nu_stationary"):
             CalibrationSpec(gamma=10.0, nu_stationary=0)
+        # a float fails later in range(), a float seed is truncated, and a bool is 0 or 1
+        for field, value in [
+            ("replications", 100.5),
+            ("replications", 100.0),
+            ("nu_stationary", 300.5),
+            ("nu_stationary", True),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", np.True_),
+            ("seed", "1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                CalibrationSpec(gamma=10.0, **{field: value})
+        spec = CalibrationSpec(gamma=10.0, replications=np.int64(100), seed=np.uint32(1))
+        assert estimate_sadd(detector("cusum", "exact"), 2.0, spec).replications == 100
 
     def test_performance_estimate_validation(self):
         with pytest.raises(ValueError, match="finite"):
@@ -699,10 +714,23 @@ class TestBatchedStadd:
         ],
     )
     def test_equals_two_independent_loop_runs(self, kind, mode, threshold, nu, monkeypatch):
-        config = detector(kind, mode)
         spec = CalibrationSpec(
             gamma=20.0, replications=calib._ROWS + 37, seed=5, nu_stationary=nu
         )
+        self.assert_equals_loop_runs(detector(kind, mode), threshold, spec, monkeypatch)
+
+    @pytest.mark.parametrize("kind, threshold", [("cusum", 2.8), ("sr", 50.0)])
+    def test_wide_walk_equals_loop_runs(self, kind, threshold, monkeypatch):
+        # one full walk array of 8 * _ROWS rows, then a partial one of 37
+        # rows, which the last store of runs reads
+        spec = CalibrationSpec(
+            gamma=20.0, replications=8 * calib._ROWS + 37, seed=5, nu_stationary=300
+        )
+        self.assert_equals_loop_runs(detector(kind, "exact"), threshold, spec, monkeypatch)
+
+    @staticmethod
+    def assert_equals_loop_runs(config, threshold, spec, monkeypatch):
+        nu = spec.nu_stationary
         expected = [stadd_loop(config, threshold, spec, n) for n in (nu, 2 * nu)]
         assert all(d is not None for delays in expected for d in delays)
 
@@ -727,13 +755,35 @@ class TestBatchedStadd:
             np.testing.assert_array_equal(got, np.array(delays, dtype=float))
         assert (est.value, est.std_error, est.cap_hits) == real_mean_se(means[0]) + (0,)
 
+    @pytest.mark.parametrize("kind, threshold", [("cusum", 2.8), ("sr", 50.0)])
+    def test_restart_loop_sees_short_slices_of_wide_arrays(self, kind, threshold, monkeypatch):
+        # after an alarm the restart loop evaluates its rows again to the end
+        # of the slice it was given, so the walk hands it short slices
+        shapes, real = [], calib._advance_with_resets
+
+        def recording(kind, state, z, threshold):
+            shapes.append(z.shape)
+            return real(kind, state, z, threshold)
+
+        monkeypatch.setattr(calib, "_advance_with_resets", recording)
+        spec = CalibrationSpec(
+            gamma=20.0, replications=8 * calib._ROWS + 37, seed=5, nu_stationary=300
+        )
+        estimate_stadd(detector(kind, "exact"), threshold, spec)
+        rows, columns = np.array(shapes).T
+        assert columns.max() <= _BLOCK // 8 and rows.max() <= 8 * calib._ROWS
+        assert set(rows) == {8 * calib._ROWS, 37}
+        # 2 nu = 600 steps per array: 18 slices of 32, the slice [288, 320)
+        # cut at nu = 300 into two, and a last one of 24
+        assert columns.sum() == 2 * 600 and len(shapes) == 2 * 20
+
     def test_capped_runs_match_the_loop(self):
         # post-change drift 0.5 per step against h = 150: about 300 steps,
         # so many runs reach the cap of 300
         config = detector("cusum", "exact")
         spec = CalibrationSpec(gamma=3.0, replications=60, seed=2, nu_stationary=40)
         expected = [stadd_loop(config, 150.0, spec, n) for n in (40, 80)]
-        delays, capped = calib._stadd_delays(config, 150.0, spec, range(60))
+        delays, capped = calib._stadd_delays(config, 150.0, spec)
         for got, hit_cap, want in zip(delays, capped, expected):
             assert list(hit_cap) == [d is None for d in want]
             assert list(got) == [spec.run_cap if d is None else d for d in want]

@@ -687,6 +687,18 @@ class TestEstimateConstants:
         with pytest.raises(ValueError, match="seed"):
             EstimationPolicy(seed=-1)
 
+    def test_policy_refuses_counts_that_are_not_integers(self):
+        for field, value in [
+            ("replications", 100.5),
+            ("replications", True),
+            ("seed", 1.5),
+            ("seed", np.float64(2.0)),
+            ("seed", np.False_),
+        ]:
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                EstimationPolicy(**{field: value})
+        assert EstimationPolicy(replications=np.int32(64), seed=np.int64(3)).seed == 3
+
 
 @pytest.fixture(scope="module")
 def constants():
