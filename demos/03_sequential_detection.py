@@ -38,10 +38,10 @@ x = np.concatenate(
 z = llr(model, x)
 for kind, threshold in (("cusum", 4.0), ("sr", 250.0)):
     trace = run_detector(z, kind=kind, threshold=threshold)
-    alarm = trace.first_alarm
+    step = trace.alarms[0]  # the trace stops at its alarm
     print(f"exact {kind:5s} threshold {threshold:6.1f}: "
-          f"alarm at step {alarm.global_time} "
-          f"(delay {alarm.global_time - CHANGE}, stat {alarm.statistic_at_stop:.1f})")
+          f"alarm at step {step} "
+          f"(delay {step - CHANGE}, stat {trace.statistics[-1]:.1f})")
 
 # --- score surrogate: same detector, increments from three constants ------
 
@@ -49,14 +49,14 @@ std = model.standardized
 params = design_coefficients(q=1.0 / std.sigma_post, delta=std.mu_post)
 score = linear_quadratic_score(params, (x - model.mu_pre) / model.sigma_pre)
 trace = run_detector(score, kind="cusum", threshold=4.0)
-print(f"score cusum  threshold    4.0: alarm at step {trace.first_alarm.global_time}")
+print(f"score cusum  threshold    4.0: alarm at step {trace.alarms[0]}")
 
 # --- multi-cyclic: keep watching after every alarm ------------------------
 
-trace = multi_cyclic_run(z, kind="cusum", threshold=4.0, change_point=CHANGE)
-alarms = [a.global_time for a in trace.alarms]
-print(f"\nmulti-cyclic cusum alarms at {alarms}")
-print(f"false alarms before the change: {sum(1 for t in alarms if t <= CHANGE)}")
-detection = trace.true_detection
-print(f"first true detection: step {detection.global_time} "
-      f"(delay {detection.global_time - CHANGE})")
+trace = multi_cyclic_run(z, kind="cusum", threshold=4.0)
+alarms = trace.alarms
+print(f"\nmulti-cyclic cusum alarms at {alarms.tolist()}")
+print(f"cycle lengths: {np.diff(alarms, prepend=0).tolist()}")
+print(f"false alarms before the change: {np.count_nonzero(alarms <= CHANGE)}")
+detection = alarms[alarms > CHANGE][0]
+print(f"first alarm after the change: step {detection} (delay {detection - CHANGE})")

@@ -45,7 +45,7 @@ for label, model in (
     print(f"path functionals (Monte Carlo): C0 = {constants.c0.value:.4f}, "
           f"Cinf = {constants.c_inf.value:.4f}")
 
-    config = DetectorConfig(kind="cusum", model=model, mode="exact")
+    config = DetectorConfig(kind="cusum", model=model)
     h = 4.0
     spec = CalibrationSpec(gamma=math.exp(h), replications=8_000, seed=17)
     mc = estimate_arl(config, h, spec)

@@ -31,7 +31,7 @@ print(f"{'':8s}{'threshold':>12s}{'MC ARL':>10s}{'SADD':>9s}{'STADD':>9s}")
 
 rows = {}
 for kind in ("cusum", "sr"):
-    config = DetectorConfig(kind=kind, model=model, mode="exact")
+    config = DetectorConfig(kind=kind, model=model)
     threshold, arl = solve_threshold(config, spec)
     sadd = estimate_sadd(config, threshold, spec)
     stadd = estimate_stadd(config, threshold, spec)

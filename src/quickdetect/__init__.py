@@ -29,7 +29,6 @@ from .calib import (
     solve_threshold,
 )
 from .detect import (
-    AlarmRecord,
     DetectionTrace,
     multi_cyclic_run,
     run_detector,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcfResult",
-    "AlarmRecord",
     "BDTrace",
     "CalibrationError",
     "CalibrationSpec",

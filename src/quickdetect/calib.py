@@ -75,7 +75,7 @@ from typing import Callable
 import numpy as np
 
 from ._rand import _ROWS, check_integer, mean_se, row_chunks, substream
-from .detect import KINDS, MODES, _BLOCK, _advance_with_resets, _path, check_threshold
+from .detect import KINDS, _BLOCK, _advance_with_resets, _path, check_threshold
 from .models import GaussianChangeModel, ScoreParams, linear_quadratic_score, llr
 
 _STREAM_ARL = 11
@@ -142,32 +142,26 @@ class PerformanceEstimate:
 class DetectorConfig:
     """What to simulate: data model, detector kind, and increment mechanism.
 
-    ``model`` always generates the observations.  ``mode`` picks the
-    increments: ``exact`` uses the model log-likelihood ratio, ``score``
-    standardizes by the pre-change moments and applies the linear-quadratic
-    score.  The estimators pass :meth:`log_increments` ``(rows, block)``
-    arrays, one row per replication.
+    ``model`` always generates the observations.  Without ``score`` the
+    increments are the model's log-likelihood ratio; with it, observations
+    are standardized by the pre-change moments and fed to that
+    linear-quadratic score.  The estimators pass :meth:`log_increments`
+    ``(rows, block)`` arrays, one row per replication.
     """
 
     kind: str
     model: GaussianChangeModel
-    mode: str = "exact"
     score: ScoreParams | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "score":
-            if self.score is None:
-                raise ValueError("score mode needs score parameters")
-            if self.score.is_degenerate:
-                raise ValueError("refusing to run an identically-zero score")
+        if self.score is not None and self.score.is_degenerate:
+            raise ValueError("refusing to run an identically-zero score")
 
     def log_increments(self, x: np.ndarray) -> np.ndarray:
         """Map raw observations to log-scale detector increments."""
-        if self.mode == "exact":
+        if self.score is None:
             return llr(self.model, x)
         standardized = (np.asarray(x, dtype=float) - self.model.mu_pre) / self.model.sigma_pre
         return linear_quadratic_score(self.score, standardized)

@@ -339,7 +339,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         if not path.is_file():
             raise FileNotFoundError(f"no such config file: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ValueError(f"config file {path} is not valid JSON: {err}") from err
         if not isinstance(loaded, dict):
@@ -401,7 +401,10 @@ def _refuse_unread_flags(config: RunConfig) -> None:
     raise UsageError(f"{flags} would be ignored: {why}")
 
 
-def _score_params(config: RunConfig, model: models.GaussianChangeModel) -> models.ScoreParams:
+def _design(config: RunConfig, model: models.GaussianChangeModel) -> models.ScoreParams | None:
+    """The score design a simulated detector runs on; None for the model's exact LLR."""
+    if config.mode == "exact":
+        return None
     if config.q is not None and config.delta is not None:
         return models.design_coefficients(config.q, config.delta)
     std = model.standardized
@@ -421,16 +424,6 @@ def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
 
 def _policy(config: RunConfig) -> renewal.EstimationPolicy:
     return renewal.EstimationPolicy(replications=config.replications, seed=config.seed)
-
-
-def _detector_config(
-    config: RunConfig, kind: str, model: models.GaussianChangeModel
-) -> calib.DetectorConfig:
-    if config.mode == "exact":
-        return calib.DetectorConfig(kind=kind, model=model, mode="exact")
-    return calib.DetectorConfig(
-        kind=kind, model=model, mode="score", score=_score_params(config, model)
-    )
 
 
 def _cmd_returns(config: RunConfig) -> Report:
@@ -589,9 +582,10 @@ def _kinds(config: RunConfig) -> tuple[str, ...]:
 def _cmd_calibrate(config: RunConfig) -> Report:
     model = _require_model(config)
     spec = _calibration_spec(config)
+    score = _design(config, model)
     sections = []
     for kind in _kinds(config):
-        detector = _detector_config(config, kind, model)
+        detector = calib.DetectorConfig(kind, model, score)
         threshold, estimate = calib.solve_threshold(detector, spec)
         sections.append(
             (
@@ -670,23 +664,21 @@ def _cmd_detect(config: RunConfig) -> Report:
         ran_any = True
         runner = detect.multi_cyclic_run if config.multi_cyclic else detect.run_detector
         trace = runner(increments, kind=kind, threshold=threshold)
+        steps = trace.alarms
         entries = [
             ReportEntry("threshold", threshold),
             ReportEntry("observations", trace.increments_consumed, "observations"),
-            ReportEntry("alarms", len(trace.alarms), "alarms"),
+            ReportEntry("alarms", steps.size, "alarms"),
         ]
-        for i, alarm in enumerate(trace.alarms, start=1):
-            entries.append(ReportEntry(f"alarm-{i}-step", alarm.global_time, "index"))
-            entries.append(
-                ReportEntry(f"alarm-{i}-date", dates[alarm.global_time - 1].isoformat())
-            )
-            entries.append(
-                ReportEntry(f"alarm-{i}-statistic", alarm.statistic_at_stop)
-            )
+        for i, (step, statistic) in enumerate(
+            zip(steps.tolist(), trace.statistics[steps - 1].tolist()), start=1
+        ):
+            entries.append(ReportEntry(f"alarm-{i}-step", step, "index"))
+            entries.append(ReportEntry(f"alarm-{i}-date", dates[step - 1].isoformat()))
+            entries.append(ReportEntry(f"alarm-{i}-statistic", statistic))
         sections.append((kind, tuple(entries)))
         size = trace.statistics.size
-        flags = np.zeros(size, dtype=np.int8)
-        flags[[a.global_time - 1 for a in trace.alarms]] = 1
+        flags = (trace.statistics >= threshold).astype(np.int8)
         # a single run stops at its first alarm, before the dates run out
         columns = (range(1, size + 1), dates[:size], trace.statistics, flags)
         tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), columns))
@@ -705,7 +697,8 @@ def _cmd_detect(config: RunConfig) -> Report:
 def _cmd_simulate(config: RunConfig) -> Report:
     model = _require_model(config)
     spec = _calibration_spec(config)
-    detectors = [_detector_config(config, kind, model) for kind in _kinds(config)]
+    score = _design(config, model)
+    detectors = [calib.DetectorConfig(kind, model, score) for kind in _kinds(config)]
     constants = renewal.estimate_constants(model, _policy(config))
     arl_numbers = (constants.i_f, constants.i_g, constants.zeta.value)
     notes = [

@@ -20,9 +20,9 @@ replications as rows, share them.
 
 Alarms use ``>=`` at the threshold.  A stream that ends without a crossing
 is a valid "no alarm" outcome, not an error.  In a multi-cyclic run the
-detector restarts from zero after every alarm, and when the true change
-index is known (simulation), the first alarm strictly after it is flagged
-as the true detection.
+detector restarts from zero after every alarm; a run's trace is its
+per-step statistics, and its alarms are the steps whose statistic reached
+the threshold.
 """
 
 from __future__ import annotations
@@ -188,76 +188,35 @@ def to_ratios(log_increments) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AlarmRecord:
-    """One threshold crossing.
-
-    ``stop_time`` counts steps within the alarm's own cycle;
-    ``global_time`` counts from the start of the stream, so for cycle ``j``
-    it equals the sum of the first ``j`` cycle lengths.
-    """
-
-    stop_time: int
-    global_time: int
-    statistic_at_stop: float
-    threshold: float
-    cycle_index: int
-
-    def __post_init__(self) -> None:
-        if self.stop_time < 1 or self.global_time < self.stop_time:
-            raise ValueError("alarm times must be positive and consistent")
-        if self.statistic_at_stop < self.threshold:
-            raise ValueError("alarm statistic must reach the threshold")
-        if self.cycle_index < 1:
-            raise ValueError("cycle index starts at 1")
-
-
-@dataclass(frozen=True)
 class DetectionTrace:
-    """Per-step statistic values and the alarms raised while consuming a stream."""
+    """Per-step statistic values of a detector run over a stream of log increments.
+
+    A run restarts (or, run singly, stops) at a step exactly when that step's
+    statistic reaches the threshold, so the alarms are the steps whose
+    statistic is at or above it.
+    """
 
     kind: str
     threshold: float
     statistics: np.ndarray
-    alarms: tuple[AlarmRecord, ...]
-    change_point: int | None = None
 
     def __post_init__(self) -> None:
         stats = np.array(self.statistics, dtype=float)  # a private, frozen copy
         stats.setflags(write=False)
         object.__setattr__(self, "statistics", stats)
-        object.__setattr__(self, "alarms", tuple(self.alarms))
 
     @property
     def increments_consumed(self) -> int:
         return int(self.statistics.size)
 
     @property
-    def first_alarm(self) -> AlarmRecord | None:
-        return self.alarms[0] if self.alarms else None
-
-    @property
-    def true_detection(self) -> AlarmRecord | None:
-        """First alarm strictly after the known change index, if any."""
-        if self.change_point is None:
-            return None
-        for alarm in self.alarms:
-            if alarm.global_time > self.change_point:
-                return alarm
-        return None
-
-    @property
-    def detection_delay(self) -> int | None:
-        """Steps from the known change to the true detection."""
-        alarm = self.true_detection
-        if alarm is None:
-            return None
-        return alarm.global_time - self.change_point
+    def alarms(self) -> np.ndarray:
+        """Alarm steps, counted from 1 at the start of the stream, in order."""
+        return np.flatnonzero(self.statistics >= self.threshold) + 1
 
 
-def _run(
-    increments, kind: str, threshold: float, first_only: bool
-) -> tuple[np.ndarray, list[int]]:
-    """Statistics and alarm steps of a run that restarts after every alarm.
+def _run(increments, kind: str, threshold: float, first_only: bool) -> np.ndarray:
+    """Statistics of a run that restarts after every alarm.
 
     The stream is consumed in fixed blocks; with ``first_only`` it stops at
     the block holding the first alarm and is cut just after that alarm.
@@ -273,71 +232,31 @@ def _run(
     if not np.all(np.isfinite(z)):
         raise ValueError("increments must be finite")
     statistics = np.empty(z.size)
-    alarms: list[int] = []
     state = 0.0
     for start in range(0, z.size, _BLOCK):
         stop = start + _BLOCK
         state, alarmed = _advance_with_resets(
             kind, state, z[start:stop], threshold, statistics[start:stop]
         )
-        alarms.extend((start + 1 + alarmed.nonzero()[0]).tolist())
-        if first_only and alarms:
-            return statistics[: alarms[0]], alarms[:1]
-    return statistics, alarms
+        if first_only and alarmed.any():
+            return statistics[: start + 1 + int(alarmed.argmax())]
+    return statistics
 
 
-def _alarm_records(
-    statistics: np.ndarray, alarms: list[int], threshold: float
-) -> tuple[AlarmRecord, ...]:
-    starts = [0] + alarms[:-1]
-    return tuple(
-        AlarmRecord(
-            stop_time=step - start,
-            global_time=step,
-            statistic_at_stop=float(statistics[step - 1]),
-            threshold=threshold,
-            cycle_index=cycle,
-        )
-        for cycle, (start, step) in enumerate(zip(starts, alarms), start=1)
-    )
-
-
-def run_detector(increments, kind: str, threshold: float = 1.0) -> DetectionTrace:
+def run_detector(increments, kind: str, threshold: float) -> DetectionTrace:
     """Run a fresh detector over log increments until the first crossing (``>=``).
 
     ``increments`` is a 1-D array of log-likelihood ratios or scores, for
     both kinds.  The trace stops at the alarm; a stream without a crossing
     returns a trace with no alarms.
     """
-    statistics, alarms = _run(increments, kind, threshold, first_only=True)
-    return DetectionTrace(
-        kind=kind,
-        threshold=threshold,
-        statistics=statistics,
-        alarms=_alarm_records(statistics, alarms, threshold),
-    )
+    return DetectionTrace(kind, threshold, _run(increments, kind, threshold, first_only=True))
 
 
-def multi_cyclic_run(
-    increments,
-    kind: str,
-    threshold: float = 1.0,
-    change_point: int | None = None,
-) -> DetectionTrace:
+def multi_cyclic_run(increments, kind: str, threshold: float) -> DetectionTrace:
     """Run over the whole stream of log increments, restarting after every alarm.
 
     The statistic value recorded immediately after an alarm is exactly what
-    a fresh detector produces on that increment.  When ``change_point`` is
-    given (simulation with a known change index), the returned trace flags
-    the first alarm with global time beyond it as the true detection.
+    a fresh detector produces on that increment.
     """
-    if change_point is not None and change_point < 0:
-        raise ValueError("change_point must be nonnegative")
-    statistics, alarms = _run(increments, kind, threshold, first_only=False)
-    return DetectionTrace(
-        kind=kind,
-        threshold=threshold,
-        statistics=statistics,
-        alarms=_alarm_records(statistics, alarms, threshold),
-        change_point=change_point,
-    )
+    return DetectionTrace(kind, threshold, _run(increments, kind, threshold, first_only=False))

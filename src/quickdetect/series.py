@@ -206,7 +206,7 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
     dates: list[dt.date] = []
     prices = array("d")
     bad: list[str] = []
-    with io.TextIOWrapper(io.BytesIO(source), newline="") as handle:
+    with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         columns = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last

@@ -35,12 +35,12 @@ def _pass(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def exact_cusum():
-    return calib.DetectorConfig(kind="cusum", model=UNIT, mode="exact")
+    return calib.DetectorConfig(kind="cusum", model=UNIT)
 
 
 @pytest.fixture(scope="module")
 def exact_sr():
-    return calib.DetectorConfig(kind="sr", model=UNIT, mode="exact")
+    return calib.DetectorConfig(kind="sr", model=UNIT)
 
 
 @pytest.fixture(scope="module")
@@ -285,9 +285,8 @@ def test_criterion_8_hst_history_reproduction():
     window = (date(2003, 3, 13), date(2003, 3, 18))
     for kind, threshold in (("cusum", 0.3), ("sr", 60.0)):
         trace = detect.run_detector(increments, kind=kind, threshold=threshold)
-        alarm = trace.first_alarm
-        assert alarm is not None, kind
-        alarm_date = returns.dates[nearest + alarm.global_time - 1]
+        assert trace.alarms.size, kind
+        alarm_date = returns.dates[nearest + trace.alarms[0] - 1]
         assert window[0] <= alarm_date <= window[1], (kind, alarm_date)
     _pass("criterion 8: PASS - HST breaks, moments and alarm dates reproduced")
 

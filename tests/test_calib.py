@@ -107,9 +107,7 @@ class TestDetectorConfig:
 
     def test_score_increments_standardize_first(self, unit_shift_model):
         params = design_coefficients(q=0.9, delta=0.5)
-        config = DetectorConfig(
-            kind="cusum", model=unit_shift_model, mode="score", score=params
-        )
+        config = DetectorConfig(kind="cusum", model=unit_shift_model, score=params)
         from quickdetect import linear_quadratic_score
 
         x = np.array([0.0, 1.0, -2.0])
@@ -121,13 +119,7 @@ class TestDetectorConfig:
     def test_degenerate_score_refused(self, unit_shift_model):
         degenerate = design_coefficients(1.0, 0.0)
         with pytest.raises(ValueError, match="identically-zero score"):
-            DetectorConfig(
-                kind="cusum", model=unit_shift_model, mode="score", score=degenerate
-            )
-
-    def test_score_mode_needs_params(self, unit_shift_model):
-        with pytest.raises(ValueError, match="score mode needs"):
-            DetectorConfig(kind="cusum", model=unit_shift_model, mode="score")
+            DetectorConfig(kind="cusum", model=unit_shift_model, score=degenerate)
 
 
 class TestDegenerateStream:
@@ -278,7 +270,7 @@ class TestSolver:
         # the solver must halve its way down with no exact-likelihood bound
         model = GaussianChangeModel(-0.0029, 0.2266, 0.0199, 0.2306)
         params = design_coefficients(0.2266 / 0.2306, 0.0228 / 0.2266)
-        config = DetectorConfig(kind="cusum", model=model, mode="score", score=params)
+        config = DetectorConfig(kind="cusum", model=model, score=params)
         spec = CalibrationSpec(gamma=25.0, replications=2_000, seed=17)
         threshold, est = solve_threshold(config, spec)
         assert abs(est.value - 25.0) <= 0.02 * 25.0
@@ -355,7 +347,7 @@ def oracle_mean(config, threshold, spec, regime="pre", stream=calib._STREAM_ARL)
 def detector(kind, mode):
     if mode == "exact":
         return DetectorConfig(kind=kind, model=GaussianChangeModel(0.0, 1.0, 1.0, 1.0))
-    return DetectorConfig(kind=kind, model=HST, mode="score", score=HST_SCORE)
+    return DetectorConfig(kind=kind, model=HST, score=HST_SCORE)
 
 
 #: thresholds from a few steps to well past the cap of gamma = 5 (500 steps)
@@ -477,9 +469,7 @@ class TestLadderStore:
         # runs on both sides of step 32, h = 1.97 / A = 917 (the score's
         # thresholds at gamma = 1000) runs to hundreds of steps, and the last
         # caps many runs at gamma = 5's cap of 500
-        config = DetectorConfig(
-            kind=kind, model=HST, mode=mode, score=HST_SCORE if mode == "score" else None
-        )
+        config = DetectorConfig(kind=kind, model=HST, score=HST_SCORE if mode == "score" else None)
         thresholds = {"cusum": (0.1, 0.8, 1.97, 6.0), "sr": (10.0, 25.0, 917.0, 1e4)}[kind]
         spec = CalibrationSpec(gamma=5.0, replications=calib._ROWS + 37, seed=3)
         rows = range(spec.replications)

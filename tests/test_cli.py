@@ -1,9 +1,9 @@
 """End-to-end tests of the command-line pipeline.
 
 Most tests drive ``cli.main`` in-process and inspect the emitted report
-files. Two run the CLI in a subprocess: one as ``python -m quickdetect.cli``,
-and one through the ``quickdetect`` console script declared in
-``pyproject.toml``. That test resolves the declared target to ``cli.main``,
+files. Three run the CLI in a subprocess: one as ``python -m quickdetect.cli``,
+one so under the C locale, and one through the ``quickdetect`` console script
+declared in ``pyproject.toml``. That test resolves the declared target to ``cli.main``,
 calls it the way the generated wrapper does (checking exit codes 0 and 2),
 and, where a ``quickdetect`` distribution is installed, also requires its
 entry-point metadata to match and the command to be on ``PATH``.
@@ -926,7 +926,7 @@ class TestTableBytes:
         expected = {}
         for kind, threshold in (("cusum", 3.0), ("sr", 30.0)):
             trace = runner(increments, kind=kind, threshold=threshold)
-            alarm_steps = {a.global_time for a in trace.alarms}
+            alarm_steps = set(trace.alarms.tolist())
             assert alarm_steps
             rows = [
                 (step, returns.dates[step - 1].isoformat(), float(v), int(step in alarm_steps))
@@ -1342,6 +1342,26 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert any(out.glob("returns-*.report.txt"))
+
+    def test_inputs_decode_as_utf8_under_the_c_locale(self, tmp_path):
+        # the same input bytes give the same series on every host: the CSV
+        # and the config file are read as UTF-8, not in the locale's encoding
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_bytes("Date,Clôse\n2021-01-04,10\n2021-01-05,11.5\n2021-01-06,11\n".encode())
+        config = tmp_path / "run.json"
+        config.write_bytes('{"schema": "date=Date,close=Clôse"}'.encode())
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        out = tmp_path / "o"
+        result = subprocess.run(
+            [sys.executable, "-m", "quickdetect.cli", "returns", "--input", str(csv_path),
+             "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert entry_map(load_report(out, "returns"), "series")["rows"]["value"] == 3
 
     def test_console_script_installed(self, price_csv, tmp_path):
         tomllib = pytest.importorskip("tomllib")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quickdetect import AlarmRecord, DetectionTrace, multi_cyclic_run, run_detector, to_ratios
+from quickdetect import DetectionTrace, multi_cyclic_run, run_detector, to_ratios
 from quickdetect.detect import _advance_with_resets, _cusum_path, _path, _sr_path
 
 #: far above any statistic the test streams reach, so nothing alarms
@@ -125,9 +125,8 @@ class TestStepValidation:
 class TestRunDetector:
     def test_alarm_at_crossing(self):
         trace = run_detector([0.4, 0.4, 0.4], kind="cusum", threshold=0.8)
-        alarm = trace.first_alarm
-        assert alarm is not None and alarm.stop_time == 2
-        assert alarm.statistic_at_stop == pytest.approx(0.8)  # >= triggers
+        assert trace.alarms.tolist() == [2]
+        assert trace.statistics[-1] == pytest.approx(0.8)  # >= triggers
 
     def test_consumption_stops_at_alarm(self):
         trace = run_detector([1.0, 1.0, 1.0, 1.0], kind="cusum", threshold=1.5)
@@ -135,13 +134,12 @@ class TestRunDetector:
 
     def test_no_alarm_is_valid(self):
         trace = run_detector([0.1, -0.2, 0.1], kind="cusum", threshold=5.0)
-        assert not trace.alarms
-        assert trace.first_alarm is None
+        assert trace.alarms.size == 0
         assert trace.increments_consumed == 3
 
     def test_trace_freezes_a_copy_of_the_callers_array(self):
         statistics = np.array([0.2, 0.9, 0.4])
-        trace = DetectionTrace(kind="cusum", threshold=1.0, statistics=statistics, alarms=())
+        trace = DetectionTrace(kind="cusum", threshold=1.0, statistics=statistics)
         statistics[0] = 7.0  # the caller's array stays writeable ...
         assert trace.statistics.tolist() == [0.2, 0.9, 0.4]  # ... and the trace keeps its own
         with pytest.raises(ValueError):
@@ -162,8 +160,8 @@ class TestRunDetector:
         stops = []
         for h in (1.0, 2.0, 3.0, 4.0):
             trace = run_detector(z, kind="cusum", threshold=h)
-            assert trace.alarms
-            stops.append(trace.first_alarm.stop_time)
+            assert trace.alarms.size == 1
+            stops.append(int(trace.alarms[0]))
         assert stops == sorted(stops)
 
 
@@ -172,29 +170,15 @@ class TestMultiCyclic:
         z = [2.0, 0.5, 0.7, 2.0, -1.0]
         trace = multi_cyclic_run(z, kind="cusum", threshold=1.5)
         # alarms at steps 1 and 4; after each, the statistic restarts from 0
-        assert [a.global_time for a in trace.alarms] == [1, 4]
+        assert trace.alarms.tolist() == [1, 4]
         np.testing.assert_allclose(trace.statistics, [2.0, 0.5, 1.2, 3.2, 0.0])
-        assert [a.cycle_index for a in trace.alarms] == [1, 2]
-        assert [a.stop_time for a in trace.alarms] == [1, 3]
+        # cycle lengths: steps from each restart to its alarm
+        assert np.diff(trace.alarms, prepend=0).tolist() == [1, 3]
 
     def test_consumes_whole_stream(self, rng):
         z = rng.normal(0.3, 1.0, size=300)
         trace = multi_cyclic_run(z, kind="cusum", threshold=2.0)
         assert trace.increments_consumed == 300
-
-    def test_true_detection_after_change_point(self):
-        z = [2.0, -1.0, -1.0, 2.0]
-        trace = multi_cyclic_run(z, kind="cusum", threshold=1.5, change_point=2)
-        # the step-1 alarm is false; the step-4 alarm is the true detection
-        assert len(trace.alarms) == 2
-        detection = trace.true_detection
-        assert detection is not None and detection.global_time == 4
-        assert trace.detection_delay == 2
-
-    def test_no_change_point_means_no_detection(self):
-        trace = multi_cyclic_run([2.0], kind="cusum", threshold=1.0)
-        assert trace.true_detection is None
-        assert trace.detection_delay is None
 
     def test_sr_cycles(self):
         # zero log increments are likelihood ratios of exactly 1
@@ -203,8 +187,7 @@ class TestMultiCyclic:
         np.testing.assert_allclose(
             trace.statistics, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
         )
-        assert [a.global_time for a in trace.alarms] == [3, 6]
-
+        assert trace.alarms.tolist() == [3, 6]
 
     @pytest.mark.parametrize("kind, threshold", [("cusum", 3.0), ("sr", 20.0)])
     def test_single_run_is_first_cycle(self, rng, kind, threshold):
@@ -214,14 +197,22 @@ class TestMultiCyclic:
             z = rng.normal(rng.uniform(-0.5, 0.3), 1.0, n)
             single = run_detector(z, kind=kind, threshold=threshold)
             cyclic = multi_cyclic_run(z, kind=kind, threshold=threshold)
-            first = cyclic.first_alarm
-            cut = first.global_time if first else n
+            cut = cyclic.alarms[0] if cyclic.alarms.size else n
             np.testing.assert_array_equal(single.statistics, cyclic.statistics[:cut])
-            assert single.first_alarm == first
+            assert single.alarms.tolist() == cyclic.alarms[:1].tolist()
 
-    @pytest.mark.parametrize("kind, threshold", [("cusum", 4.0), ("sr", 50.0)])
-    def test_restarts_match_scalar_recursion(self, rng, kind, threshold):
-        z = rng.normal(0.05, 1.0, size=2000)
+    @pytest.mark.parametrize(
+        "kind, threshold, tie",
+        [
+            pytest.param("cusum", 4.0, (), id="cusum-4.0"),
+            pytest.param("sr", 50.0, (), id="sr-50.0"),
+            # the stream opens with a statistic exactly at the threshold
+            pytest.param("cusum", 2.0, (1.0, 1.0), id="cusum-2.0-tie"),
+            pytest.param("sr", 3.0, (0.0, 0.0, 0.0), id="sr-3.0-tie"),
+        ],
+    )
+    def test_restarts_match_scalar_recursion(self, rng, kind, threshold, tie):
+        z = np.concatenate([tie, rng.normal(0.05, 1.0, size=2000)])
         statistic, expected, alarms = 0.0, [], []
         for step, increment in enumerate(z, start=1):
             if kind == "cusum":
@@ -234,17 +225,22 @@ class TestMultiCyclic:
                 statistic = 0.0
         trace = multi_cyclic_run(z, kind=kind, threshold=threshold)
         assert len(alarms) > 10
-        assert [a.global_time for a in trace.alarms] == alarms
+        assert trace.alarms.tolist() == alarms
         np.testing.assert_allclose(trace.statistics, expected, rtol=1e-9, atol=1e-12)
+        if tie:
+            assert alarms[0] == len(tie) and trace.statistics[len(tie) - 1] == threshold
+        single = run_detector(z, kind=kind, threshold=threshold)
+        assert single.alarms.tolist() == alarms[:1]
 
     def test_sr_statistic_stays_finite(self):
         # an increment beyond float range saturates instead of becoming inf
         trace = multi_cyclic_run(np.array([0.0, 800.0, 0.0]), kind="sr", threshold=1e6)
         assert np.all(np.isfinite(trace.statistics))
-        assert [a.global_time for a in trace.alarms] == [2]
+        assert trace.alarms.tolist() == [2]
         assert trace.statistics[2] == 1.0  # a fresh start after the alarm
         single = run_detector([0.0, 800.0], kind="sr", threshold=1e6)
-        assert np.isfinite(single.first_alarm.statistic_at_stop)
+        assert single.alarms.tolist() == [2]
+        assert np.isfinite(single.statistics[-1])
 
 
 def restart_loop(kind, state, z, threshold):
@@ -338,12 +334,3 @@ class TestBlockKernelsByRow:
             ]
             assert end[i] == (0.0 if expected[-1] == 7.0 else expected[-1])
 
-
-class TestAlarmRecord:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="times"):
-            AlarmRecord(0, 0, 1.0, 1.0, 1)
-        with pytest.raises(ValueError, match="threshold"):
-            AlarmRecord(1, 1, 0.5, 1.0, 1)
-        with pytest.raises(ValueError, match="cycle"):
-            AlarmRecord(1, 1, 1.0, 1.0, 0)

@@ -1,5 +1,6 @@
 """Series ingestion, moments, and diagnostics."""
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -208,6 +209,14 @@ class TestLoadCsv:
         path.write_text("Date,Price\n2021-01-04,10\n2021-01-05,11\n")
         with pytest.raises(CsvFormatError, match="missing column 'Close'"):
             load_csv(path)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self):
+        # spreadsheets export UTF-8 CSVs with a leading byte-order mark
+        data = "Date,Clôse\n2021-01-05,11.5\n2021-01-04,10\n".encode()
+        schema = CsvSchema(price_column="Clôse")
+        plain, marked = load_csv(data, schema), load_csv(codecs.BOM_UTF8 + data, schema)
+        assert marked.timestamps == plain.timestamps == (date(2021, 1, 4), date(2021, 1, 5))
+        assert_array_equal(marked.values, plain.values)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
