@@ -27,6 +27,15 @@ table holds a Python object per cell.  File names contain the command and a
 hash of the effective configuration, and report bodies contain no
 timestamps, so a rerun with the same inputs reproduces identical bytes.
 
+Each subcommand imports only the library modules it runs: its runner and
+helpers import them when called, and at import time this module loads only
+:mod:`quickdetect.detect` (for the detector kinds and modes).  A process
+that finds no bytecode cache, as in a fresh checkout or under
+``PYTHONDONTWRITEBYTECODE``, compiles every module it imports from source,
+and the program starts again for each update of a live series, so
+``segment`` never compiles the Monte Carlo code and ``calibrate`` never the
+CSV code.
+
 Exit codes: 0 success, 1 runtime failure (bad data, failed estimation),
 2 usage error.
 """
@@ -41,11 +50,14 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import calib, detect, models, offline, renewal, series
+from . import detect
+
+if TYPE_CHECKING:
+    from . import calib, models, renewal, series
 
 #: the settings that take one of a few words, as flags and in files
 _CHOICES = {"kind": detect.KINDS + ("both",), "mode": detect.MODES}
@@ -103,6 +115,8 @@ class RunConfig:
         object.__setattr__(self, "lags", tuple(int(k) for k in self.lags))
 
     def schema(self) -> series.CsvSchema:
+        from . import series
+
         return series.CsvSchema(
             date_column=self.date_column,
             price_column=self.price_column,
@@ -111,12 +125,16 @@ class RunConfig:
 
     @cached_property
     def loaded_input(self) -> tuple[str, series.PriceSeries]:
-        """SHA-256 (hex) and prices of the ``--input`` file, read once per run."""
-        path = Path(self.input)
-        if not path.is_file():
-            raise FileNotFoundError(f"no such file: {path}")
-        data = path.read_bytes()
-        return hashlib.sha256(data).hexdigest(), series.load_csv(data, self.schema())
+        """SHA-256 (hex) and prices of the ``--input`` file, hashed as it is parsed.
+
+        One chunked read feeds both, so the digest covers exactly the bytes
+        parsed and the file is never held whole.
+        """
+        from . import series
+
+        digest = hashlib.sha256()
+        prices = series.load_csv(self.input, self.schema(), digest)
+        return digest.hexdigest(), prices
 
     def canonical(self) -> dict:
         """Everything that affects results, in stable order (``out`` excluded).
@@ -358,6 +376,8 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _load_returns(config: RunConfig) -> tuple[series.PriceSeries, series.ReturnSeries]:
+    from . import series
+
     if not config.input:
         raise UsageError("this command needs --input")
     prices = config.loaded_input[1]
@@ -366,6 +386,8 @@ def _load_returns(config: RunConfig) -> tuple[series.PriceSeries, series.ReturnS
 
 def _require_model(config: RunConfig) -> models.GaussianChangeModel:
     """Change model from explicit moments, or from (q, delta) standardized."""
+    from . import models
+
     explicit = (config.mu_pre, config.sigma_pre, config.mu_post, config.sigma_post)
     if all(v is not None for v in explicit):
         return models.GaussianChangeModel(*explicit)
@@ -403,6 +425,8 @@ def _refuse_unread_flags(config: RunConfig) -> None:
 
 def _design(config: RunConfig, model: models.GaussianChangeModel) -> models.ScoreParams | None:
     """The score design a simulated detector runs on; None for the model's exact LLR."""
+    from . import models
+
     if config.mode == "exact":
         return None
     if config.q is not None and config.delta is not None:
@@ -412,6 +436,8 @@ def _design(config: RunConfig, model: models.GaussianChangeModel) -> models.Scor
 
 
 def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
+    from . import calib
+
     if config.gamma is None:
         raise UsageError("this command needs --gamma")
     return calib.CalibrationSpec(
@@ -423,10 +449,14 @@ def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
 
 
 def _policy(config: RunConfig) -> renewal.EstimationPolicy:
+    from . import renewal
+
     return renewal.EstimationPolicy(replications=config.replications, seed=config.seed)
 
 
 def _cmd_returns(config: RunConfig) -> Report:
+    from . import series
+
     prices, returns = _load_returns(config)
     moments = series.estimate_moments(returns)
     entries = (
@@ -456,6 +486,8 @@ def _moment_entries(tag: str, m: series.MomentEstimate) -> tuple[ReportEntry, ..
 
 
 def _cmd_diagnose(config: RunConfig) -> Report:
+    from . import series
+
     _, returns = _load_returns(config)
     notes: list[str] = []
     sections = []
@@ -510,6 +542,8 @@ def _cmd_diagnose(config: RunConfig) -> Report:
 
 
 def _cmd_segment(config: RunConfig) -> Report:
+    from . import offline
+
     _, returns = _load_returns(config)
     estimate, trace = offline.bd_estimate(returns)
     result = offline.bd_segment(
@@ -561,6 +595,8 @@ def _constants_entries(constants: renewal.RenewalConstants) -> tuple[ReportEntry
 
 
 def _cmd_constants(config: RunConfig) -> Report:
+    from . import renewal
+
     model = _require_model(config)
     constants = renewal.estimate_constants(model, _policy(config))
     routes: dict[str, list[str]] = {}
@@ -580,6 +616,8 @@ def _kinds(config: RunConfig) -> tuple[str, ...]:
 
 
 def _cmd_calibrate(config: RunConfig) -> Report:
+    from . import calib
+
     model = _require_model(config)
     spec = _calibration_spec(config)
     score = _design(config, model)
@@ -621,6 +659,8 @@ def _cmd_calibrate(config: RunConfig) -> Report:
 def _detect_increments(
     config: RunConfig, returns: series.ReturnSeries
 ) -> tuple[np.ndarray, tuple[str, ...]]:
+    from . import models, series
+
     notes: list[str] = []
     if config.mode == "exact":
         model = _require_model(config)
@@ -695,6 +735,8 @@ def _cmd_detect(config: RunConfig) -> Report:
 
 
 def _cmd_simulate(config: RunConfig) -> Report:
+    from . import calib, models, renewal
+
     model = _require_model(config)
     spec = _calibration_spec(config)
     score = _design(config, model)

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .series import MomentEstimate
+if TYPE_CHECKING:  # an annotation only: detectors on simulated data never load series
+    from .series import MomentEstimate
 
 
 @dataclass(frozen=True)

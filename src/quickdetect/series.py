@@ -182,23 +182,53 @@ class DiagnosticBundle:
     lag_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> PriceSeries:
-    """Load a dated price series from a CSV file, given its path or its bytes.
+class _Hashed(io.RawIOBase):
+    """A binary file read through, each byte read fed to a hash."""
 
-    Dates and prices are read into two columns, which are sorted by date
-    (stably) only when the file's dates are out of order.  Any row with an
-    unparsable date, a non-numeric price, or a non-finite or non-positive
-    price is an error naming its line in the file; so are duplicate dates and
-    files with fewer than two valid rows.  Blank lines are skipped and missing
-    fields read as empty.  Identical input bytes always produce the identical
-    series.
+    def __init__(self, file, digest) -> None:
+        super().__init__()
+        self._file, self._digest = file, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+
+def _open(source: str | Path | bytes):
+    """``source`` as a binary file: its bytes, or the file at its path."""
+    if isinstance(source, bytes):
+        return io.BytesIO(source)
+    path = Path(source)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such file: {path}")
+    return path.open("rb")
+
+
+def _text(file, errors: str = "strict") -> io.TextIOWrapper:
+    """The CSV text of a binary file: UTF-8, a leading byte-order mark dropped."""
+    return io.TextIOWrapper(file, encoding="utf-8-sig", errors=errors, newline="")
+
+
+def _undecodable(source: str | Path | bytes) -> str | None:
+    """The first line of ``source`` that is not UTF-8, numbered as csv numbers rows.
+
+    Each byte that does not decode reads as a lone surrogate under
+    ``surrogateescape``; the line holding the first one is named.
     """
-    schema = schema or CsvSchema()
-    if not isinstance(source, bytes):
-        path = Path(source)
-        if not path.is_file():
-            raise FileNotFoundError(f"no such file: {path}")
-        source = path.read_bytes()
+    with _open(source) as file, _text(file, errors="surrogateescape") as text:
+        for number, line in enumerate(text, start=1):
+            byte = next((ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"), None)
+            if byte is not None:
+                return f"line {number}: byte 0x{byte:02x} is not UTF-8"
+    return None  # the file changed after the first read
+
+
+def _read_rows(handle, schema: CsvSchema) -> tuple[list[dt.date], array, list[str]]:
+    """Dates and prices of the valid rows of CSV text, and what is wrong with the others."""
     fmt = schema.date_format
     parse_date = (
         dt.date.fromisoformat if fmt is None else lambda t: dt.datetime.strptime(t, fmt).date()
@@ -206,37 +236,64 @@ def load_csv(source: str | Path | bytes, schema: CsvSchema | None = None) -> Pri
     dates: list[dt.date] = []
     prices = array("d")
     bad: list[str] = []
-    with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        columns = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
-        for col in (schema.date_column, schema.price_column):
-            if col not in columns:
-                raise CsvFormatError(f"missing column {col!r} in header {header}")
-        date_at, price_at = columns[schema.date_column], columns[schema.price_column]
-        width = max(date_at, price_at) + 1
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row = row + [""] * (width - len(row))
-            raw_date, raw_price = row[date_at], row[price_at]
-            try:
-                date = parse_date(raw_date.strip())
-            except ValueError:
-                bad.append(f"row {reader.line_num}: unparsable date {raw_date!r}")
+    reader = csv.reader(handle)
+    header = next(reader, [])
+    columns = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
+    for col in (schema.date_column, schema.price_column):
+        if col not in columns:
+            raise CsvFormatError(f"missing column {col!r} in header {header}")
+    date_at, price_at = columns[schema.date_column], columns[schema.price_column]
+    width = max(date_at, price_at) + 1
+    for row in reader:
+        if len(row) < width:
+            if not row:
                 continue
-            try:
-                price = float(raw_price)
-            except ValueError:
-                bad.append(f"row {reader.line_num}: non-numeric price {raw_price!r}")
-                continue
-            if not 0.0 < price < math.inf:
-                sign = "non-positive" if math.isfinite(price) else "non-finite"
-                bad.append(f"row {reader.line_num}: {sign} price {raw_price!r}")
-                continue
-            dates.append(date)
-            prices.append(price)
+            row = row + [""] * (width - len(row))
+        raw_date, raw_price = row[date_at], row[price_at]
+        try:
+            date = parse_date(raw_date.strip())
+        except ValueError:
+            bad.append(f"row {reader.line_num}: unparsable date {raw_date!r}")
+            continue
+        try:
+            price = float(raw_price)
+        except ValueError:
+            bad.append(f"row {reader.line_num}: non-numeric price {raw_price!r}")
+            continue
+        if not 0.0 < price < math.inf:
+            sign = "non-positive" if math.isfinite(price) else "non-finite"
+            bad.append(f"row {reader.line_num}: {sign} price {raw_price!r}")
+            continue
+        dates.append(date)
+        prices.append(price)
+    return dates, prices, bad
+
+
+def load_csv(
+    source: str | Path | bytes, schema: CsvSchema | None = None, digest=None
+) -> PriceSeries:
+    """Load a dated price series from a CSV file, given its path or its bytes.
+
+    Dates and prices are read into two columns, which are sorted by date
+    (stably) only when the file's dates are out of order.  Any row with an
+    unparsable date, a non-numeric price, or a non-finite or non-positive
+    price is an error naming its line in the file; so are duplicate dates and
+    files with fewer than two valid rows, and a file that is not UTF-8 text
+    names its first line that does not decode.  Blank lines are skipped and
+    missing fields read as empty.  Identical input bytes always produce the
+    identical series.
+
+    A file is read in chunks, never held whole.  ``digest``, a :mod:`hashlib`
+    hash, is updated with every byte read: after a load it covers exactly
+    the bytes parsed, the whole file.
+    """
+    schema = schema or CsvSchema()
+    with _open(source) as file:
+        try:
+            with _text(file if digest is None else _Hashed(file, digest)) as handle:
+                dates, prices, bad = _read_rows(handle, schema)
+        except UnicodeDecodeError as err:
+            raise CsvFormatError(_undecodable(source) or f"not UTF-8: {err}") from None
     if bad:
         raise CsvFormatError("; ".join(bad))
     if len(dates) < 2:

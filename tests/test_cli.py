@@ -68,6 +68,17 @@ def read_table(out, command, name):
         return list(csv.DictReader(handle))
 
 
+def run_fresh(code, *args):
+    """``python -c code *args`` in a fresh interpreter that imports this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
 class TestSchemaFlag:
     def test_full_mapping(self):
         parsed = _parse_schema("date=Day,close=Px,format=%m/%d/%Y")
@@ -1239,28 +1250,36 @@ class TestMemoryGuard:
         per_row = (peaks[1] - peaks[0]) / (self.ROWS[1] - self.ROWS[0])
         assert per_row <= self.BOUNDS[command], (command, peaks, per_row)
 
+    def test_input_hashed_and_parsed_in_one_chunked_read(self, make_csv, tmp_path):
+        # the file's own bytes (about 30 a row here) are never held whole:
+        # loading peaks at the parsed columns plus a row's worth of parsing
+        rng = np.random.default_rng(11)
+        prices = 100.0 + np.abs(np.cumsum(rng.normal(0.0, 0.2266, max(self.ROWS))))
+        paths = [make_csv(prices[:rows], name=f"p{rows}.csv") for rows in self.ROWS]
+        RunConfig("returns", input=str(paths[0])).loaded_input  # imports and caches
+        peaks = []
+        for path in paths:
+            tracemalloc.start()
+            try:
+                digest, _ = RunConfig("returns", input=str(path)).loaded_input
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        per_row = (peaks[1] - peaks[0]) / (self.ROWS[1] - self.ROWS[0])
+        assert per_row <= 80, (peaks, per_row, paths[1].stat().st_size / self.ROWS[1])
+
 
 class TestEntryPoint:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second to import and only the Q-Q plot
         # and the exact renewal constants use it, so they import it themselves
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import sys, quickdetect.cli; "
-            "sys.exit('scipy.stats' in sys.modules)"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
+        result = run_fresh("import sys, quickdetect.cli; sys.exit('scipy.stats' in sys.modules)")
         assert result.returncode == 0, result.stderr or "scipy.stats was imported"
 
     def test_import_loads_no_numpy_submodule(self):
         # numpy.random and the like load on first use: importing the CLI after
         # numpy itself costs only the package's own modules
-        src = Path(__file__).resolve().parents[1] / "src"
         code = textwrap.dedent(
             """
             import sys
@@ -1271,19 +1290,104 @@ class TestEntryPoint:
             sys.exit(f"import quickdetect.cli loaded {new}" if new else 0)
             """
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_import_loads_only_cli_and_detect(self):
+        # every module a process imports is compiled from source when no
+        # bytecode cache exists, so the CLI defers all but the detector kinds
+        code = (
+            "import json, sys, quickdetect.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('quickdetect'))))"
         )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == ["quickdetect", "quickdetect.cli", "quickdetect.detect"]
+
+    #: modules each command must finish without loading
+    UNLOADED = {
+        "calibrate": ("series", "offline", "renewal"),
+        "simulate": ("series", "offline"),
+        "segment": ("calib", "models", "renewal", "_rand"),
+        "detect": ("calib", "offline", "renewal", "_rand"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(UNLOADED))
+    def test_command_loads_only_the_modules_it_runs(self, command, price_csv, tmp_path):
+        args = {
+            "calibrate": ["--q", "1", "--delta", "1", "--gamma", "10", "--replications", "200"],
+            "simulate": ["--q", "1", "--delta", "1", "--mode", "exact", "--kind", "cusum",
+                         "--gamma", "10", "--replications", "200", "--nu", "100"],
+            "segment": ["--input", str(price_csv)],
+            "detect": ["--input", str(price_csv), "--q", "1", "--delta", "1",
+                       "--train-end", "100", "--threshold-h", "3", "--threshold-a", "30"],
+        }[command]
+        code = textwrap.dedent(
+            """
+            import json, sys
+            from quickdetect.cli import main
+
+            code = main(json.loads(sys.argv[1]))
+            print(json.dumps(sorted(m for m in sys.modules if m.startswith("quickdetect."))))
+            sys.exit(code)
+            """
+        )
+        result = run_fresh(code, json.dumps([command, *args, "--out", str(tmp_path)]))
+        assert result.returncode == 0, result.stderr
+        assert list(tmp_path.glob(f"{command}-*.report.json"))
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        assert "quickdetect.cli" in loaded
+        assert sorted({f"quickdetect.{m}" for m in self.UNLOADED[command]} & set(loaded)) == []
+
+    def test_package_names_load_their_home_module_on_first_use(self):
+        code = textwrap.dedent(
+            """
+            import importlib, sys
+            import quickdetect
+
+            public = [name for name in quickdetect.__all__ if name != "__version__"]
+            assert public and sorted(m for m in sys.modules if m.startswith("quickdetect.")) == []
+            assert set(quickdetect.__all__) <= set(dir(quickdetect))
+            space = {}
+            exec("from quickdetect import *", space)
+            assert set(quickdetect.__all__) <= set(space)
+            for name in public + ["to_returns"]:
+                obj = getattr(quickdetect, name)
+                assert obj.__module__.startswith("quickdetect."), (name, obj.__module__)
+                home = importlib.import_module(obj.__module__)
+                assert getattr(home, name) is obj, name
+                assert name not in public or space[name] is obj, name
+            """
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_unknown_package_attribute_raises(self):
+        code = textwrap.dedent(
+            """
+            import quickdetect
+
+            try:
+                quickdetect.no_such_name
+            except AttributeError as err:
+                assert "no_such_name" in str(err), err
+            else:
+                raise SystemExit("quickdetect.no_such_name resolved")
+            try:
+                from quickdetect import no_such_name
+            except ImportError:
+                pass
+            else:
+                raise SystemExit("from quickdetect import no_such_name succeeded")
+            """
+        )
+        result = run_fresh(code)
         assert result.returncode == 0, result.stderr
 
     def test_commands_leave_scipy_stats_unloaded(self, price_csv, tmp_path):
         # the exact renewal series take the normal tail from math.erfc and the
         # Q-Q plot its quantiles from statistics.NormalDist, so every command
         # runs, and writes its report, with any import of scipy failing
-        src = Path(__file__).resolve().parents[1] / "src"
         model = ["--mu-pre", "0", "--sigma-pre", "0.5", "--mu-post", "0.6", "--sigma-post", "0.7"]
         commands = [
             ["returns", "--input", str(price_csv)],
@@ -1319,13 +1423,7 @@ class TestEntryPoint:
             sys.exit(codes != [0] * len(codes) or loaded or "scipy.stats" in sys.modules)
             """
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "o"), json.dumps(commands)],
-            env=env, capture_output=True, text=True,
-        )
+        result = run_fresh(code, str(tmp_path / "o"), json.dumps(commands))
         assert result.returncode == 0, result.stdout + result.stderr
         for command, count in (("returns", 1), ("diagnose", 1), ("segment", 1), ("detect", 1),
                                ("calibrate", 1), ("simulate", 1), ("constants", 2)):

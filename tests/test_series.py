@@ -3,6 +3,7 @@
 import codecs
 import csv
 import datetime as dt
+import hashlib
 import io
 from datetime import date
 
@@ -221,6 +222,38 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
+
+    LONG = "Date,Close\n" + "".join(f"{date(2000, 1, 1) + dt.timedelta(i)},{i + 1}\n" for i in range(900))
+
+    @pytest.mark.parametrize(
+        "data, line, byte",
+        [
+            (b"Date,Cl\xf4se\n2021-01-04,10\n2021-01-05,11\n", 1, 0xF4),  # header
+            (b"Date,Close\n2021-01-04,10\n\n2021-01-05,1\xe91\r\n2021-01-06,12\n", 4, 0xE9),
+            (LONG.encode()[:-3] + b"\xc3(\n", 901, 0xC3),  # past the first chunk read
+            (codecs.BOM_UTF8 + b"Date,Close\n2021-01-04,10\n2021-01-05,11\xc3", 3, 0xC3),  # cut short
+        ],
+    )
+    @pytest.mark.parametrize("from_path", [False, True], ids=["bytes", "path"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, data, line, byte, from_path):
+        source = data
+        if from_path:
+            source = tmp_path / "latin.csv"
+            source.write_bytes(data)
+        with pytest.raises(CsvFormatError, match=f"^line {line}: byte 0x{byte:02x} is not UTF-8$"):
+            load_csv(source)
+
+    @pytest.mark.parametrize("from_path", [False, True], ids=["bytes", "path"])
+    def test_digest_covers_the_bytes_parsed(self, tmp_path, from_path):
+        data = codecs.BOM_UTF8 + self.LONG.encode()
+        source = data
+        if from_path:
+            source = tmp_path / "long.csv"
+            source.write_bytes(data)
+        digest = hashlib.sha256()
+        series = load_csv(source, digest=digest)
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert len(series) == 900 and series.values[-1] == 900.0
 
 
 class TestPriceSeries:
