@@ -83,51 +83,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcfResult",
-    "BDTrace",
-    "CalibrationError",
-    "CalibrationSpec",
-    "CsvFormatError",
-    "CsvSchema",
-    "DetectionTrace",
-    "DetectorConfig",
-    "DiagnosticBundle",
-    "Estimate",
-    "EstimationPolicy",
-    "GaussianChangeModel",
-    "MomentEstimate",
-    "PerformanceEstimate",
-    "PriceSeries",
-    "RenewalConstants",
-    "ReturnSeries",
-    "ScoreParams",
-    "SegmentationResult",
-    "acf",
-    "arl_approx",
-    "bd_estimate",
-    "bd_segment",
-    "bd_statistic",
-    "delay_approx",
-    "design_coefficients",
-    "diagnostics",
-    "estimate_arl",
-    "estimate_constants",
-    "estimate_moments",
-    "estimate_sadd",
-    "estimate_stadd",
-    "kl_numbers",
-    "linear_quadratic_score",
-    "llr",
-    "load_csv",
-    "multi_cyclic_run",
-    "null_threshold",
-    "run_detector",
-    "solve_threshold",
-    "standardize",
-    "to_ratios",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
 
 
 def __getattr__(name: str):

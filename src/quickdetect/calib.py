@@ -156,8 +156,6 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.score is not None and self.score.is_degenerate:
-            raise ValueError("refusing to run an identically-zero score")
 
     def log_increments(self, x: np.ndarray) -> np.ndarray:
         """Map raw observations to log-scale detector increments."""

@@ -12,9 +12,9 @@ Subcommands::
 
 One table, ``_COMMANDS``, names each subcommand's runner, help line and
 flags; the flags are ``RunConfig`` fields, spelled ``--`` plus the field name
-with ``-`` for ``_``.  A flag and a key of an optional ``--config`` JSON file
-share one per-field type, read from the field's annotation, and flags always
-override file values.  A file number in a float field reads as a float, so a
+with ``-`` for ``_``.  An optional ``--config`` JSON file may set only the
+command's own flags.  A flag and a file key share one per-field type, read
+from the field's annotation, and flags always override file values.  A file number in a float field reads as a float, so a
 file and a flag that give one setting give one configuration hash.  What the
 program can work out itself takes no setting: the renewal series and walks
 run until they settle, and a threshold is read off the whole Monte Carlo ARL
@@ -331,7 +331,7 @@ def _file_value(value, annotation: str):
 
 def _check_file_types(loaded: dict, path: Path) -> dict:
     """Config-file values as their fields hold them; refuse one that does not fit."""
-    typed = dict(loaded)  # unknown keys are refused once merged with the flags
+    typed = dict(loaded)  # parse_config refuses a key that is no flag of the command
     for key, value in loaded.items():
         if key not in _ANNOTATIONS:
             continue
@@ -363,15 +363,16 @@ def parse_config(argv: list[str]) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         merged.update(_check_file_types(loaded, path))
+        unknown = set(merged) - (set(_COMMANDS[command].flags) - {"config"})
+        if unknown:
+            raise ValueError(
+                f"unknown config keys: {sorted(unknown)} ({command} reads only its own flags)"
+            )
     merged.update(given)
     if "schema" in merged:
         merged.update(_parse_schema(merged.pop("schema")))
     if isinstance(merged.get("lags"), str):
         merged["lags"] = tuple(int(k) for k in merged["lags"].split(","))
-    valid = {f.name for f in fields(RunConfig)} - {"command"}
-    unknown = set(merged) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(command=command, **merged)
 
 
@@ -384,55 +385,59 @@ def _load_returns(config: RunConfig) -> tuple[series.PriceSeries, series.ReturnS
     return prices, series.to_returns(prices)
 
 
-def _require_model(config: RunConfig) -> models.GaussianChangeModel:
-    """Change model from explicit moments, or from (q, delta) standardized."""
-    from . import models
-
-    explicit = (config.mu_pre, config.sigma_pre, config.mu_post, config.sigma_post)
-    if all(v is not None for v in explicit):
-        return models.GaussianChangeModel(*explicit)
-    if any(v is not None for v in explicit):
-        raise UsageError("give all four of --mu-pre/--sigma-pre/--mu-post/--sigma-post")
-    if config.q is not None and config.delta is not None:
-        design = models.design_coefficients(config.q, config.delta)  # refuses q <= 0
-        return models.GaussianChangeModel(0.0, 1.0, design.delta, 1.0 / design.q)
-    raise UsageError("give a model via the four moment flags, or --q/--delta outside detect")
-
-
-def _refuse_unread_flags(config: RunConfig) -> None:
+def _refuse(unread: list[str], why: str) -> None:
     """Refuse model flags that this run would not read, naming them (usage error)."""
-    given = [f for f in _MODEL + ("train_end",) if getattr(config, f) is not None]
-    moments = [f for f in given if f in _MOMENTS]
-    design = [f for f in given if f in ("q", "delta")]
-    score_detect = config.command == "detect" and config.mode == "score"
-    if len(design) == 1:
-        unread, why = design, "give --q and --delta together"
-    elif score_detect and moments:
-        unread, why = moments, "detect --mode score standardizes by moments of the series"
-    elif config.command == "detect" and not score_detect and "train_end" in given:
-        unread, why = ["train_end"], "detect --mode exact fits nothing to the series"
-    elif config.command == "detect" and not score_detect and design:
-        unread, why = design, "detect --mode exact reads its model from the four moment flags"
-    elif design and len(moments) == 4 and not (
-        config.mode == "score" and config.command in ("calibrate", "simulate")
-    ):
-        unread, why = design, "next to the moment flags only a score design reads them"
-    else:
-        return
     flags = "/".join("--" + f.replace("_", "-") for f in unread)
     raise UsageError(f"{flags} would be ignored: {why}")
 
 
-def _design(config: RunConfig, model: models.GaussianChangeModel) -> models.ScoreParams | None:
-    """The score design a simulated detector runs on; None for the model's exact LLR."""
+def _detector(
+    config: RunConfig,
+) -> tuple[models.GaussianChangeModel | None, models.ScoreParams | None]:
+    """The change model and the score design that this run reads from its flags.
+
+    ``(model, None)`` runs the model's exact LLR, and ``(model, design)`` the
+    design's score on observations standardized by the model's pre-change
+    moments.  ``detect --mode score`` standardizes by moments of the series:
+    ``(None, design)`` with ``--q/--delta``, ``(None, None)`` for the design
+    it fits at ``--train-end``.  Each model flag that the run would not read
+    is refused beside the read it would miss, before any input is read.
+    """
     from . import models
 
-    if config.mode == "exact":
-        return None
-    if config.q is not None and config.delta is not None:
-        return models.design_coefficients(config.q, config.delta)
-    std = model.standardized
-    return models.design_coefficients(1.0 / std.sigma_post, std.mu_post)
+    moments = [f for f in _MOMENTS if getattr(config, f) is not None]
+    pair = [f for f in ("q", "delta") if getattr(config, f) is not None]
+    if len(pair) == 1:
+        _refuse(pair, "give --q and --delta together")
+    scored = config.mode == "score" and config.command != "constants"
+    if config.command == "detect":
+        if scored:
+            if moments:
+                _refuse(moments, "detect --mode score standardizes by moments of the series")
+            if pair:
+                return None, models.design_coefficients(config.q, config.delta)
+            if config.train_end is None:
+                raise UsageError("score mode needs --q/--delta or --train-end")
+            return None, None
+        if config.train_end is not None:
+            _refuse(["train_end"], "detect --mode exact fits nothing to the series")
+        if pair:
+            _refuse(pair, "detect --mode exact reads its model from the four moment flags")
+    if moments:
+        if len(moments) < 4:
+            raise UsageError("give all four of --mu-pre/--sigma-pre/--mu-post/--sigma-post")
+        if pair and not scored:
+            _refuse(pair, "next to the moment flags only a score design reads them")
+        model = models.GaussianChangeModel(*(getattr(config, f) for f in _MOMENTS))
+        if not scored:
+            return model, None
+        std = model.standardized
+        target = (config.q, config.delta) if pair else (1.0 / std.sigma_post, std.mu_post)
+        return model, models.design_coefficients(*target)
+    if not pair:
+        raise UsageError("give a model via the four moment flags, or --q/--delta outside detect")
+    design = models.design_coefficients(config.q, config.delta)
+    return design.model, design if scored else None
 
 
 def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
@@ -597,7 +602,7 @@ def _constants_entries(constants: renewal.RenewalConstants) -> tuple[ReportEntry
 def _cmd_constants(config: RunConfig) -> Report:
     from . import renewal
 
-    model = _require_model(config)
+    model, _ = _detector(config)
     constants = renewal.estimate_constants(model, _policy(config))
     routes: dict[str, list[str]] = {}
     for name, est in _estimates(constants).items():
@@ -618,9 +623,8 @@ def _kinds(config: RunConfig) -> tuple[str, ...]:
 def _cmd_calibrate(config: RunConfig) -> Report:
     from . import calib
 
-    model = _require_model(config)
+    model, score = _detector(config)
     spec = _calibration_spec(config)
-    score = _design(config, model)
     sections = []
     for kind in _kinds(config):
         detector = calib.DetectorConfig(kind, model, score)
@@ -656,42 +660,50 @@ def _cmd_calibrate(config: RunConfig) -> Report:
     )
 
 
+def _varying_moments(
+    returns: series.ReturnSeries, interval: tuple[int, int]
+) -> series.MomentEstimate:
+    """Moments of the differences over ``interval``; a constant stretch is refused."""
+    from . import series
+
+    moments = series.estimate_moments(returns, interval)
+    if moments.is_degenerate:
+        raise ValueError(f"differences [{interval[0]}, {interval[1]}) have zero variance")
+    return moments
+
+
 def _detect_increments(
-    config: RunConfig, returns: series.ReturnSeries
+    config: RunConfig,
+    returns: series.ReturnSeries,
+    model: models.GaussianChangeModel | None,
+    design: models.ScoreParams | None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The increments of :func:`_detector`'s model or design over the series, and notes."""
     from . import models, series
 
-    notes: list[str] = []
-    if config.mode == "exact":
-        model = _require_model(config)
-        return models.llr(model, returns.values), tuple(notes)
-    if config.q is not None and config.delta is not None:
-        params = models.design_coefficients(config.q, config.delta)
-        train = None if config.train_end is None else (0, config.train_end)
-        moments = series.estimate_moments(returns, train)
-        notes.append(
-            f"standardized by moments over [{moments.interval[0]}, {moments.interval[1]})"
-        )
-    elif config.train_end is not None:
-        pre = series.estimate_moments(returns, (0, config.train_end))
-        post = series.estimate_moments(returns, (config.train_end, len(returns)))
-        params = models.design_coefficients(
-            q=pre.sd / post.sd, delta=(post.mean - pre.mean) / pre.sd
-        )
-        moments = pre
-        notes.append(
-            f"score design fitted from the split at {config.train_end}: "
-            f"q={params.q:.6g}, delta={params.delta:.6g}"
-        )
+    if model is not None:
+        return models.llr(model, returns.values), ()
+    train = (0, len(returns) if config.train_end is None else config.train_end)
+    moments = _varying_moments(returns, train)
+    if design is not None:
+        notes = (f"standardized by moments over [{train[0]}, {train[1]})",)
     else:
-        raise UsageError("score mode needs --q/--delta or --train-end")
+        post = _varying_moments(returns, (config.train_end, len(returns)))
+        design = models.design_coefficients(
+            q=moments.sd / post.sd, delta=(post.mean - moments.mean) / moments.sd
+        )
+        notes = (
+            f"score design fitted from the split at {config.train_end}: "
+            f"q={design.q:.6g}, delta={design.delta:.6g}",
+        )
     standardized = series.standardize(returns, moments)
-    return models.linear_quadratic_score(params, standardized.values), tuple(notes)
+    return models.linear_quadratic_score(design, standardized.values), notes
 
 
 def _cmd_detect(config: RunConfig) -> Report:
+    model, design = _detector(config)
     _, returns = _load_returns(config)
-    increments, notes = _detect_increments(config, returns)
+    increments, notes = _detect_increments(config, returns, model, design)
     dates = returns.dates
     thresholds = {"cusum": config.threshold_h, "sr": config.threshold_a}
     sections = []
@@ -735,11 +747,10 @@ def _cmd_detect(config: RunConfig) -> Report:
 
 
 def _cmd_simulate(config: RunConfig) -> Report:
-    from . import calib, models, renewal
+    from . import calib, renewal
 
-    model = _require_model(config)
+    model, score = _detector(config)
     spec = _calibration_spec(config)
-    score = _design(config, model)
     detectors = [calib.DetectorConfig(kind, model, score) for kind in _kinds(config)]
     constants = renewal.estimate_constants(model, _policy(config))
     arl_numbers = (constants.i_f, constants.i_g, constants.zeta.value)
@@ -748,13 +759,11 @@ def _cmd_simulate(config: RunConfig) -> Report:
         f"stationary delay estimated at nu={spec.nu_stationary} (doubling checked within "
         "2*hypot(se_nu, se_2nu), about four standard errors of the difference)",
     ]
-    # a --q/--delta score is the LLR of N(0, 1) -> N(delta, 1/q^2), the model's
-    # own only up to rounding; the detectors above refused q <= 0 and q=1, delta=0
-    design = None
-    if config.mode == "score" and config.q is not None and config.delta is not None:
-        design = models.GaussianChangeModel(0.0, 1.0, config.delta, 1.0 / config.q)
+    # a score is the LLR of its design's model N(0, 1) -> N(delta, 1/q^2), the
+    # model's own only up to rounding
     own = model.standardized
-    own_design = design is None or all(
+    design = own if score is None else score.model
+    own_design = all(
         math.isclose(a, b, rel_tol=1e-12)
         for a, b in ((design.mu_post, own.mu_post), (design.sigma_post, own.sigma_post))
     )
@@ -764,7 +773,7 @@ def _cmd_simulate(config: RunConfig) -> Report:
         arl_numbers = (*renewal.kl_numbers(design), zeta.value)
         notes += [
             "approx-arl from the renewal constants of the score design's model "
-            f"N(0, 1) -> N({config.delta!r}, 1/{config.q!r}^2)",
+            f"N(0, 1) -> N({score.delta!r}, 1/{score.q!r}^2)",
             "no approx delay lines: the score design differs from the model, and the "
             "model's LLR constants do not describe the score after the change",
         ]
@@ -808,7 +817,7 @@ _MOMENTS = ("mu_pre", "sigma_pre", "mu_post", "sigma_post")
 _MODEL = _MOMENTS + ("q", "delta")
 #: help lines of the flags that have one
 _HELP = {
-    "config": "JSON file with defaults for any flag",
+    "config": "JSON file with defaults for this command's flags",
     "seed": "master seed for all randomness",
     "out": "output directory (default: current)",
     "input": "price CSV file",
@@ -853,8 +862,6 @@ _COMMANDS = {
 
 def execute(config: RunConfig) -> Report:
     """Run one configured command and return its report."""
-    if "q" in _COMMANDS[config.command].flags:
-        _refuse_unread_flags(config)
     return _COMMANDS[config.command].run(config)
 
 

@@ -12,17 +12,18 @@ consume per-observation increments built here in one of two ways:
 Both are log-scale increments: CUSUM adds them and Shiryaev-Roberts
 exponentiates them (see :mod:`quickdetect.detect`).
 
-The linear-quadratic design with coefficients ``C1 = delta*q^2``,
-``C2 = (1 - q^2)/2``, ``C3 = delta^2*q^2/2 - log(q)`` reproduces the exact
-LLR for standardized data: if ``x ~ N(0,1)`` pre-change and
-``x ~ N(delta, 1/q^2)`` post-change, then ``C1*x + C2*x^2 - C3`` equals the
-LLR identically.
+A score design is its target ``(q, delta)``: the standardized change
+``N(0, 1) -> N(delta, 1/q^2)``, which :attr:`ScoreParams.model` returns.
+Its coefficients ``C1 = delta*q^2``, ``C2 = (1 - q^2)/2`` and
+``C3 = delta^2*q^2/2 - log(q)`` make ``C1*x + C2*x^2 - C3`` that model's
+exact LLR identically.  The no-change design ``q = 1, delta = 0`` has an
+identically zero score and is refused when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,30 +96,38 @@ def llr(model: GaussianChangeModel, x):
 
 @dataclass(frozen=True)
 class ScoreParams:
-    """Coefficients of the linear-quadratic score ``C1*x + C2*x^2 - C3``.
+    """A linear-quadratic score design ``(q, delta)`` and its coefficients.
 
-    ``q`` and ``delta`` record the design target (pre-change sd over
-    post-change sd, and the standardized mean shift).  A degenerate design
-    (identically zero score, e.g. ``q=1, delta=0``) is constructible so that
-    callers can probe it, but detectors refuse to run on one.
+    ``q`` is the pre-change sd over the post-change sd and ``delta`` the
+    standardized mean shift of the change the design targets, ``N(0, 1) ->
+    N(delta, 1/q^2)`` (:attr:`model`).  ``C1``, ``C2`` and ``C3`` of the score
+    ``C1*x + C2*x^2 - C3`` follow from them (see :func:`design_coefficients`).
+    The no-change design ``q = 1, delta = 0``, whose score is identically
+    zero, is refused.
     """
 
-    c1: float
-    c2: float
-    c3: float
-    q: float = 1.0
-    delta: float = 0.0
+    q: float
+    delta: float
+    c1: float = field(init=False)
+    c2: float = field(init=False)
+    c3: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3", "q", "delta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.q <= 0.0:
-            raise ValueError("q must be positive")
+        if not (np.isfinite(self.q) and self.q > 0.0):
+            raise ValueError("q must be a positive finite real")
+        if not np.isfinite(self.delta):
+            raise ValueError("delta must be finite")
+        if self.q == 1.0 and self.delta == 0.0:
+            raise ValueError("q=1, delta=0 is the no-change design: its score is identically zero")
+        q2 = self.q * self.q
+        object.__setattr__(self, "c1", self.delta * q2)
+        object.__setattr__(self, "c2", (1.0 - q2) / 2.0)
+        object.__setattr__(self, "c3", self.delta * self.delta * q2 / 2.0 - math.log(self.q))
 
     @property
-    def is_degenerate(self) -> bool:
-        return self.c1 == 0.0 and self.c2 == 0.0 and self.c3 == 0.0
+    def model(self) -> GaussianChangeModel:
+        """The standardized change ``N(0, 1) -> N(delta, 1/q^2)`` whose LLR the score is."""
+        return GaussianChangeModel(0.0, 1.0, self.delta, 1.0 / self.q)
 
 
 def design_coefficients(q: float, delta: float) -> ScoreParams:
@@ -126,21 +135,9 @@ def design_coefficients(q: float, delta: float) -> ScoreParams:
 
     ``C1 = delta*q^2``, ``C2 = (1 - q^2)/2``, ``C3 = delta^2*q^2/2 - log(q)``.
     With these coefficients the score equals the exact LLR of
-    ``N(0,1) -> N(delta, 1/q^2)``.  ``q = 1, delta = 0`` yields the tagged
-    degenerate design.
+    ``N(0,1) -> N(delta, 1/q^2)``.
     """
-    if not (np.isfinite(q) and q > 0.0):
-        raise ValueError("q must be a positive finite real")
-    if not np.isfinite(delta):
-        raise ValueError("delta must be finite")
-    q2 = q * q
-    return ScoreParams(
-        c1=delta * q2,
-        c2=(1.0 - q2) / 2.0,
-        c3=delta * delta * q2 / 2.0 - math.log(q),
-        q=q,
-        delta=delta,
-    )
+    return ScoreParams(q, delta)
 
 
 def linear_quadratic_score(params: ScoreParams, x):

@@ -116,11 +116,6 @@ class TestDetectorConfig:
             config.log_increments(x), linear_quadratic_score(params, x)
         )
 
-    def test_degenerate_score_refused(self, unit_shift_model):
-        degenerate = design_coefficients(1.0, 0.0)
-        with pytest.raises(ValueError, match="identically-zero score"):
-            DetectorConfig(kind="cusum", model=unit_shift_model, score=degenerate)
-
 
 class TestDegenerateStream:
     """Ratio identically one: the SR statistic is exactly R_n = n."""

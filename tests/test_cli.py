@@ -196,12 +196,47 @@ class TestConfigParsing:
         assert f"usage error: config file {path}: {key!r} takes" in capsys.readouterr().err
 
     def test_value_types_that_fit(self, tmp_path):
+        # each file holds keys of its own command only
+        given = {
+            "simulate": {"gamma": 100, "mu_pre": None, "seed": 3},
+            "detect": {"multi_cyclic": True, "mu_pre": None},
+            "diagnose": {"lags": "2,4", "seed": 3},
+        }
+        configs = {}
+        for command, values in given.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(values))
+            configs[command] = cli.parse_config([command, "--config", str(path)])
+        simulate, detect, diagnose = configs.values()
+        assert (simulate.gamma, simulate.mu_pre, simulate.seed) == (100, None, 3)
+        assert (detect.multi_cyclic, detect.mu_pre) == (True, None)
+        assert (diagnose.lags, diagnose.seed) == ((2, 4), 3)
+
+    @pytest.mark.parametrize(
+        "command,values,named",
+        [
+            ("calibrate", {"bins": 5, "nu": 7, "threshold_a": 3.0},
+             "['bins', 'nu', 'threshold_a']"),
+            ("returns", {"date_column": "Day"}, "['date_column']"),
+            ("constants", {"mode": "exact"}, "['mode']"),
+            ("segment", {"config": "other.json"}, "['config']"),
+        ],
+        ids=["flags-of-other-commands", "schema-field", "constants-mode", "config"],
+    )
+    def test_file_keys_that_are_not_flags_of_the_command_are_refused(
+        self, price_csv, tmp_path, capsys, command, values, named
+    ):
+        # as flags these settings are usage errors; a file key is no different
         path = tmp_path / "run.json"
-        values = {"gamma": 100, "mu_pre": None, "multi_cyclic": True, "lags": "2,4", "seed": 3}
         path.write_text(json.dumps(values))
-        config = cli.parse_config(["simulate", "--config", str(path)])
-        assert (config.gamma, config.mu_pre, config.multi_cyclic) == (100, None, True)
-        assert (config.lags, config.seed) == ((2, 4), 3)
+        args = {
+            "calibrate": ["--q", "1", "--delta", "1", "--gamma", "100", "--replications", "400"],
+            "constants": ["--q", "1", "--delta", "1"],
+        }.get(command, ["--input", str(price_csv)])
+        assert run_cli([command, *args, "--config", str(path)], tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"usage error: unknown config keys: {named} ({command} reads only" in err
+        assert not (tmp_path / "o").exists()
 
 
 #: the Python type of each annotation base of a ``RunConfig`` field
@@ -492,6 +527,60 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert run_cli(["returns", "--input", str(bad)], tmp_path) == 1
+
+    def test_refusal_comes_before_the_input_is_read(self, tmp_path, capsys):
+        args = ["detect", "--mode", "exact", "--q", "1", "--delta", "1",
+                "--input", str(tmp_path / "missing.csv"), "--threshold-h", "5"]
+        assert run_cli(args, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "usage error: --q/--delta would be ignored: " in err
+        assert "no such file" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["detect", "--mode", "score", "--multi-cyclic", "--threshold-a", "10",
+             "--threshold-h", "1"],
+            ["calibrate", "--gamma", "10", "--replications", "50"],
+            ["simulate", "--gamma", "10", "--replications", "50"],
+            ["constants"],
+        ],
+        ids=["detect", "calibrate", "simulate", "constants"],
+    )
+    def test_no_change_design_is_refused_by_every_command(
+        self, price_csv, tmp_path, capsys, args
+    ):
+        # every increment of q=1, delta=0 is zero, so SR would alarm every A
+        # steps on any data; detect ran it, and the others refused it apart
+        if args[0] == "detect":
+            args = [*args, "--input", str(price_csv)]
+        assert run_cli([*args, "--q", "1", "--delta", "0"], tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "error: q=1, delta=0 is the no-change design" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "design,constant,interval",
+        [
+            ([], "train", "[0, 100)"),
+            ([], "post", "[100, 199)"),
+            (["--q", "0.9", "--delta", "0.5"], "train", "[0, 100)"),
+        ],
+        ids=["fitted-train", "fitted-post", "given-design-train"],
+    )
+    def test_constant_stretch_names_its_interval(
+        self, make_csv, tmp_path, capsys, design, constant, interval
+    ):
+        # an unchanged close repeats its price exactly: a difference of 0.0
+        diffs = np.random.default_rng(3).normal(0.0, 1.0, 199)
+        diffs[slice(0, 100) if constant == "train" else slice(100, None)] = 0.0
+        csv_path = make_csv(100.0 + np.concatenate([[0.0], np.cumsum(diffs)]))
+        args = ["detect", "--input", str(csv_path), *design, "--train-end", "100",
+                "--threshold-h", "5"]
+        assert run_cli(args, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert f"error: differences {interval} have zero variance" in err
+        assert not (tmp_path / "o").exists()
 
     def test_partial_moment_flags(self, tmp_path, capsys):
         code = run_cli(
@@ -1351,12 +1440,14 @@ class TestEntryPoint:
             space = {}
             exec("from quickdetect import *", space)
             assert set(quickdetect.__all__) <= set(space)
-            for name in public + ["to_returns"]:
+            exported = {name for names in quickdetect._EXPORTS.values() for name in names}
+            assert exported == set(public) and exported <= set(space)
+            for name in public:
                 obj = getattr(quickdetect, name)
                 assert obj.__module__.startswith("quickdetect."), (name, obj.__module__)
                 home = importlib.import_module(obj.__module__)
                 assert getattr(home, name) is obj, name
-                assert name not in public or space[name] is obj, name
+                assert space[name] is obj, name
             """
         )
         result = run_fresh(code)

@@ -76,9 +76,12 @@ class TestScoreDesign:
             params = design_coefficients(q, delta)
             model = GaussianChangeModel(0.0, 1.0, delta, 1.0 / q)
             x = rng.normal(0.0, 3.0, size=2000)
-            np.testing.assert_allclose(
-                linear_quadratic_score(params, x), llr(model, x), atol=1e-10
-            )
+            grid = np.linspace(-6.0, 6.0, 241)
+            # the design's own model is that change, and the score its LLR
+            for target, points in ((model, x), (params.model, grid)):
+                np.testing.assert_allclose(
+                    linear_quadratic_score(params, points), llr(target, points), atol=1e-10
+                )
 
     def test_fitted_coefficients_frozen(self):
         # moments mu_pre=-0.0029 sd_pre=0.2266, mu_post=0.0199 sd_post=0.2306
@@ -118,12 +121,23 @@ class TestScoreDesign:
         se = np.std(ratios, ddof=1) / np.sqrt(z.size)
         assert abs(np.mean(ratios) - 1.0) < 4.0 * se
 
-    def test_degenerate_design_flagged(self):
-        assert design_coefficients(1.0, 0.0).is_degenerate
-        assert not design_coefficients(0.9, 0.0).is_degenerate
-        with pytest.raises(ValueError):
-            design_coefficients(-1.0, 0.0)
+    @pytest.mark.parametrize("delta", [0.0, -0.0])
+    def test_no_change_design_refused(self, delta):
+        # q = 1, delta = 0 targets no change: its score is identically zero
+        with pytest.raises(ValueError, match="q=1, delta=0 is the no-change design"):
+            design_coefficients(1.0, delta)
+        # a design next to it is a change, and its score is not zero
+        for q, nearby in [(0.9, delta), (1.0, 1e-300), (math.nextafter(1.0, 2.0), delta)]:
+            params = design_coefficients(q, nearby)
+            assert (params.c1, params.c2, params.c3) != (0.0, 0.0, 0.0)
 
     def test_scoreparams_validation(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoreParams(c1=np.inf, c2=0.0, c3=0.0)
+        with pytest.raises(ValueError, match="q must be a positive finite real"):
+            ScoreParams(np.inf, 0.0)
+        with pytest.raises(ValueError, match="q must be a positive finite real"):
+            design_coefficients(-1.0, 0.0)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ScoreParams(0.9, np.nan)
+        # the coefficients follow from (q, delta) and are not given
+        with pytest.raises(TypeError):
+            ScoreParams(0.9, 0.1, c1=0.0)
