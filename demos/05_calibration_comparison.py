@@ -29,12 +29,14 @@ spec = CalibrationSpec(
 print(f"target mean time to false alarm: {GAMMA:.0f} observations")
 print(f"{'':8s}{'threshold':>12s}{'MC ARL':>10s}{'SADD':>9s}{'STADD':>9s}")
 
+configs = [DetectorConfig(kind=kind, model=model) for kind in ("cusum", "sr")]
+solved = [solve_threshold(config, spec) for config in configs]
+# both kinds read one pre-change walk per replication, drawn once
+stadds = estimate_stadd(configs, [threshold for threshold, _ in solved], spec)
 rows = {}
-for kind in ("cusum", "sr"):
-    config = DetectorConfig(kind=kind, model=model)
-    threshold, arl = solve_threshold(config, spec)
+for config, (threshold, arl), stadd in zip(configs, solved, stadds):
+    kind = config.kind
     sadd = estimate_sadd(config, threshold, spec)
-    stadd = estimate_stadd(config, threshold, spec)
     rows[kind] = (sadd, stadd)
     shown = f"{threshold:.3f}" if kind == "cusum" else f"{threshold:.1f}"
     print(f"{kind:8s}{shown:>12s}{arl.value:>10.1f}"

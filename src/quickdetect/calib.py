@@ -40,9 +40,12 @@ threshold at once (the threshold solve reads it every round once it sums to
 the curve's steps next to ``gamma``, need.  The one-shot estimators
 (:func:`estimate_arl`, :func:`estimate_sadd`) ask one threshold of a store
 per run of ``_ROWS`` replications.  The STADD pre-change walk restarts after
-every alarm, so it depends on the threshold and is drawn per call; the walk
-to ``nu`` is the first half of the walk to ``2 * nu``, and one post-change
-stream per replication serves both change points.
+every alarm, so it depends on the threshold and is run per call, but its
+draws do not: one call of :func:`estimate_stadd` takes every detector that
+reads one model and one score, draws each replication's pre-change stream
+once, and runs each detector's restart loop on the same increments.  The
+walk to ``nu`` is the first half of the walk to ``2 * nu``, and one
+post-change stream per replication serves both change points of a detector.
 
 Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them fails any estimate.
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -236,7 +239,8 @@ class _Runs:
 
     def draw(self, runs: np.ndarray) -> None:
         """One round for every row with a run in the mask ``runs``, ``_ROWS`` rows per array."""
-        rows = np.unique(self.row[runs])
+        # the rows in order, as np.unique would give them without loading numpy.ma
+        rows = np.flatnonzero(runs.reshape(-1, self.drawn.size).any(axis=0))
         for lo in range(0, rows.size, _ROWS):
             self._advance(rows[lo : lo + _ROWS])
 
@@ -321,7 +325,9 @@ def _by_chunks(
         t, c = simulate(rows, first)
         times.append(t)
         capped.append(c)
-        first = _BLOCK // 8 if np.median(t) <= _BLOCK // 8 else _BLOCK
+        # the median is the mean of the middle two (np.median would load numpy.ma)
+        middle = np.sort(t, axis=None)[[(t.size - 1) // 2, t.size // 2]]
+        first = _BLOCK // 8 if middle.sum() <= 2 * (_BLOCK // 8) else _BLOCK
     return np.concatenate(times, axis=-1), np.concatenate(capped, axis=-1)
 
 
@@ -369,77 +375,104 @@ def estimate_sadd(
 
 
 def _stadd_delays(
-    config: DetectorConfig, threshold: float, spec: CalibrationSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delays after a change at ``nu`` and at ``2 * nu``, for every replication.
+    configs: Sequence[DetectorConfig], thresholds: Sequence[float], spec: CalibrationSpec
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Delays after a change at ``nu`` and at ``2 * nu``, per detector, for every replication.
 
     The pre-change walks, with restarts, run ``8 * _ROWS`` replications at a
     time as the rows of one array, each once to ``2 * nu``.  Every row draws
     ``_BLOCK`` steps at a time, the steps a walk to either change point
-    uses, ``_ROWS`` rows per draw into one block; the restart loop takes the
-    block in slices of ``_BLOCK // 8`` steps, and the slice holding ``nu`` is
-    cut there for the state at ``nu``.  After an alarm that loop evaluates
-    its rows again to the end of the slice it was given, so short slices
-    bound that work, and wide arrays pay numpy's per-call cost once for more
-    rows.  Both states of a replication then read its one post-change
-    stream, in stores of ``_ROWS`` replications through :func:`_by_chunks`.
-    Returns delays and capped masks of shape ``(2, replications)``.
+    uses, ``_ROWS`` rows per draw into one block, once for all detectors:
+    they share one model and one score, so the first one's increments are
+    every one's.  Each detector's restart loop takes the block in slices of
+    ``_BLOCK // 8`` steps, and the slice holding ``nu`` is cut there for its
+    state at ``nu``.  After an alarm that loop evaluates its rows again to
+    the end of the slice it was given, so short slices bound that work, and
+    wide arrays pay numpy's per-call cost once for more rows.  Both states
+    of a replication then read its one post-change stream, in stores of
+    ``_ROWS`` replications through :func:`_by_chunks`, one set per detector.
+    Returns, per detector, delays and capped masks of shape ``(2, replications)``.
     """
     nu, n, wide = spec.nu_stationary, spec.replications, 8 * _ROWS
     # slice ends: every _BLOCK // 8 steps, at nu and at 2 * nu
     edges = sorted({*range(0, 2 * nu, _BLOCK // 8), nu, 2 * nu})
     block = np.empty((min(n, wide), _BLOCK))
-    states = np.empty((2, n))
+    states = np.empty((len(configs), 2, n))
     for start in range(0, n, wide):
         rows = range(start, min(start + wide, n))
         pre = substream(spec.seed, _STREAM_STADD_PRE, rows)
-        z, state = block[: len(rows)], np.zeros(len(rows))
+        z, state = block[: len(rows)], [np.zeros(len(rows)) for _ in configs]
         for lo, hi in zip(edges, edges[1:]):
             col = lo % _BLOCK
             if col == 0:
                 width = min(_BLOCK, 2 * nu - lo)
                 for i in range(0, len(rows), _ROWS):
-                    z[i : i + _ROWS, :width] = _draw(config, pre[i : i + _ROWS], width, "pre")
-            state, _ = _advance_with_resets(config.kind, state, z[:, col : col + hi - lo], threshold)
+                    z[i : i + _ROWS, :width] = _draw(configs[0], pre[i : i + _ROWS], width, "pre")
+            for k, (config, threshold) in enumerate(zip(configs, thresholds)):
+                state[k], _ = _advance_with_resets(
+                    config.kind, state[k], z[:, col : col + hi - lo], threshold
+                )
             if hi == nu:
-                states[0, rows.start : rows.stop] = state
-        states[1, rows.start : rows.stop] = state
+                states[:, 0, rows.start : rows.stop] = state
+        states[:, 1, rows.start : rows.stop] = state
 
-    def simulate(run: range, first: int) -> tuple[np.ndarray, np.ndarray]:
-        post = substream(spec.seed, _STREAM_STADD_POST, run)
-        runs = _Runs(config, "post", spec.run_cap, post, states[:, run.start : run.stop], first)
-        return runs.stop_times(threshold)
+    def delays(
+        config: DetectorConfig, threshold: float, walked: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        def simulate(run: range, first: int) -> tuple[np.ndarray, np.ndarray]:
+            post = substream(spec.seed, _STREAM_STADD_POST, run)
+            runs = _Runs(config, "post", spec.run_cap, post, walked[:, run.start : run.stop], first)
+            return runs.stop_times(threshold)
 
-    return _by_chunks(spec, simulate)
+        return _by_chunks(spec, simulate)
+
+    return [delays(*each) for each in zip(configs, thresholds, states)]
 
 
 def estimate_stadd(
-    config: DetectorConfig, threshold: float, spec: CalibrationSpec
-) -> PerformanceEstimate:
-    """Stationary (multi-cyclic) mean detection delay at ``nu_stationary``.
+    configs: Sequence[DetectorConfig], thresholds: Sequence[float], spec: CalibrationSpec
+) -> list[PerformanceEstimate]:
+    """Stationary (multi-cyclic) mean detection delay at ``nu_stationary``, one per detector.
 
-    The change index must be deep in the stationary regime: the estimate at
-    ``2 * nu_stationary`` must agree within ``2 * hypot(se_nu, se_2nu)``,
-    otherwise the call fails.  As the two estimates share their draws, that
-    ``hypot`` is about twice the standard error of their difference, not one
-    such error.  Both estimates read the same streams, so each replication's
+    ``configs[k]`` runs at ``thresholds[k]``, and the estimates come back in
+    that order; one detector is the one-element call.  The detectors must
+    share one model and one score (``ValueError`` otherwise): each
+    replication's pre-change walk is drawn once and every detector runs its
+    own restarts on it, so two kinds cost one walk's draws and compare on
+    common random numbers.  Each detector's change index must be deep in the
+    stationary regime: its estimate at ``2 * nu_stationary`` must agree
+    within ``2 * hypot(se_nu, se_2nu)``, otherwise the call fails naming the
+    kind.  The two estimates share their draws, since each replication's
     walk to ``nu`` is the first half of its walk to ``2 * nu`` and its
-    post-change draws serve both: the two post-change runs of a replication
-    are one row of a store of runs.  The pre-change walks run ``8 * _ROWS``
-    replications together as rows, restarted in slices of ``_BLOCK // 8``
-    steps; the post-change stores hold runs of ``_ROWS`` replications.
+    post-change draws serve both (see :func:`_stadd_delays`), so that
+    ``hypot`` is about twice the standard error of their difference, not one
+    such error.
     """
-    check_threshold(threshold)
-    delays, capped = _stadd_delays(config, threshold, spec)
-    est, check = (_estimate("stadd", threshold, *run, spec.run_cap) for run in zip(delays, capped))
-    spread = 2.0 * math.hypot(est.std_error, check.std_error)
-    if abs(est.value - check.value) >= max(spread, 1e-12):
-        raise CalibrationError(
-            f"stationarity check failed: delay {est.value:.4f} at "
-            f"nu={spec.nu_stationary} vs {check.value:.4f} at twice that "
-            f"(allowed spread {spread:.4f}); increase nu_stationary"
+    if len(configs) != len(thresholds) or not configs:
+        raise ValueError("give one threshold per detector, and at least one detector")
+    for threshold in thresholds:
+        check_threshold(threshold)
+    first = configs[0]
+    if any(
+        (type(c), c.model, c.score) != (type(first), first.model, first.score) for c in configs
+    ):
+        raise ValueError("the detectors of one stationary-delay call must share one model and score")
+    estimates = []
+    for config, threshold, (delays, capped) in zip(
+        configs, thresholds, _stadd_delays(configs, thresholds, spec)
+    ):
+        est, check = (
+            _estimate("stadd", threshold, *run, spec.run_cap) for run in zip(delays, capped)
         )
-    return est
+        spread = 2.0 * math.hypot(est.std_error, check.std_error)
+        if abs(est.value - check.value) >= max(spread, 1e-12):
+            raise CalibrationError(
+                f"{config.kind} stationarity check failed: delay {est.value:.4f} at "
+                f"nu={spec.nu_stationary} vs {check.value:.4f} at twice that "
+                f"(allowed spread {spread:.4f}); increase nu_stationary"
+            )
+        estimates.append(est)
+    return estimates
 
 
 def solve_threshold(

@@ -23,9 +23,10 @@ Reports are written twice: a human-readable text file and a
 machine-readable JSON file, plus CSV tables for traces and series.  A
 table's columns stay numpy arrays, ranges or the series' own dates until
 :func:`emit` turns each block of 4096 rows into text as it writes it, so no
-table holds a Python object per cell.  File names contain the command and a
-hash of the effective configuration, and report bodies contain no
-timestamps, so a rerun with the same inputs reproduces identical bytes.
+table holds a Python object per cell, and a column that several tables hold
+turns into text once.  File names contain the command and a hash of the
+effective configuration, and report bodies contain no timestamps, so a
+rerun with the same inputs reproduces identical bytes.
 
 Each subcommand imports only the library modules it runs: its runner and
 helpers import them when called, and at import time this module loads only
@@ -47,6 +48,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -172,7 +174,9 @@ class Report:
     of rows at a time: it turns each block of an array into Python ``int`` and
     ``float`` cells, writes a float as its ``repr``, a date as its ISO form and
     ``\\r\\n`` after each row, the bytes :mod:`csv` would write; a ``str``
-    cell that csv would quote is refused instead.
+    cell that csv would quote is refused instead.  Tables may hold one column
+    object together, as ``detect``'s traces of one length hold one range of
+    steps and one tuple of dates.
     """
 
     config: RunConfig
@@ -233,25 +237,37 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_rows(name: str, columns) -> str:
-    """One or more rows of equal-length columns as ``csv.writer`` writes them.
+def _cells(name: str, column) -> list[str]:
+    """One block of a column as the text of its cells.
 
-    An array turns into Python scalars first, whose ``str`` is their ``repr``;
-    a date's ``str`` is its ISO form.
+    An array turns into Python scalars first, whose ``str`` is their
+    ``repr``; a date's ``str`` is its ISO form.  A column that can hold text
+    is refused if a cell holds a mark that CSV would quote; numbers and
+    ranges hold none.
     """
-    cells = [
-        list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
-        for column in columns
-    ]
-    for text in cells:
-        joined = "".join(text)
+    cells = list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
+    numeric = isinstance(column, range) or (
+        isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
+    )
+    if not numeric:
+        joined = "".join(cells)
         if any(mark in joined for mark in ',"\r\n'):
             raise ValueError(f"table {name!r} has a cell that CSV would quote")
+    return cells
+
+
+def _rows(cells: list[list[str]]) -> str:
+    """Rows of equal-length columns of cells as ``csv.writer`` writes them."""
     return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def emit(report: Report, destination: str | Path) -> list[Path]:
-    """Write the text/JSON reports and all CSV tables; return the paths."""
+    """Write the text/JSON reports and all CSV tables; return the paths.
+
+    The tables are written together, ``_EMIT_ROWS`` rows of each at a time.
+    A column that several tables hold, the same object, turns into text
+    once per block for all of them, and only one block of text is alive.
+    """
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
     stem = f"{report.config.command}-{report.config_hash}"
@@ -262,15 +278,22 @@ def emit(report: Report, destination: str | Path) -> list[Path]:
     json_path = destination / f"{stem}.report.json"
     json_path.write_text(report.render_json())
     paths.append(json_path)
-    for name, header, columns in report.tables:
-        table_path = destination / f"{stem}.{name}.csv"
-        with table_path.open("w", newline="") as handle:
-            handle.write(_csv_rows(name, [[cell] for cell in header]))
-            for start in range(0, len(columns[0]), _EMIT_ROWS):
-                block = [column[start : start + _EMIT_ROWS] for column in columns]
-                handle.write(_csv_rows(name, block))
-        paths.append(table_path)
-    return paths
+    table_paths = [destination / f"{stem}.{name}.csv" for name, _, _ in report.tables]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(path.open("w", newline="")) for path in table_paths]
+        for handle, (name, header, _) in zip(handles, report.tables):
+            handle.write(_rows([_cells(name, [cell]) for cell in header]))
+        longest = max((len(columns[0]) for _, _, columns in report.tables), default=0)
+        for start in range(0, longest, _EMIT_ROWS):
+            text: dict[int, list[str]] = {}  # this block of each column, by id
+            for handle, (name, _, columns) in zip(handles, report.tables):
+                if start >= len(columns[0]):
+                    continue
+                for column in columns:
+                    if id(column) not in text:
+                        text[id(column)] = _cells(name, column[start : start + _EMIT_ROWS])
+                handle.write(_rows([text[id(column)] for column in columns]))
+    return paths + table_paths
 
 
 def _parse_schema(text: str) -> dict:
@@ -708,6 +731,9 @@ def _cmd_detect(config: RunConfig) -> Report:
     thresholds = {"cusum": config.threshold_h, "sr": config.threshold_a}
     sections = []
     tables = []
+    # step and date columns by trace length: traces of one length share them,
+    # so emit turns them into text once
+    shared: dict[int, tuple[range, tuple]] = {}
     ran_any = False
     for kind in _kinds(config):
         threshold = thresholds[kind]
@@ -732,7 +758,8 @@ def _cmd_detect(config: RunConfig) -> Report:
         size = trace.statistics.size
         flags = (trace.statistics >= threshold).astype(np.int8)
         # a single run stops at its first alarm, before the dates run out
-        columns = (range(1, size + 1), dates[:size], trace.statistics, flags)
+        steps_dates = shared.setdefault(size, (range(1, size + 1), dates[:size]))
+        columns = (*steps_dates, trace.statistics, flags)
         tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), columns))
     if not ran_any:
         raise UsageError(
@@ -778,11 +805,13 @@ def _cmd_simulate(config: RunConfig) -> Report:
             "model's LLR constants do not describe the score after the change",
         ]
     sections = [("constants", _constants_entries(constants))]
-    for detector in detectors:
+    solved = [calib.solve_threshold(detector, spec) for detector in detectors]
+    thresholds = [threshold for threshold, _ in solved]
+    # the kinds share one pre-change walk per replication, drawn once
+    stadds = calib.estimate_stadd(detectors, thresholds, spec)
+    for detector, (threshold, arl), stadd in zip(detectors, solved, stadds):
         kind = detector.kind
-        threshold, arl = calib.solve_threshold(detector, spec)
         sadd = calib.estimate_sadd(detector, threshold, spec)
-        stadd = calib.estimate_stadd(detector, threshold, spec)
         entries = [
             ReportEntry("threshold", threshold),
             ReportEntry("monte-carlo-arl", arl.value, "observations", arl.std_error),

@@ -179,8 +179,8 @@ def test_criterion_6_multicyclic_sr_beats_cusum_at_matched_arl(
     a, arl_s = calib.solve_threshold(exact_sr, spec)
     for est in (arl_c, arl_s):  # matched false-alarm level
         assert abs(est.value - 100.0) <= 2.0 + 1e-9, est
-    stadd_c = calib.estimate_stadd(exact_cusum, h, spec)
-    stadd_s = calib.estimate_stadd(exact_sr, a, spec)
+    # one pre-change walk per replication serves both kinds
+    stadd_c, stadd_s = calib.estimate_stadd([exact_cusum, exact_sr], [h, a], spec)
     combined = math.hypot(stadd_c.std_error, stadd_s.std_error)
     assert stadd_s.value <= stadd_c.value + 2.0 * combined, (stadd_s, stadd_c)
     _pass(

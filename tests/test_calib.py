@@ -20,7 +20,7 @@ from quickdetect import (
     solve_threshold,
 )
 from quickdetect import calib
-from quickdetect.detect import _BLOCK, _advance_with_resets, _cusum_path, _path, _sr_path
+from quickdetect.detect import _BLOCK, KINDS, _advance_with_resets, _cusum_path, _path, _sr_path
 
 
 def keyed_rng(seed, stream, r):
@@ -185,7 +185,15 @@ class TestArlEstimation:
 
     @pytest.mark.parametrize(
         "estimate, metric",
-        [(estimate_arl, "ARL"), (estimate_sadd, "SADD"), (estimate_stadd, "STADD")],
+        [
+            (estimate_arl, "ARL"),
+            (estimate_sadd, "SADD"),
+            pytest.param(
+                lambda config, threshold, spec: estimate_stadd([config], [threshold], spec),
+                "STADD",
+                id="estimate_stadd-STADD",
+            ),
+        ],
     )
     def test_every_estimator_states_the_cap_alike(self, estimate, metric, unit_shift_model):
         # no CUSUM path climbs to 1e9 within the 500-step cap, before or after the change
@@ -212,7 +220,7 @@ class TestDelayEstimation:
         spec = CalibrationSpec(
             gamma=5.0, replications=200, seed=4, nu_stationary=50
         )
-        est = estimate_stadd(config, 5.0, spec)
+        [est] = estimate_stadd([config], [5.0], spec)
         assert est.value == 1.0
         assert est.std_error == 0.0
 
@@ -223,8 +231,8 @@ class TestDelayEstimation:
         spec = CalibrationSpec(
             gamma=150.0, replications=100, seed=4, nu_stationary=50
         )
-        with pytest.raises(CalibrationError, match="stationarity check failed"):
-            estimate_stadd(config, 10.0, spec)
+        with pytest.raises(CalibrationError, match="^cusum stationarity check failed"):
+            estimate_stadd([config], [10.0], spec)
 
     def test_stadd_between_one_and_sadd(self, unit_shift_model):
         # a random mid-cycle statistic can only shorten the delay relative
@@ -233,7 +241,7 @@ class TestDelayEstimation:
             gamma=100.0, replications=3_000, seed=8, nu_stationary=500
         )
         config = DetectorConfig(kind="sr", model=unit_shift_model)
-        stadd = estimate_stadd(config, 90.0, spec)
+        [stadd] = estimate_stadd([config], [90.0], spec)
         sadd = estimate_sadd(config, 90.0, spec)
         slack = 2.0 * math.hypot(stadd.std_error, sadd.std_error)
         assert 1.0 <= stadd.value <= sadd.value + slack
@@ -733,7 +741,7 @@ class TestBatchedStadd:
 
         monkeypatch.setattr(calib, "substream", counting_substream)
         monkeypatch.setattr(calib, "mean_se", recording_mean_se)
-        est = estimate_stadd(config, threshold, spec)
+        [est] = estimate_stadd([config], [threshold], spec)
         assert len(generators) == 2 * spec.replications
         assert len(means) == 2
         for got, delays in zip(means, expected):
@@ -754,7 +762,7 @@ class TestBatchedStadd:
         spec = CalibrationSpec(
             gamma=20.0, replications=8 * calib._ROWS + 37, seed=5, nu_stationary=300
         )
-        estimate_stadd(detector(kind, "exact"), threshold, spec)
+        estimate_stadd([detector(kind, "exact")], [threshold], spec)
         rows, columns = np.array(shapes).T
         assert columns.max() <= _BLOCK // 8 and rows.max() <= 8 * calib._ROWS
         assert set(rows) == {8 * calib._ROWS, 37}
@@ -768,7 +776,7 @@ class TestBatchedStadd:
         config = detector("cusum", "exact")
         spec = CalibrationSpec(gamma=3.0, replications=60, seed=2, nu_stationary=40)
         expected = [stadd_loop(config, 150.0, spec, n) for n in (40, 80)]
-        delays, capped = calib._stadd_delays(config, 150.0, spec)
+        [(delays, capped)] = calib._stadd_delays([config], [150.0], spec)
         for got, hit_cap, want in zip(delays, capped, expected):
             assert list(hit_cap) == [d is None for d in want]
             assert list(got) == [spec.run_cap if d is None else d for d in want]
@@ -776,4 +784,84 @@ class TestBatchedStadd:
         assert 0 < cap_hits < 60
         text = f"{cap_hits}/60 runs hit the 300-step cap estimating STADD at threshold 150"
         with pytest.raises(CalibrationError, match=f"^{text}; at most 1% may$"):
-            estimate_stadd(config, 150.0, spec)
+            estimate_stadd([config], [150.0], spec)
+
+
+class TestSharedStaddWalk:
+    """One call for several kinds draws the pre-change walk once and changes no bit."""
+
+    THRESHOLDS = {
+        ("cusum", "exact"): 2.8,
+        ("sr", "exact"): 50.0,
+        ("cusum", "score"): 0.3,
+        ("sr", "score"): 20.0,
+    }
+
+    @staticmethod
+    def spec(replications=calib._ROWS + 37):
+        return CalibrationSpec(gamma=20.0, replications=replications, seed=5, nu_stationary=300)
+
+    @pytest.mark.parametrize("mode", ["exact", "score"])
+    def test_two_kinds_equal_two_one_kind_calls(self, mode):
+        configs = [detector(kind, mode) for kind in KINDS]
+        thresholds = [self.THRESHOLDS[kind, mode] for kind in KINDS]
+        spec = self.spec(8 * calib._ROWS + 37)
+        both = calib._stadd_delays(configs, thresholds, spec)
+        for (delays, capped), config, threshold in zip(both, configs, thresholds):
+            [(alone, alone_capped)] = calib._stadd_delays([config], [threshold], spec)
+            np.testing.assert_array_equal(delays, alone)
+            np.testing.assert_array_equal(capped, alone_capped)
+        # value, standard error, cap hits and threshold, in the order given
+        estimates = estimate_stadd(configs, thresholds, spec)
+        assert estimates == [estimate_stadd([c], [h], spec)[0] for c, h in zip(configs, thresholds)]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_the_pre_change_walk_is_drawn_once(self, count, monkeypatch):
+        spec = self.spec()
+        configs = [detector(kind, "exact") for kind in KINDS][:count]
+        thresholds = [self.THRESHOLDS[c.kind, "exact"] for c in configs]
+        drawn = {"pre": 0, "post": 0}
+        generators = []
+        real_sample, real_substream = DetectorConfig.sample, calib.substream
+
+        def counting_sample(self, rng, n, regime):
+            drawn[regime] += n
+            return real_sample(self, rng, n, regime)
+
+        def counting_substream(*args):
+            rngs = real_substream(*args)
+            generators.extend(rngs)
+            return rngs
+
+        monkeypatch.setattr(DetectorConfig, "sample", counting_sample)
+        monkeypatch.setattr(calib, "substream", counting_substream)
+        estimate_stadd(configs, thresholds, spec)
+        assert drawn["pre"] == spec.replications * 2 * spec.nu_stationary
+        assert len(generators) == (1 + count) * spec.replications
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            DetectorConfig(kind="sr", model=GaussianChangeModel(0.0, 1.0, 0.5, 1.0)),
+            DetectorConfig(kind="sr", model=HST),  # the model without its score
+            DetectorConfig(kind="sr", model=HST, score=design_coefficients(0.9, 0.1)),
+        ],
+    )
+    def test_a_mix_of_models_or_scores_is_refused(self, other):
+        with pytest.raises(ValueError, match="share one model and score"):
+            estimate_stadd([detector("cusum", "score"), other], [0.3, 20.0], self.spec())
+
+    def test_one_threshold_per_detector(self):
+        with pytest.raises(ValueError, match="one threshold per detector"):
+            estimate_stadd([detector("cusum", "exact")], [2.8, 50.0], self.spec())
+        with pytest.raises(ValueError, match="one threshold per detector"):
+            estimate_stadd([], [], self.spec())
+
+    def test_stationarity_failure_names_its_kind(self, unit_shift_model):
+        # flat increments of 0.1: CUSUM at h = 0.05 alarms at every step, so
+        # its delay is 1 at both change points; SR at A = 10 alarms every 7th
+        # step, so its delay depends on nu mod 7 and nu-doubling disagrees
+        configs = [flat_increments(0.1, kind=kind, model=unit_shift_model) for kind in KINDS]
+        spec = CalibrationSpec(gamma=150.0, replications=100, seed=4, nu_stationary=50)
+        with pytest.raises(CalibrationError, match="^sr stationarity check failed"):
+            estimate_stadd(configs, [0.05, 10.0], spec)

@@ -1036,6 +1036,14 @@ class TestTableBytes:
         self.assert_tables(args + ["--multi-cyclic"] * multi_cyclic, tmp_path, expected)
 
 
+    def test_detect_traces_of_one_length_share_steps_and_dates(self, price_csv):
+        # emit turns a column that several tables hold into text once per block
+        args = ["detect", "--input", str(price_csv), "--mode", "exact", *self.MODEL,
+                "--threshold-h", "3", "--threshold-a", "30", "--multi-cyclic"]
+        (_, _, cusum), (_, _, sr) = cli.execute(cli.parse_config(args)).tables
+        assert cusum[0] is sr[0] and cusum[1] is sr[1]
+
+
 class TestEmitBlocks:
     """``emit`` writes tables a block of rows at a time, each block as ``csv`` would."""
 
@@ -1094,6 +1102,42 @@ class TestEmitBlocks:
         columns = (range(1, rows + 1), dates, [0.5] * rows, [0] * rows)
         with pytest.raises(ValueError, match="'trace'.*quote"):
             self.emitted(tmp_path, columns)
+
+    def test_text_array_cell_that_csv_quotes_is_refused(self, tmp_path):
+        # numeric arrays and ranges skip the scan for marks; text arrays do not
+        rows = 5000
+        dates = np.full(rows, "2020-01-02")
+        dates[4500] = "a,b"
+        columns = (range(1, rows + 1), dates, np.full(rows, 0.5), np.zeros(rows, np.int8))
+        with pytest.raises(ValueError, match="'trace'.*quote"):
+            self.emitted(tmp_path, columns)
+
+    @pytest.mark.parametrize("rows", [1, 4096, 8193])
+    def test_a_column_two_tables_hold_is_sliced_once_per_block(self, tmp_path, rows):
+        class CountedDates(tuple):
+            slices = 0
+
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    CountedDates.slices += 1
+                return super().__getitem__(key)
+
+        start = datetime.date(2000, 1, 1)
+        dates = CountedDates(start + datetime.timedelta(days=k) for k in range(rows))
+        steps = range(1, rows + 1)
+        rng = np.random.default_rng(rows)
+        statistics = rng.standard_normal((2, rows))
+        flags = (statistics >= 0.0).astype(np.int8)
+        tables = tuple(
+            (name, self.TRACE, (steps, dates, statistics[k], flags[k]))
+            for k, name in enumerate(("cusum-trace", "sr-trace"))
+        )
+        paths = cli.emit(Report(RunConfig(command="detect"), (), tables=tables), tmp_path)
+        assert CountedDates.slices == -(-rows // cli._EMIT_ROWS)
+        for k, name in enumerate(("cusum-trace", "sr-trace")):
+            path = next(p for p in paths if p.name.endswith(f".{name}.csv"))
+            as_lists = (list(steps), list(dates), statistics[k].tolist(), flags[k].tolist())
+            assert path.read_bytes() == cell_by_cell_csv(self.TRACE, zip(*as_lists))
 
 
 class TestConstantsCommand:
@@ -1414,10 +1458,15 @@ class TestEntryPoint:
         code = textwrap.dedent(
             """
             import json, sys
+            import numpy
+
+            # numpy before 2.0 imports numpy.ma with itself; a command must not
+            preloaded = set(sys.modules)
             from quickdetect.cli import main
 
             code = main(json.loads(sys.argv[1]))
-            print(json.dumps(sorted(m for m in sys.modules if m.startswith("quickdetect."))))
+            added = {"numpy.ma"} & (set(sys.modules) - preloaded)
+            print(json.dumps(sorted(m for m in sys.modules if m.startswith("quickdetect.")) + sorted(added)))
             sys.exit(code)
             """
         )
@@ -1427,6 +1476,8 @@ class TestEntryPoint:
         loaded = json.loads(result.stdout.splitlines()[-1])
         assert "quickdetect.cli" in loaded
         assert sorted({f"quickdetect.{m}" for m in self.UNLOADED[command]} & set(loaded)) == []
+        # numpy.ma costs about 10 ms and 1 MB at run time, and no command needs it
+        assert "numpy.ma" not in loaded
 
     def test_package_names_load_their_home_module_on_first_use(self):
         code = textwrap.dedent(
