@@ -25,7 +25,7 @@ thresholds reuse the same observation paths (common random numbers).
 Stopping times are then pathwise nondecreasing in the threshold, so the
 Monte Carlo ARL is a nondecreasing step function of it, and
 :func:`solve_threshold` reads the threshold off that whole curve.  The
-generators of a call, or of one run of ``_ROWS`` replications (``8 * _ROWS``
+generators of a call, or of one group of ``_ROWS`` replications (``8 * _ROWS``
 for the STADD pre-change walk), are seeded together in one array pass
 (:func:`quickdetect._rand.substream`).
 
@@ -37,15 +37,23 @@ each run spent at each running maximum; a stopping time is one prefix sum of
 it, and the record summed in height order bounds the ARL curve at every
 threshold at once (the threshold solve reads it every round once it sums to
 ``gamma`` per run).  A path is drawn only as far as the thresholds asked, or
-the curve's steps next to ``gamma``, need.  The one-shot estimators
-(:func:`estimate_arl`, :func:`estimate_sadd`) ask one threshold of a store
-per run of ``_ROWS`` replications.  The STADD pre-change walk restarts after
-every alarm, so it depends on the threshold and is run per call, but its
-draws do not: one call of :func:`estimate_stadd` takes every detector that
-reads one model and one score, draws each replication's pre-change stream
-once, and runs each detector's restart loop on the same increments.  The
-walk to ``nu`` is the first half of the walk to ``2 * nu``, and one
-post-change stream per replication serves both change points of a detector.
+the curve's steps next to ``gamma``, need.  The STADD pre-change walk
+restarts after every alarm, so it depends on the threshold and is run per
+call, but its draws do not: one call of :func:`estimate_stadd` takes every
+detector that reads one model and one score, draws each replication's
+pre-change stream once, and runs each detector's restart loop on the same
+increments.  The walk to ``nu`` is the first half of the walk to ``2 * nu``,
+and one post-change stream per replication serves both change points of a
+detector.
+
+One loop, :func:`_fresh_start_times`, reads every stopping time at one
+threshold bar the solve's: ARL and SADD runs start from zero, and STADD's
+post-change runs from each detector's states at ``nu`` and ``2 * nu``.  It
+builds one store per group of at most ``_ROWS`` replications and returns
+the per-replication times in replication order.  A store's first round is
+``_BLOCK // 8`` steps when the median stopping time of the store before lay
+within that many, else a whole ``_BLOCK``: a call whose runs alarm within a
+few steps then draws little past them.
 
 Every run is capped at ``100 * gamma`` steps; capped replications are
 counted at the cap and reported, and more than 1% of them fails any estimate.
@@ -57,23 +65,17 @@ STADD pre-change walk takes ``8 * _ROWS``, and hands its restart loop
 slices of ``_BLOCK // 8`` steps): each row still draws from its own
 generator, so the draws, and every stopping time, are those of a
 replication run alone, and the stopping times are averaged in replication
-order.  A round is one ``_BLOCK`` of steps, but
-the estimators that build a store per run of ``_ROWS`` replications (ARL,
-SADD, and STADD after the change) draw a first round of ``_BLOCK // 8``
-when the median stopping time of the run before lay within that many steps:
-a call whose runs alarm within a few steps then draws little past them,
-and one whose runs are longer draws whole blocks, as its first run does.  A
-generator yields the same normals however its stream is split into draws
-and the kernels carry each run's state across rounds and slices, so where
-a round or slice ends moves a stopping time only if a path value lies
-within an ulp of the threshold.
+order.  A generator yields the same normals however its stream is split
+into draws and the kernels carry each run's state across rounds and slices,
+so where a round or slice ends moves a stopping time only if a path value
+lies within an ulp of the threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -224,17 +226,11 @@ class _Runs:
 
     def record(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Heights, runs and weights, ascending in height, with every round drawn so far."""
-        if self.pending:  # new entries merge in once per read
-            new = tuple(map(np.concatenate, zip(*self.pending)))
+        if self.pending:  # new entries sort in once per read
+            joined = tuple(map(np.concatenate, zip(self.entries, *self.pending)))
             self.pending.clear()
-            order = np.argsort(new[0])
-            at = np.searchsorted(self.entries[0], new[0][order]) + np.arange(order.size)
-            keep = np.ones(self.entries[0].size + order.size, dtype=bool)
-            keep[at] = False
-            merged = tuple(np.empty(keep.size, old.dtype) for old in self.entries)
-            for out, old, add in zip(merged, self.entries, new):
-                out[keep], out[at] = old, add[order]
-            self.entries = merged
+            order = np.argsort(joined[0], kind="stable")
+            self.entries = tuple(column[order] for column in joined)
         return self.entries
 
     def draw(self, runs: np.ndarray) -> None:
@@ -309,28 +305,6 @@ def _estimate(
     return PerformanceEstimate(metric, value, se, times.size, threshold, hits)
 
 
-def _by_chunks(
-    spec: CalibrationSpec, simulate: Callable[[range, int], tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``simulate(rows, first)`` on runs of at most ``_ROWS`` replications, joined in order.
-
-    ``first`` is the first-round width of the run's store of runs: ``_BLOCK // 8``
-    if the median stopping time of the run before it is at most that, else
-    (and for the first run) ``_BLOCK``.  The replications are alike, so the
-    run before predicts this one: a short first round saves most of a block
-    when most runs alarm within it, and would add a round when they do not.
-    """
-    times, capped, first = [], [], _BLOCK
-    for rows in row_chunks(spec.replications):
-        t, c = simulate(rows, first)
-        times.append(t)
-        capped.append(c)
-        # the median is the mean of the middle two (np.median would load numpy.ma)
-        middle = np.sort(t, axis=None)[[(t.size - 1) // 2, t.size // 2]]
-        first = _BLOCK // 8 if middle.sum() <= 2 * (_BLOCK // 8) else _BLOCK
-    return np.concatenate(times, axis=-1), np.concatenate(capped, axis=-1)
-
-
 def _draw(
     config: DetectorConfig, rngs: list[np.random.Generator], n: int, regime: str
 ) -> np.ndarray:
@@ -338,22 +312,36 @@ def _draw(
     return config.log_increments(np.array([config.sample(rng, n, regime) for rng in rngs]))
 
 
-def _fresh_start_estimate(
+def _fresh_start_times(
     config: DetectorConfig,
     threshold: float,
     spec: CalibrationSpec,
-    metric: str,
     regime: str,
     stream: int,
-) -> PerformanceEstimate:
+    states: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping times at ``threshold`` of fresh-start runs, and the mask of capped runs.
+
+    Replication ``r`` reads the ``regime`` draws of its generator on
+    ``stream`` from each state ``states[..., r]`` (from zero when ``states``
+    is None); the results are shaped like ``states``.  The replications run
+    in stores of at most ``_ROWS``.  They are alike, so the store before
+    predicts this one's first round (see the module docstring): a short one
+    saves most of a block when most runs alarm within it, and would add a
+    round when they do not.
+    """
     check_threshold(threshold)
-
-    def simulate(rows: range, first: int) -> tuple[np.ndarray, np.ndarray]:
+    times, capped, first = [], [], _BLOCK
+    for rows in row_chunks(spec.replications):
         rngs = substream(spec.seed, stream, rows)
-        runs = _Runs(config, regime, spec.run_cap, rngs, np.zeros(len(rows)), first)
-        return runs.stop_times(threshold)
-
-    return _estimate(metric, threshold, *_by_chunks(spec, simulate), spec.run_cap)
+        start = np.zeros(len(rows)) if states is None else states[..., rows.start : rows.stop]
+        t, c = _Runs(config, regime, spec.run_cap, rngs, start, first).stop_times(threshold)
+        times.append(t)
+        capped.append(c)
+        # the median is the mean of the middle two (np.median would load numpy.ma)
+        middle = np.sort(t, axis=None)[[(t.size - 1) // 2, t.size // 2]]
+        first = _BLOCK // 8 if middle.sum() <= 2 * (_BLOCK // 8) else _BLOCK
+    return np.concatenate(times, axis=-1), np.concatenate(capped, axis=-1)
 
 
 def estimate_arl(
@@ -364,14 +352,16 @@ def estimate_arl(
     Capped replications enter at the cap value and are reported via
     ``cap_hits`` rather than silently dropped.
     """
-    return _fresh_start_estimate(config, threshold, spec, "arl", "pre", _STREAM_ARL)
+    times = _fresh_start_times(config, threshold, spec, "pre", _STREAM_ARL)
+    return _estimate("arl", threshold, *times, spec.run_cap)
 
 
 def estimate_sadd(
     config: DetectorConfig, threshold: float, spec: CalibrationSpec
 ) -> PerformanceEstimate:
     """Worst-case mean detection delay: change in force from the first step."""
-    return _fresh_start_estimate(config, threshold, spec, "sadd", "post", _STREAM_SADD)
+    times = _fresh_start_times(config, threshold, spec, "post", _STREAM_SADD)
+    return _estimate("sadd", threshold, *times, spec.run_cap)
 
 
 def _stadd_delays(
@@ -389,9 +379,9 @@ def _stadd_delays(
     state at ``nu``.  After an alarm that loop evaluates its rows again to
     the end of the slice it was given, so short slices bound that work, and
     wide arrays pay numpy's per-call cost once for more rows.  Both states
-    of a replication then read its one post-change stream, in stores of
-    ``_ROWS`` replications through :func:`_by_chunks`, one set per detector.
-    Returns, per detector, delays and capped masks of shape ``(2, replications)``.
+    of a replication then read its one post-change stream, in one
+    :func:`_fresh_start_times` call per detector.  Returns, per detector,
+    delays and capped masks of shape ``(2, replications)``.
     """
     nu, n, wide = spec.nu_stationary, spec.replications, 8 * _ROWS
     # slice ends: every _BLOCK // 8 steps, at nu and at 2 * nu
@@ -416,17 +406,10 @@ def _stadd_delays(
                 states[:, 0, rows.start : rows.stop] = state
         states[:, 1, rows.start : rows.stop] = state
 
-    def delays(
-        config: DetectorConfig, threshold: float, walked: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        def simulate(run: range, first: int) -> tuple[np.ndarray, np.ndarray]:
-            post = substream(spec.seed, _STREAM_STADD_POST, run)
-            runs = _Runs(config, "post", spec.run_cap, post, walked[:, run.start : run.stop], first)
-            return runs.stop_times(threshold)
-
-        return _by_chunks(spec, simulate)
-
-    return [delays(*each) for each in zip(configs, thresholds, states)]
+    return [
+        _fresh_start_times(config, threshold, spec, "post", _STREAM_STADD_POST, walked)
+        for config, threshold, walked in zip(configs, thresholds, states)
+    ]
 
 
 def estimate_stadd(

@@ -463,6 +463,25 @@ def _detector(
     return design.model, design if scored else None
 
 
+def _detect_thresholds(config: RunConfig) -> dict[str, float]:
+    """The threshold of each detector that ``detect`` runs, by kind, decided before any input.
+
+    A threshold flag of a kind that ``--kind`` does not select is refused.
+    Of the selected kinds, those given a threshold run; a run with none is a
+    usage error naming the flags it needs.
+    """
+    flags = {"cusum": "threshold_h", "sr": "threshold_a"}
+    kinds = _kinds(config)
+    for kind, flag in flags.items():
+        if kind not in kinds and getattr(config, flag) is not None:
+            _refuse([flag], f"--kind {config.kind} does not run {kind}")
+    thresholds = {kind: getattr(config, flags[kind]) for kind in kinds}
+    if all(t is None for t in thresholds.values()):
+        needed = " and/or ".join(f"--{flags[k].replace('_', '-')} ({k})" for k in kinds)
+        raise UsageError(f"no detector to run: give {needed}")
+    return {kind: t for kind, t in thresholds.items() if t is not None}
+
+
 def _calibration_spec(config: RunConfig) -> calib.CalibrationSpec:
     from . import calib
 
@@ -725,21 +744,16 @@ def _detect_increments(
 
 def _cmd_detect(config: RunConfig) -> Report:
     model, design = _detector(config)
+    thresholds = _detect_thresholds(config)
     _, returns = _load_returns(config)
     increments, notes = _detect_increments(config, returns, model, design)
     dates = returns.dates
-    thresholds = {"cusum": config.threshold_h, "sr": config.threshold_a}
     sections = []
     tables = []
     # step and date columns by trace length: traces of one length share them,
     # so emit turns them into text once
     shared: dict[int, tuple[range, tuple]] = {}
-    ran_any = False
-    for kind in _kinds(config):
-        threshold = thresholds[kind]
-        if threshold is None:
-            continue
-        ran_any = True
+    for kind, threshold in thresholds.items():
         runner = detect.multi_cyclic_run if config.multi_cyclic else detect.run_detector
         trace = runner(increments, kind=kind, threshold=threshold)
         steps = trace.alarms
@@ -761,10 +775,6 @@ def _cmd_detect(config: RunConfig) -> Report:
         steps_dates = shared.setdefault(size, (range(1, size + 1), dates[:size]))
         columns = (*steps_dates, trace.statistics, flags)
         tables.append((f"{kind}-trace", ("step", "date", "statistic", "alarm"), columns))
-    if not ran_any:
-        raise UsageError(
-            "no detector to run: give --threshold-h (cusum) and/or --threshold-a (sr)"
-        )
     return Report(
         config=config,
         sections=tuple(sections),

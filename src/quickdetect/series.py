@@ -23,6 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+#: bad rows a CSV error names; the rest are counted
+_NAMED_BAD_ROWS = 10
+
 
 class CsvFormatError(ValueError):
     """Input CSV violates the expected schema (bad rows are named by number)."""
@@ -228,7 +231,11 @@ def _undecodable(source: str | Path | bytes) -> str | None:
 
 
 def _read_rows(handle, schema: CsvSchema) -> tuple[list[dt.date], array, list[str]]:
-    """Dates and prices of the valid rows of CSV text, and what is wrong with the others."""
+    """Dates and prices of the valid rows of CSV text, and what is wrong with the others.
+
+    The first ``_NAMED_BAD_ROWS`` bad rows are named; the rest are counted
+    in one last message.
+    """
     fmt = schema.date_format
     parse_date = (
         dt.date.fromisoformat if fmt is None else lambda t: dt.datetime.strptime(t, fmt).date()
@@ -236,7 +243,16 @@ def _read_rows(handle, schema: CsvSchema) -> tuple[list[dt.date], array, list[st
     dates: list[dt.date] = []
     prices = array("d")
     bad: list[str] = []
+    unnamed = 0
     reader = csv.reader(handle)
+
+    def reject(why: str) -> None:
+        nonlocal unnamed
+        if len(bad) < _NAMED_BAD_ROWS:
+            bad.append(f"row {reader.line_num}: {why}")
+        else:
+            unnamed += 1
+
     header = next(reader, [])
     columns = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
     for col in (schema.date_column, schema.price_column):
@@ -253,19 +269,21 @@ def _read_rows(handle, schema: CsvSchema) -> tuple[list[dt.date], array, list[st
         try:
             date = parse_date(raw_date.strip())
         except ValueError:
-            bad.append(f"row {reader.line_num}: unparsable date {raw_date!r}")
+            reject(f"unparsable date {raw_date!r}")
             continue
         try:
             price = float(raw_price)
         except ValueError:
-            bad.append(f"row {reader.line_num}: non-numeric price {raw_price!r}")
+            reject(f"non-numeric price {raw_price!r}")
             continue
         if not 0.0 < price < math.inf:
             sign = "non-positive" if math.isfinite(price) else "non-finite"
-            bad.append(f"row {reader.line_num}: {sign} price {raw_price!r}")
+            reject(f"{sign} price {raw_price!r}")
             continue
         dates.append(date)
         prices.append(price)
+    if unnamed:
+        bad.append(f"and {unnamed} more bad rows")
     return dates, prices, bad
 
 
@@ -277,7 +295,8 @@ def load_csv(
     Dates and prices are read into two columns, which are sorted by date
     (stably) only when the file's dates are out of order.  Any row with an
     unparsable date, a non-numeric price, or a non-finite or non-positive
-    price is an error naming its line in the file; so are duplicate dates and
+    price is an error naming its line in the file (the first ten such rows
+    are named and the rest counted); so are duplicate dates and
     files with fewer than two valid rows, and a file that is not UTF-8 text
     names its first line that does not decode.  Blank lines are skipped and
     missing fields read as empty.  Identical input bytes always produce the

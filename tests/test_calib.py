@@ -531,21 +531,28 @@ class TestLadderStore:
             ((900, 700, 500, 300, 100), 5 * (_BLOCK,)),
         ],
     )
-    def test_first_round_follows_the_run_before(self, medians, widths):
-        # each run's store draws a 32-step first round only when the median
-        # stopping time of the run before it lay within 32 steps; a quarter
-        # of each run's times are ten times the median, so a mean would
+    def test_first_round_follows_the_run_before(self, monkeypatch, medians, widths):
+        # each store draws a 32-step first round only when the median
+        # stopping time of the store before it lay within 32 steps; a quarter
+        # of each store's times are ten times the median, so a mean would
         # decide otherwise at a median of 32
         spec = CalibrationSpec(gamma=5.0, replications=4 * calib._ROWS + 9, seed=0)
         asked = []
 
-        def simulate(rows, first):
-            asked.append(first)
-            median = medians[len(asked) - 1]
-            times = np.array([1, median, median, 10 * median] * calib._ROWS)[: len(rows) + 1]
-            return times[1:], np.zeros(len(rows), dtype=bool)
+        class FakeRuns:
+            def __init__(self, config, regime, cap, rngs, states, first):
+                asked.append(first)
+                self.size = len(rngs)
 
-        times, _ = calib._by_chunks(spec, simulate)
+            def stop_times(self, threshold):
+                median = medians[len(asked) - 1]
+                times = np.array([1, median, median, 10 * median] * calib._ROWS)
+                return times[1 : self.size + 1], np.zeros(self.size, dtype=bool)
+
+        monkeypatch.setattr(calib, "_Runs", FakeRuns)
+        times, _ = calib._fresh_start_times(
+            detector("cusum", "exact"), 1.0, spec, "post", calib._STREAM_SADD
+        )
         assert tuple(asked) == widths
         assert times.size == spec.replications
 

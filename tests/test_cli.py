@@ -491,11 +491,16 @@ class TestExitCodes:
              "--q/--delta"),
             (["simulate", "--mode", "exact", *MOMENTS, "--q", "1", "--delta", "1"],
              "--q/--delta"),
+            (["detect", "--mode", "exact", *MOMENTS, "--kind", "cusum", "--threshold-a", "100"],
+             "--threshold-a"),
+            # the --threshold-h that every detect case is given
+            (["detect", "--mode", "exact", *MOMENTS, "--kind", "sr"], "--threshold-h"),
         ],
         ids=["calibrate-lone-q", "simulate-lone-delta", "detect-lone-q", "detect-score-moments",
              "detect-score-one-moment", "detect-exact-train-end", "detect-exact-design",
              "detect-exact-design-alone", "constants-design", "calibrate-exact-design",
-             "simulate-exact-design"],
+             "simulate-exact-design", "detect-unselected-threshold-a",
+             "detect-unselected-threshold-h"],
     )
     def test_model_flags_the_run_would_not_read_are_refused(
         self, price_csv, tmp_path, capsys, args, named
@@ -534,6 +539,13 @@ class TestExitCodes:
         assert run_cli(args, tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "usage error: --q/--delta would be ignored: " in err
+        assert "no such file" not in err
+        # a run with no threshold for its kind is refused before the input is read too
+        args = ["detect", "--mode", "exact", *self.MOMENTS, "--kind", "sr",
+                "--input", str(tmp_path / "missing.csv")]
+        assert run_cli(args, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "usage error: no detector to run: give --threshold-a (sr)" in err
         assert "no such file" not in err
 
     @pytest.mark.parametrize(

@@ -149,6 +149,15 @@ class TestLoadCsv:
         assert "row 4" in message and "non-numeric price" in message
         assert "row 5" in message and "non-positive price" in message
 
+    def test_many_bad_rows_name_the_first_ten_and_count_the_rest(self):
+        # the error stays one short line however many rows are bad
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(b"Date,Close\n" + b"2021-01-04,n/a\n" * 60_000)
+        message = str(err.value)
+        assert len(message) < 1024
+        named = [f"row {row}: non-numeric price 'n/a'" for row in range(2, 12)]
+        assert message == "; ".join([*named, "and 59990 more bad rows"])
+
     @pytest.mark.parametrize("name", sorted(MESSY_CSVS))
     def test_matches_the_dictreader_loop(self, name):
         assert_matches_dictreader(MESSY_CSVS[name].encode(), CsvSchema())
