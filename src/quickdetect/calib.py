@@ -41,10 +41,10 @@ the curve's steps next to ``gamma``, need.  The STADD pre-change walk
 restarts after every alarm, so it depends on the threshold and is run per
 call, but its draws do not: one call of :func:`estimate_stadd` takes every
 detector that reads one model and one score, draws each replication's
-pre-change stream once, and runs each detector's restart loop on the same
-increments.  The walk to ``nu`` is the first half of the walk to ``2 * nu``,
-and one post-change stream per replication serves both change points of a
-detector.
+pre-change stream once, and steps each detector, with its restarts,
+through the same increments.  The walk to ``nu`` is the first half of the
+walk to ``2 * nu``, and one post-change stream per replication serves both
+change points of a detector.
 
 One loop, :func:`_fresh_start_times`, reads every stopping time at one
 threshold bar the solve's: ARL and SADD runs start from zero, and STADD's
@@ -61,14 +61,14 @@ counted at the cap and reported, and more than 1% of them fails any estimate.
 The paths are evaluated by the CUSUM and Shiryaev-Roberts kernels of
 :mod:`quickdetect.detect`, round by round as the observations are drawn,
 at most ``_ROWS`` replications at a time as the rows of one array (the
-STADD pre-change walk takes ``8 * _ROWS``, and hands its restart loop
-slices of ``_BLOCK // 8`` steps): each row still draws from its own
-generator, so the draws, and every stopping time, are those of a
-replication run alone, and the stopping times are averaged in replication
-order.  A generator yields the same normals however its stream is split
-into draws and the kernels carry each run's state across rounds and slices,
-so where a round or slice ends moves a stopping time only if a path value
-lies within an ulp of the threshold.
+STADD pre-change walk steps ``8 * _ROWS`` rows a column at a time): each
+row still draws from its own generator, so the draws, and every stopping
+time, are those of a replication run alone, and the stopping times are
+averaged in replication order.  A generator yields the same normals however
+its stream is split into draws and the kernels carry each run's state
+across rounds, so where a round ends, or whether the walk steps or the
+kernels evaluate a path, moves a stopping time only if a path value lies
+within an ulp of the threshold.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rand import _ROWS, check_integer, mean_se, row_chunks, substream
-from .detect import KINDS, _BLOCK, _advance_with_resets, _path, check_threshold
+from .detect import KINDS, _BLOCK, _path, _step_with_resets, check_threshold
 from .models import GaussianChangeModel, ScoreParams, linear_quadratic_score, llr
 
 _STREAM_ARL = 11
@@ -374,36 +374,31 @@ def _stadd_delays(
     ``_BLOCK`` steps at a time, the steps a walk to either change point
     uses, ``_ROWS`` rows per draw into one block, once for all detectors:
     they share one model and one score, so the first one's increments are
-    every one's.  Each detector's restart loop takes the block in slices of
-    ``_BLOCK // 8`` steps, and the slice holding ``nu`` is cut there for its
-    state at ``nu``.  After an alarm that loop evaluates its rows again to
-    the end of the slice it was given, so short slices bound that work, and
-    wide arrays pay numpy's per-call cost once for more rows.  Both states
-    of a replication then read its one post-change stream, in one
+    every one's.  Each detector steps all rows through the block a column
+    at a time (:func:`quickdetect.detect._step_with_resets`), the round
+    holding ``nu`` cut there for the states at ``nu``.  Both states of a
+    replication then read its one post-change stream, in one
     :func:`_fresh_start_times` call per detector.  Returns, per detector,
     delays and capped masks of shape ``(2, replications)``.
     """
     nu, n, wide = spec.nu_stationary, spec.replications, 8 * _ROWS
-    # slice ends: every _BLOCK // 8 steps, at nu and at 2 * nu
-    edges = sorted({*range(0, 2 * nu, _BLOCK // 8), nu, 2 * nu})
     block = np.empty((min(n, wide), _BLOCK))
     states = np.empty((len(configs), 2, n))
     for start in range(0, n, wide):
         rows = range(start, min(start + wide, n))
         pre = substream(spec.seed, _STREAM_STADD_PRE, rows)
-        z, state = block[: len(rows)], [np.zeros(len(rows)) for _ in configs]
-        for lo, hi in zip(edges, edges[1:]):
-            col = lo % _BLOCK
-            if col == 0:
-                width = min(_BLOCK, 2 * nu - lo)
-                for i in range(0, len(rows), _ROWS):
-                    z[i : i + _ROWS, :width] = _draw(configs[0], pre[i : i + _ROWS], width, "pre")
-            for k, (config, threshold) in enumerate(zip(configs, thresholds)):
-                state[k], _ = _advance_with_resets(
-                    config.kind, state[k], z[:, col : col + hi - lo], threshold
-                )
-            if hi == nu:
-                states[:, 0, rows.start : rows.stop] = state
+        state = np.zeros((len(configs), len(rows)))
+        for lo in range(0, 2 * nu, _BLOCK):
+            width = min(_BLOCK, 2 * nu - lo)
+            z = block[: len(rows), :width]
+            for i in range(0, len(rows), _ROWS):
+                z[i : i + _ROWS] = _draw(configs[0], pre[i : i + _ROWS], width, "pre")
+            cuts = (0, nu - lo, width) if lo < nu < lo + width else (0, width)
+            for a, b in zip(cuts, cuts[1:]):
+                for k, (config, threshold) in enumerate(zip(configs, thresholds)):
+                    _step_with_resets(config.kind, state[k], z[:, a:b], threshold)
+                if lo + b == nu:
+                    states[:, 0, rows.start : rows.stop] = state
         states[:, 1, rows.start : rows.stop] = state
 
     return [

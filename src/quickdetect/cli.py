@@ -815,6 +815,7 @@ def _cmd_simulate(config: RunConfig) -> Report:
             "model's LLR constants do not describe the score after the change",
         ]
     sections = [("constants", _constants_entries(constants))]
+    kept_any = False
     solved = [calib.solve_threshold(detector, spec) for detector in detectors]
     thresholds = [threshold for threshold, _ in solved]
     # the kinds share one pre-change walk per replication, drawn once
@@ -829,6 +830,9 @@ def _cmd_simulate(config: RunConfig) -> Report:
             ReportEntry("monte-carlo-sadd", sadd.value, "observations", sadd.std_error),
         ]
         approx = renewal.delay_approx(kind, threshold, constants) if own_design else {}
+        approx, left_out = _applicable_delays(kind, threshold, constants, approx)
+        notes += left_out
+        kept_any = kept_any or bool(approx)
         if "sadd" in approx:
             entries.append(ReportEntry("approx-sadd", approx["sadd"], "observations"))
         entries.append(
@@ -839,7 +843,38 @@ def _cmd_simulate(config: RunConfig) -> Report:
         if "add_inf" in approx:
             entries.append(ReportEntry("approx-add-inf", approx["add_inf"], "observations"))
         sections.append((kind, tuple(entries)))
+    if kept_any:
+        notes.append(
+            "approx delay lines are large-threshold expansions: their error shrinks as the "
+            "threshold grows, not with the replications"
+        )
     return Report(config=config, sections=tuple(sections), notes=tuple(notes))
+
+
+def _applicable_delays(
+    kind: str, threshold: float, constants: renewal.RenewalConstants, approx: dict[str, float]
+) -> tuple[dict[str, float], list[str]]:
+    """The delay approximations that apply at ``threshold``, and a note for each left out.
+
+    The expansions hold as the threshold grows.  At a small threshold the
+    constant terms can outweigh it, and a delay below one observation is no
+    approximation; SR's also subtract ``c0`` (sadd) or ``c_inf`` (stadd)
+    from ``log A``, which must exceed it.
+    """
+    floors = {"sadd": ("c0", constants.c0.value), "stadd": ("c_inf", constants.c_inf.value)}
+    kept, notes = {}, []
+    for name, value in approx.items():
+        line = f"{kind} approx-{name.replace('_', '-')}"
+        if kind == "sr" and math.log(threshold) <= floors[name][1]:
+            notes.append(
+                f"no {line}: log A = {math.log(threshold):.4g} is not above "
+                f"{floors[name][0]} = {floors[name][1]:.4g}"
+            )
+        elif value < 1.0:
+            notes.append(f"no {line}: the expansion gives {value:.4g} observations, below 1")
+        else:
+            kept[name] = value
+    return kept, notes
 
 
 class Command(NamedTuple):

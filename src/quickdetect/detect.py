@@ -11,12 +11,14 @@ Both detectors consume the same per-observation log increments ``z_n``
   ``ARL >= A``.
 
 Each recursion is written once, as a kernel that evaluates a whole block of
-increments from a starting value (:func:`_cusum_path`, :func:`_sr_path`),
-plus one restart loop (:func:`_advance_with_resets`).  They take one row or
-many: a ``(rows, n)`` block with one start value per row, evaluated along
-the last axis, and a 1-D block is the same code on one row.  The runners
-here and the Monte Carlo estimators in :mod:`quickdetect.calib`, which run
-replications as rows, share them.
+increments from a starting value (:func:`_cusum_path`, :func:`_sr_path`).
+The kernels take one row or many: a ``(rows, n)`` block with one start
+value per row, evaluated along the last axis, and a 1-D block is the same
+code on one row.  The runners here restart one row after every alarm
+(:func:`_advance_with_resets`), and the fresh-start Monte Carlo estimators
+in :mod:`quickdetect.calib` evaluate replications as rows.  Many rows that
+restart and need only their end states, as the stationary delay's
+pre-change walk does, step a column at a time (:func:`_step_with_resets`).
 
 Alarms use ``>=`` at the threshold.  A stream that ends without a crossing
 is a valid "no alarm" outcome, not an error.  In a multi-cyclic run the
@@ -56,35 +58,26 @@ def _col(state) -> np.ndarray:
     return np.asarray(state, dtype=float)[..., None]
 
 
-def _cusum_path(w0, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+def _cusum_path(w0, z: np.ndarray) -> np.ndarray:
     """Per-step CUSUM values over a block of each row, starting from ``w0``.
 
     ``w0`` has shape ``(rows,)`` and ``z`` ``(rows, n)``; a float with a 1-D
-    block is one row.  Columns marked in ``skip`` (a prefix of each row) are
-    read as zero increments, so a row with ``w0 >= 0`` starts at its first
-    unmarked column exactly as a fresh call on the rest of the row would:
-    ``0.0 + x == x`` keeps the running sums' bits.
+    block is one row.
     """
-    if skip is not None:
-        z = np.where(skip, 0.0, z)
     cs = z.cumsum(axis=-1)
     return np.maximum(_col(w0) + cs, cs - np.minimum.accumulate(cs, axis=-1))
 
 
-def _sr_path(r0, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+def _sr_path(r0, z: np.ndarray) -> np.ndarray:
     """Per-step Shiryaev-Roberts values over a block of each row, from ``r0``.
 
-    Shapes and ``skip`` are as for :func:`_cusum_path`; a skipped column
-    adds no mass to the sum (``exp(-prev)`` becomes ``0.0``, its log
-    ``-inf``, and ``logaddexp(-inf, x) == x``).  A row uses plain linear
+    Shapes are as for :func:`_cusum_path`.  A row uses plain linear
     arithmetic when every intermediate exponent is small (this keeps
     integer-valued degenerate cases exact) and an equivalent log-space
     evaluation otherwise; the choice is made per row, by the same test a
     single-row call makes.  Values beyond float range saturate at the
     largest finite float, which still reaches any finite threshold.
     """
-    if skip is not None:
-        z = np.where(skip, 0.0, z)
     cs = z.cumsum(axis=-1)
     prev = cs - z  # z_{k-1}; prev[..., 0] == 0 exactly
     r0 = np.asarray(r0, dtype=float)
@@ -94,85 +87,77 @@ def _sr_path(r0, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
         & (r0 <= 1e150)
     )
     if linear.all():
-        return _sr_linear(r0, cs, prev, skip)
+        return _sr_linear(r0, cs, prev)
     if not linear.any():
-        return _sr_log(r0, cs, prev, skip)
+        return _sr_log(r0, cs, prev)
     out = np.empty_like(cs)
     for rows, evaluate in ((linear, _sr_linear), (~linear, _sr_log)):
-        out[rows] = evaluate(r0[rows], cs[rows], prev[rows], None if skip is None else skip[rows])
+        out[rows] = evaluate(r0[rows], cs[rows], prev[rows])
     return out
 
 
-def _sr_linear(r0, cs, prev, skip) -> np.ndarray:
+def _sr_linear(r0, cs, prev) -> np.ndarray:
     # the guard bounds every factor by exp(300) and r0 by 1e150: no overflow
-    terms = np.exp(-prev)
-    if skip is not None:
-        terms[skip] = 0.0
-    return np.exp(cs) * (_col(r0) + terms.cumsum(axis=-1))
+    return np.exp(cs) * (_col(r0) + np.exp(-prev).cumsum(axis=-1))
 
 
-def _sr_log(r0, cs, prev, skip) -> np.ndarray:
-    neg = -prev
-    if skip is not None:
-        neg[skip] = -np.inf
+def _sr_log(r0, cs, prev) -> np.ndarray:
     # math.log, row by row: these rows are rare, and np.log may round differently
     log_r0 = np.array([math.log(r) if r > 0.0 else -math.inf for r in r0.flat])
-    acc = np.logaddexp.accumulate(neg, axis=-1)
+    acc = np.logaddexp.accumulate(-prev, axis=-1)
     with np.errstate(over="ignore"):
         total = cs + np.logaddexp(_col(log_r0.reshape(r0.shape)), acc)
         return np.minimum(np.exp(total), _FLOAT_MAX)
 
 
-def _path(kind: str, state, z: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-    return (_cusum_path if kind == "cusum" else _sr_path)(state, z, skip)
+def _path(kind: str, state, z: np.ndarray) -> np.ndarray:
+    return (_cusum_path if kind == "cusum" else _sr_path)(state, z)
 
 
 def _advance_with_resets(
-    kind: str,
-    state,
-    z: np.ndarray,
-    threshold: float,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Consume a whole block of each row, restarting a row at every alarm.
+    kind: str, state: float, z: np.ndarray, threshold: float, out: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Consume a 1-D block of one row, restarting at every alarm.
 
-    ``state`` has shape ``(rows,)`` and ``z`` ``(rows, n)``; a float with a
-    1-D block is one row.  Each pass evaluates every row that has not yet
-    reached the block's end, from the earliest restart column on; a row
-    that restarted later skips the columns before its restart (see
-    :func:`_cusum_path`).  Returns the end states and a boolean mask of the
-    steps that alarmed, shaped like ``state`` and ``z``; ``out``, when
-    given, receives the per-step statistics and is shaped like ``z``.
+    After an alarm a fresh path is evaluated from the next column.  Returns
+    the end state and a boolean mask of the steps that alarmed, shaped like
+    ``z``; ``out``, when given, receives the per-step statistics.
     """
-    shape = z.shape
-    z = z.reshape(-1, shape[-1])
-    rows, n = z.shape
-    end = np.array(state, dtype=float).reshape(rows)  # a restarted row's is 0.0
     alarmed = np.zeros(z.shape, dtype=bool)
-    if out is not None:
-        out = out.reshape(z.shape)
-    live = np.arange(rows)  # rows still inside the block, in order
-    lo, skip = 0, None  # the pass starts at column lo
-    while True:
-        picked = slice(None) if live.size == rows else live
-        path = _path(kind, end[picked], z[picked, lo:], skip)
+    lo = 0
+    while lo < z.size:
+        path = _path(kind, state, z[lo:])
         if out is not None:
-            out[picked, lo:] = path if skip is None else np.where(skip, out[picked, lo:], path)
-        end[picked] = path[:, -1]
-        hit = path >= threshold  # skipped columns hold 0.0, below any threshold
-        if not hit.any():
-            break
-        found = hit.any(axis=1)
-        live, stop = live[found], lo + 1 + hit.argmax(axis=1)[found]
-        alarmed[live, stop - 1] = True
-        end[live] = 0.0
-        going = stop < n
-        live, stop = live[going], stop[going]
-        if not live.size:
-            break
-        lo = int(stop.min())
-        skip = np.arange(lo, n) < stop[:, None] if stop.max() > lo else None
-    return end.reshape(np.shape(state)), alarmed.reshape(shape)
+            out[lo:] = path
+        hits = np.flatnonzero(path >= threshold)
+        if not hits.size:
+            return float(path[-1]), alarmed
+        lo += int(hits[0]) + 1
+        alarmed[lo - 1] = True
+        state = 0.0
+    return state, alarmed
+
+
+def _step_with_resets(kind: str, state: np.ndarray, z: np.ndarray, threshold: float) -> None:
+    """Step every row of ``z`` through its block, restarting a row at every alarm.
+
+    ``state`` (``(rows,)``) is updated in place to the end states; ``z`` is
+    ``(rows, n)``.  The block kernels serve one long row, and fresh-start
+    runs that need every step's running maximum; this one-column-at-a-time
+    form serves many rows that need only their end states, where the
+    kernels would make one pass over the rest of the block per alarm.  An
+    SR ratio that overflows to inf reaches the threshold and restarts, as
+    the kernels' saturated value does.
+    """
+    with np.errstate(over="ignore"):
+        for column in z.T:
+            if kind == "cusum":
+                state += column
+                np.maximum(state, 0.0, out=state)
+            else:
+                state += 1.0
+                state *= np.exp(column)
+            state[state >= threshold] = 0.0
 
 
 def to_ratios(log_increments) -> np.ndarray:

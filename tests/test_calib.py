@@ -756,26 +756,66 @@ class TestBatchedStadd:
         assert (est.value, est.std_error, est.cap_hits) == real_mean_se(means[0]) + (0,)
 
     @pytest.mark.parametrize("kind, threshold", [("cusum", 2.8), ("sr", 50.0)])
-    def test_restart_loop_sees_short_slices_of_wide_arrays(self, kind, threshold, monkeypatch):
-        # after an alarm the restart loop evaluates its rows again to the end
-        # of the slice it was given, so the walk hands it short slices
-        shapes, real = [], calib._advance_with_resets
+    def test_the_walk_draws_each_step_once_in_blocks(self, kind, threshold, monkeypatch):
+        # each replication's 2 nu pre-change steps are drawn once, and the
+        # walk steps them in arrays of at most one (8 * _ROWS, _BLOCK) block
+        shapes, drawn = [], {}
+        real_step, real_sample = calib._step_with_resets, DetectorConfig.sample
 
-        def recording(kind, state, z, threshold):
+        def recording_step(kind, state, z, threshold):
             shapes.append(z.shape)
-            return real(kind, state, z, threshold)
+            return real_step(kind, state, z, threshold)
 
-        monkeypatch.setattr(calib, "_advance_with_resets", recording)
+        def counting_sample(self, rng, n, regime):
+            if regime == "pre":
+                drawn[rng] = drawn.get(rng, 0) + n
+            return real_sample(self, rng, n, regime)
+
+        monkeypatch.setattr(calib, "_step_with_resets", recording_step)
+        monkeypatch.setattr(DetectorConfig, "sample", counting_sample)
         spec = CalibrationSpec(
             gamma=20.0, replications=8 * calib._ROWS + 37, seed=5, nu_stationary=300
         )
         estimate_stadd([detector(kind, "exact")], [threshold], spec)
+        assert list(drawn.values()) == [600] * spec.replications
         rows, columns = np.array(shapes).T
-        assert columns.max() <= _BLOCK // 8 and rows.max() <= 8 * calib._ROWS
-        assert set(rows) == {8 * calib._ROWS, 37}
-        # 2 nu = 600 steps per array: 18 slices of 32, the slice [288, 320)
-        # cut at nu = 300 into two, and a last one of 24
-        assert columns.sum() == 2 * 600 and len(shapes) == 2 * 20
+        assert list(rows) == [8 * calib._ROWS] * 4 + [37] * 4
+        # 2 nu = 600 steps per array: rounds of 256, 256 and 88, the second
+        # cut at nu = 300
+        assert list(columns) == [256, 44, 212, 88] * 2
+
+    @pytest.mark.parametrize("mode", ["exact", "score"])
+    def test_walked_states_match_the_one_row_loop(self, mode, monkeypatch):
+        # the states at nu and 2 nu that the post-change runs start from
+        configs = [detector(kind, mode) for kind in KINDS]
+        thresholds = [TestSharedStaddWalk.THRESHOLDS[kind, mode] for kind in KINDS]
+        spec = CalibrationSpec(
+            gamma=20.0, replications=8 * calib._ROWS + 37, seed=5, nu_stationary=300
+        )
+        walked, real = [], calib._fresh_start_times
+
+        def recording(config, threshold, spec, regime, stream, states=None):
+            walked.append(states)
+            return real(config, threshold, spec, regime, stream, states)
+
+        monkeypatch.setattr(calib, "_fresh_start_times", recording)
+        calib._stadd_delays(configs, thresholds, spec)
+        nu, zeros = spec.nu_stationary, 0
+        for r in range(spec.replications):
+            rng = keyed_rng(spec.seed, calib._STREAM_STADD_PRE, r)
+            z = configs[0].log_increments(configs[0].sample(rng, 2 * nu, "pre"))
+            for config, threshold, states in zip(configs, thresholds, walked):
+                state = 0.0
+                for i, part in enumerate((z[:nu], z[nu:])):
+                    state, _ = _advance_with_resets(config.kind, state, part, threshold)
+                    assert (states[i, r] == 0.0) == (state == 0.0), (config.kind, i, r)
+                    # CUSUM rounds in absolute terms: a state near zero is a
+                    # difference of sums of the size of the threshold
+                    assert abs(states[i, r] - state) <= 1e-12 * max(state, threshold), (
+                        config.kind, i, r
+                    )
+                    zeros += state == 0.0
+        assert zeros > 0
 
     def test_capped_runs_match_the_loop(self):
         # post-change drift 0.5 per step against h = 150: about 300 steps,

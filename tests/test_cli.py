@@ -1315,6 +1315,38 @@ class TestSimulateCommand:
         assert {"approx-sadd", "approx-stadd"} <= set(entry_map(report, "sr"))
         assert not any("design" in note for note in report["notes"])
 
+    HST = ["--mu-pre", "-0.0029", "--sigma-pre", "0.2266", "--mu-post", "0.0199",
+           "--sigma-post", "0.2306"]
+
+    @pytest.mark.parametrize(
+        "gamma, left_out",
+        [
+            # the expansions read -23.9 and -18.0 (CUSUM), -230.5 and -418.8 (SR)
+            ("100", ["cusum approx-sadd", "cusum approx-add-inf", "sr approx-sadd",
+                     "sr approx-stadd"]),
+            ("1000", ["sr approx-stadd"]),  # log A is 6.8, c_inf 6.84
+        ],
+    )
+    def test_no_delay_line_below_one_observation(self, tmp_path, gamma, left_out):
+        # a faint change at a small gamma: the expansions' constant terms
+        # outweigh the threshold, so those lines are left out, each with a note
+        args = ["simulate", "--mode", "score", "--kind", "both", *self.HST, "--gamma", gamma,
+                "--replications", "500", "--nu", "300", "--seed", "1"]
+        assert run_cli(args, tmp_path) == 0
+        report = load_report(tmp_path, "simulate")
+        lines = [
+            (kind, name, entry["value"])
+            for kind in ("cusum", "sr")
+            for name, entry in entry_map(report, kind).items()
+            if name.startswith("approx-") and name != "approx-arl"
+        ]
+        assert all(value >= 1.0 for _, _, value in lines), lines
+        assert len(lines) == 4 - len(left_out)
+        notes = [note for note in report["notes"] if note.startswith("no ")]
+        assert [note.split(":")[0] for note in notes] == [f"no {line}" for line in left_out]
+        expansions = any("large-threshold expansions" in note for note in report["notes"])
+        assert expansions == bool(lines)
+
     ROUNDED = ["--mu-pre", "-0.009", "--sigma-pre", "0.954", "--mu-post", "0.303",
                "--sigma-post", "1.599"]
     # sigma_pre/sigma_post and (mu_post - mu_pre)/sigma_pre of ROUNDED in Python;
@@ -1332,10 +1364,13 @@ class TestSimulateCommand:
         report = self.rounded_design_run(tmp_path / "design", *design)
         plain = self.rounded_design_run(tmp_path / "plain")
         assert not any("design" in note for note in report["notes"])
-        for kind, delays in (("cusum", {"approx-sadd", "approx-add-inf"}),
-                             ("sr", {"approx-sadd", "approx-stadd"})):
+        for kind in ("cusum", "sr"):
             entries = entry_map(report, kind)
-            assert delays <= set(entries), kind
+            # the delay lines of the plain run, where SR's approx-stadd is left
+            # out at this gamma (log A is below c_inf)
+            lines = [n for n in entry_map(plain, kind) if n.startswith("approx-")]
+            assert [n for n in entries if n.startswith("approx-")] == lines, kind
+            assert "approx-sadd" in lines, kind
             # the score's last-bit rounding moves the threshold by an ulp
             assert entries["approx-arl"]["value"] == pytest.approx(
                 entry_map(plain, kind)["approx-arl"]["value"], rel=1e-12

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from quickdetect import DetectionTrace, multi_cyclic_run, run_detector, to_ratios
-from quickdetect.detect import _advance_with_resets, _cusum_path, _path, _sr_path
+from quickdetect.detect import (
+    _advance_with_resets,
+    _cusum_path,
+    _path,
+    _sr_path,
+    _step_with_resets,
+)
 
 #: far above any statistic the test streams reach, so nothing alarms
 NO_ALARM = 1e300
@@ -273,7 +279,8 @@ def mixed_rows(rng, rows, n):
 
 
 class TestBlockKernelsByRow:
-    """Each row of a 2-D kernel call equals the 1-D call on that row, bit for bit."""
+    """Each row of a 2-D kernel call equals the 1-D call on that row, bit for bit;
+    the restart loop runs one row."""
 
     @pytest.mark.parametrize("kernel", [_cusum_path, _sr_path])
     def test_path_rows(self, rng, kernel):
@@ -284,53 +291,76 @@ class TestBlockKernelsByRow:
         for i in range(9):
             np.testing.assert_array_equal(path[i], kernel(state[i], z[i]))
 
-    @pytest.mark.parametrize("kernel", [_cusum_path, _sr_path])
-    def test_skipped_prefix_reads_as_a_fresh_start(self, rng, kernel):
-        z = mixed_rows(rng, 9, 256)
-        starts = np.array([0, 1, 5, 17, 100, 128, 200, 254, 255])
-        skip = np.arange(256) < starts[:, None]
-        path = kernel(np.zeros(9), z, skip)
-        for i, start in enumerate(starts):
-            np.testing.assert_array_equal(path[i, :start], 0.0)
-            np.testing.assert_array_equal(path[i, start:], kernel(0.0, z[i, start:]))
-
     @pytest.mark.parametrize(
         "kind, threshold, drift", [("cusum", 3.0, 0.3), ("sr", 20.0, 0.0)]
     )
     def test_restart_loop_rows(self, rng, kind, threshold, drift):
-        n = 256
-        z = rng.normal(drift, 1.0, size=(40, n))
-        z[::3] += 2.0  # steep rows: many alarms, SR rows in the log branch
-        z[0, 0] = z[1, -1] = 50.0  # alarms at the first and the last column
-        z[1, -2] = -50.0
-        z[2, :] = -1.0  # no alarm at all
-        state = rng.uniform(0.0, 1.0, 40)
-        out = np.full(z.shape, np.nan)
-        end, alarmed = _advance_with_resets(kind, state, z, threshold, out)
-        expected = [restart_loop(kind, state[i], z[i], threshold) for i in range(40)]
-        assert alarmed[0, 0] and alarmed[1, -1] and not alarmed[2].any()
+        z, state = restart_rows(rng, drift)
+        expected = [restart_loop(kind, state[i], z[i], threshold) for i in range(len(z))]
+        assert expected[0][1][0] == 1 and expected[1][1][-1] == z.shape[1]
+        assert not expected[2][1]
         assert max(len(alarms) for _, alarms, _ in expected) > 5
         for i, (e_end, e_alarms, e_out) in enumerate(expected):
-            assert end[i] == e_end, i
-            assert list(np.flatnonzero(alarmed[i]) + 1) == e_alarms, i
-            np.testing.assert_array_equal(out[i], e_out)
-            one_end, one_alarmed = _advance_with_resets(kind, state[i], z[i], threshold)
-            assert one_end == e_end
-            np.testing.assert_array_equal(one_alarmed, alarmed[i])
-        assert end[1] == 0.0  # a last-column alarm leaves a fresh start
+            out = np.full(z.shape[1], np.nan)
+            end, alarmed = _advance_with_resets(kind, state[i], z[i], threshold, out)
+            assert end == e_end, i
+            assert list(np.flatnonzero(alarmed) + 1) == e_alarms, i
+            np.testing.assert_array_equal(out, e_out)
+        assert expected[1][0] == 0.0  # a last-column alarm leaves a fresh start
 
     def test_degenerate_sr_rows_stay_integer(self):
         # ratio identically one: R_n = n exactly, from any integer start,
-        # through restarts at different columns in different rows
+        # through restarts at different columns in different rows, in the
+        # restart loop and in the step walk alike
         z = np.zeros((4, 20))
         state = np.array([0.0, 1.0, 2.0, 5.0])
-        out = np.empty_like(z)
-        end, alarmed = _advance_with_resets("sr", state, z, 7.0, out)
+        walked = state.copy()
+        _step_with_resets("sr", walked, z, 7.0)
         for i, r0 in enumerate(state):
             expected = (r0 + np.arange(20.0)) % 7.0 + 1.0
-            np.testing.assert_array_equal(out[i], expected)
-            assert list(np.flatnonzero(alarmed[i]) + 1) == [
+            out = np.empty(20)
+            end, alarmed = _advance_with_resets("sr", r0, z[i], 7.0, out)
+            np.testing.assert_array_equal(out, expected)
+            assert list(np.flatnonzero(alarmed) + 1) == [
                 t for t in range(1, 21) if expected[t - 1] == 7.0
             ]
-            assert end[i] == (0.0 if expected[-1] == 7.0 else expected[-1])
+            assert end == walked[i] == (0.0 if expected[-1] == 7.0 else expected[-1])
 
+
+def restart_rows(rng, drift, rows=40, n=256):
+    """Increment rows for the restart loops, with a start state per row.
+
+    Every third row is steep (many alarms, SR rows in the log branch); row 0
+    alarms at its first column, row 1 at its last, and row 2 never.
+    """
+    z = rng.normal(drift, 1.0, size=(rows, n))
+    z[::3] += 2.0
+    z[0, 0] = z[1, -1] = 50.0
+    z[1, -2] = -50.0
+    z[2, :] = -1.0
+    return z, rng.uniform(0.0, 1.0, rows)
+
+
+class TestStepWalk:
+    """The column-at-a-time walk ends where the one-row restart loop does."""
+
+    @pytest.mark.parametrize(
+        "kind, threshold, drift", [("cusum", 3.0, 0.3), ("sr", 20.0, 0.0)]
+    )
+    def test_end_states_match_the_restart_loop(self, rng, kind, threshold, drift):
+        z, state = restart_rows(rng, drift)
+        walked = state.copy()
+        _step_with_resets(kind, walked, z, threshold)
+        for i in range(len(z)):
+            end, _ = _advance_with_resets(kind, state[i], z[i], threshold)
+            assert (walked[i] == 0.0) == (end == 0.0), i
+            assert abs(walked[i] - end) <= 1e-12 * abs(end), i
+        assert walked[1] == 0.0
+
+    def test_an_overflowing_sr_ratio_alarms_and_restarts(self):
+        # exp(800) is beyond float range; no warning escapes (the suite
+        # turns warnings into errors)
+        for z, end in (([0.0, 800.0], 0.0), ([0.0, 800.0, 0.0], 1.0)):
+            state = np.zeros(1)
+            _step_with_resets("sr", state, np.array([z]), 1e6)
+            assert state[0] == end
